@@ -2,14 +2,15 @@
 
 For each family: enumerate the analytic spectrum, inverse-iterate the
 discretized contour Hamiltonian at every analytic energy, and print the
-Richardson-extrapolated eigenvalue error, the wave-function residual at
-step h with its observed h -> h/2 order, and the PT defect of the
-potential-contour pair.
+eigenvalue error (Richardson-extrapolated for Eckart and Poschl-Teller),
+the wave-function residual at step h with its observed h -> h/2 order,
+and the PT defect of the potential-contour pair.
 """
 
 import time
 
-from ptspectra import EckartParams, HulthenParams, PoschlTellerParams, verify_family
+from ptspectra import verify_family
+from ptspectra.numeric import FAMILIES
 
 
 def report(params):
@@ -26,6 +27,5 @@ def report(params):
 
 
 if __name__ == "__main__":
-    report(EckartParams(3.0, 1.0, 0.5))
-    report(PoschlTellerParams(3.5, 1.5, 0.3))
-    report(HulthenParams(2.0, 2.0))
+    for family in FAMILIES.values():
+        report(family.canonical)

@@ -9,33 +9,26 @@ against the closed form along the arch.
 All output is CSV with 12-significant-digit scientific notation, '.'
 decimal point and ',' separators, deterministic row order. Exit codes:
 0 = pass, 1 = verification failure, 2 = invalid input.
+
+Every subcommand looks its family up in `numeric.FAMILIES`: the record
+supplies the parameter defaults, the parameter flags the family accepts,
+the contour, the default grid and the level functions.
 """
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
 
 import numpy as np
 
-from .contour import (
-    ArchContour,
-    ShiftedLine,
-    arch_liouville_map,
-    identity_liouville_map,
-    liouville_potential,
-)
-from .errors import SpectraError
-from .numeric import Grid, verify_family
-from .potentials import (
-    EckartParams,
-    HulthenParams,
-    PoschlTellerParams,
-    eval_eckart,
-    eval_hulthen,
-    eval_rpt,
-)
-from .spectra import (
+from .contour import arch_liouville_map, identity_liouville_map, liouville_potential
+from .errors import InvalidParameters, SpectraError
+from .numeric import FAMILIES, Grid, verify_family
+# Not called here; perfbench/spans.py wraps these names on this module.
+from .potentials import eval_eckart, eval_hulthen, eval_rpt  # noqa: F401
+from .spectra import (  # noqa: F401
     eckart_spectrum,
     eckart_wavefunction,
     hulthen_spectrum,
@@ -44,14 +37,11 @@ from .spectra import (
     rpt_wavefunction,
 )
 
-_FAMILY_DEFAULTS = {
-    "eckart": dict(A=3.0, beta=1.0, epsilon=0.5, xmin=-18.0, xmax=18.0, n=4001,
-                   tol_energy=1e-5),
-    "rpt": dict(alpha=3.5, beta=1.5, epsilon=0.3, xmin=-12.0, xmax=12.0, n=3001,
-                tol_energy=1e-6),
-    "hulthen": dict(alpha=2.0, C=2.0, epsilon=math.pi / 6, xmin=-12.0, xmax=12.0,
-                    n=12001, tol_energy=1e-4),
-}
+# --A, --beta, --alpha, --C: every parameter-record field except epsilon,
+# which is a flag of its own (an angle literal, the arch angle for Hulthen).
+_PARAM_FLAGS = tuple(dict.fromkeys(
+    f.name for fam in FAMILIES.values() for f in dataclasses.fields(fam.params)
+    if f.name != "epsilon"))
 
 _ANGLE_RE = re.compile(r"^\s*(?:(?P<coef>[+-]?\d+(?:\.\d+)?)\s*\*\s*)?pi\s*(?:/\s*(?P<den>\d+(?:\.\d+)?))?\s*$")
 
@@ -83,73 +73,51 @@ def _emit(header, rows, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _family_params(args):
-    d = _FAMILY_DEFAULTS[args.family]
-    eps = parse_angle(args.epsilon) if args.epsilon is not None else d["epsilon"]
-    if args.family == "eckart":
-        A = args.A if args.A is not None else d["A"]
-        beta = args.beta if args.beta is not None else d["beta"]
-        return EckartParams(A, beta, eps), eps
-    if args.family == "rpt":
-        alpha = args.alpha if args.alpha is not None else d["alpha"]
-        beta = args.beta if args.beta is not None else d["beta"]
-        return PoschlTellerParams(alpha, beta, eps), eps
-    alpha = args.alpha if args.alpha is not None else d["alpha"]
-    C = args.C if args.C is not None else d["C"]
-    return HulthenParams(alpha, C), eps
+def _setup(args):
+    """(family record, parameters, contour, (xmin, xmax, n)): the flags
+    given, over the family's canonical setup and default grid."""
+    fam = FAMILIES[args.family]
+    fields = [f.name for f in dataclasses.fields(fam.params)]
+    given = {name: getattr(args, name) for name in _PARAM_FLAGS
+             if getattr(args, name) is not None}
+    stray = [name for name in given if name not in fields]
+    if stray:
+        raise InvalidParameters(f"--{stray[0]} does not apply to --family {fam.name}")
+    eps = parse_angle(args.epsilon) if args.epsilon is not None else None
+    if eps is not None and "epsilon" in fields:
+        given["epsilon"] = eps
+    params = dataclasses.replace(fam.canonical, **given)
+    bounds = tuple(d if a is None else a
+                   for a, d in zip((args.xmin, args.xmax, args.n), fam.grid))
+    return fam, params, fam.contour(params, eps), bounds
 
 
-def _grid_spec(args):
-    d = _FAMILY_DEFAULTS[args.family]
-    xmin = args.xmin if args.xmin is not None else d["xmin"]
-    xmax = args.xmax if args.xmax is not None else d["xmax"]
-    n = args.n if args.n is not None else d["n"]
-    return xmin, xmax, n
-
-
-def _contour_for(args, params, eps):
-    if args.family == "hulthen":
-        return ArchContour(eps)
-    return ShiftedLine(eps)
+def _aux_cell(aux, column) -> str:
+    """A level's aux entry as a CSV cell: a `_re`/`_im` suffix takes that part
+    of a complex entry, and a family without the entry gets an empty cell."""
+    key, part = column, None
+    if column.endswith(("_re", "_im")):
+        key, part = column[:-3], "real" if column.endswith("_re") else "imag"
+    if key not in aux:
+        return ""
+    return _fmt(getattr(aux[key], part) if part else aux[key])
 
 
 def cmd_spectrum(args) -> int:
-    params, _ = _family_params(args)
-    if args.family == "eckart":
-        levels = eckart_spectrum(params)
-        header = ["family", "sigma", "tau", "N", "E", "kappa", "u_re", "u_im", "v_re", "v_im"]
-        rows = [
-            ["eckart", str(l.qn.sigma), str(l.qn.tau), str(l.qn.N), _fmt(l.energy), "",
-             _fmt(l.aux["u"].real), _fmt(l.aux["u"].imag),
-             _fmt(l.aux["v"].real), _fmt(l.aux["v"].imag)]
-            for l in levels
-        ]
-    elif args.family == "rpt":
-        levels = rpt_spectrum(params)
-        header = ["family", "sigma", "tau", "N", "E", "kappa"]
-        rows = [
-            ["rpt", str(l.qn.sigma), str(l.qn.tau), str(l.qn.N), _fmt(l.energy),
-             _fmt(l.aux["kappa"])]
-            for l in levels
-        ]
-    else:
-        levels = hulthen_spectrum(params)
-        header = ["family", "sigma", "tau", "N", "E", "kappa", "s", "tau_beta"]
-        rows = [
-            ["hulthen", str(l.qn.sigma), str(l.qn.tau), str(l.qn.N), _fmt(l.energy),
-             _fmt(l.aux["kappa"]), _fmt(l.aux["s"]), _fmt(l.aux["tau_beta"])]
-            for l in levels
-        ]
+    fam, params, _, _ = _setup(args)
+    header = ["family", "sigma", "tau", "N", "E", "kappa", *fam.aux_columns]
+    rows = [
+        [fam.name, str(l.qn.sigma), str(l.qn.tau), str(l.qn.N), _fmt(l.energy)]
+        + [_aux_cell(l.aux, column) for column in header[5:]]
+        for l in fam.spectrum(params)
+    ]
     _emit(header, rows, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    params, eps = _family_params(args)
-    contour = _contour_for(args, params, eps)
-    xmin, xmax, n = _grid_spec(args)
-    grid = Grid(xmin, xmax, n, contour)
-    report = verify_family(params, contour, grid,
+    _, params, contour, bounds = _setup(args)
+    report = verify_family(params, contour, Grid(*bounds, contour),
                            tol_energy=args.tol_energy, tol_residual=args.tol_residual,
                            seed=args.seed)
     header = ["N", "sigma", "tau", "E_analytic", "lambda_re", "lambda_im",
@@ -165,30 +133,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    params, eps = _family_params(args)
-    contour = _contour_for(args, params, eps)
-    xmin, xmax, n = _grid_spec(args)
-    x = np.linspace(xmin, xmax, n)
+    fam, params, contour, bounds = _setup(args)
+    x = np.linspace(*bounds)
     xi = contour.point(x)
-    if args.family == "eckart":
-        V = eval_eckart(params, xi)
-    elif args.family == "rpt":
-        V = eval_rpt(params, xi)
-    else:
-        V = eval_hulthen(params, xi)
+    V = fam.potential(params, xi)
     header = ["x", "xi_re", "xi_im", "V_re", "V_im"]
     cols = [x, xi.real, xi.imag, V.real, V.imag]
     if args.N is not None:
-        level = _select_level(args, params)
+        level = _select_level(args, fam, params)
         if level is None:
             sys.stderr.write("ptspectra: invalid level for psi sampling\n")
             return 2
-        if args.family == "eckart":
-            psi = eckart_wavefunction(params, level, xi)
-        elif args.family == "rpt":
-            psi = rpt_wavefunction(params, level, xi)
-        else:
-            psi = hulthen_wavefunction(params, level, contour, x)
+        psi = fam.wavefunction(params, level, contour, x)
         header += ["psi_re", "psi_im"]
         cols += [psi.real, psi.imag]
     rows = [[_fmt(c[i]) for c in cols] for i in range(len(x))]
@@ -196,17 +152,10 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _select_level(args, params):
-    if args.family == "eckart":
-        levels = eckart_spectrum(params)
-        match = [l for l in levels if l.qn.N == args.N]
-    elif args.family == "rpt":
-        levels = rpt_spectrum(params)
-        match = [l for l in levels
-                 if l.qn.N == args.N and l.qn.sigma == args.sigma and l.qn.tau == args.tau]
-    else:
-        levels = hulthen_spectrum(params)
-        match = [l for l in levels if l.qn.N == args.N and l.qn.sigma == args.sigma]
+def _select_level(args, fam, params):
+    """The first level whose quantum numbers in `fam.level_keys` match the flags."""
+    match = [l for l in fam.spectrum(params)
+             if all(getattr(l.qn, k) == getattr(args, k) for k in fam.level_keys)]
     return match[0] if match else None
 
 
@@ -214,8 +163,8 @@ def cmd_transform(args) -> int:
     if args.family != "hulthen":
         sys.stderr.write("ptspectra: transform requires --family hulthen\n")
         return 2
-    params, eps = _family_params(args)
-    level = _select_level(args, params)
+    fam, params, contour, (xmin, xmax, n) = _setup(args)
+    level = _select_level(args, fam, params)
     if level is None:
         sys.stderr.write("ptspectra: invalid level (not an accepted bound state)\n")
         return 2
@@ -226,13 +175,12 @@ def cmd_transform(args) -> int:
     def W(r):
         return (tb * tb - 0.25) / np.sinh(r) ** 2 - (alpha * alpha - 0.25) / np.cosh(r) ** 2
 
-    xmin, xmax, n = _grid_spec(args)
     if args.xmin is None and args.xmax is None:
         xmin, xmax = -3.0, 3.0
     if args.n is None:
         n = 101
     x = np.linspace(xmin, xmax, n)
-    xi = ArchContour(eps).point(x)
+    xi = contour.point(x)
     if args.identity_selftest:
         lmap = identity_liouville_map(kappa)
         v_liou = liouville_potential(W, lmap, xi)
@@ -241,7 +189,7 @@ def cmd_transform(args) -> int:
         lmap = arch_liouville_map(kappa)
         v_liou = liouville_potential(W, lmap, xi)
         # closed form of the same V - E object: Hulthen potential minus E = kappa^2
-        v_closed = eval_hulthen(params, xi) - kappa ** 2
+        v_closed = fam.potential(params, xi) - kappa ** 2
     diff = np.abs(v_liou - v_closed)
     header = ["x", "xi_re", "xi_im", "V_liouville_re", "V_liouville_im",
               "V_closed_re", "V_closed_im", "abs_diff"]
@@ -266,11 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
                      ("sample", cmd_sample), ("transform", cmd_transform)):
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
-        p.add_argument("--family", choices=("eckart", "rpt", "hulthen"), required=True)
-        p.add_argument("--A", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--C", type=float, default=None)
+        p.add_argument("--family", choices=tuple(FAMILIES), required=True)
+        for flag in _PARAM_FLAGS:
+            p.add_argument(f"--{flag}", type=float, default=None)
         p.add_argument("--epsilon", type=str, default=None,
                        help="contour shift in radians; 'pi/6'-style literals accepted")
         p.add_argument("--xmin", type=float, default=None)

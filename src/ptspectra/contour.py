@@ -80,16 +80,6 @@ class ArchContour:
         return math.log(1.0 / math.sin(self.epsilon))
 
 
-def map_point(contour, x):
-    """xi(x) on the declared path."""
-    return contour.point(x)
-
-
-def contour_derivative(contour, x):
-    """d xi / dx in closed form."""
-    return contour.derivative(x)
-
-
 def continuous_log(values):
     """log along a sample path: principal at the first sample, then
     phase-continuous (unwrapped by whole turns).

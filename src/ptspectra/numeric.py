@@ -8,14 +8,19 @@ midpoint form, with the metric factor 1/xi' evaluated at half-steps.
 
 Verification runs the eigensolve on the stated grid and on the once
 refined grid (same endpoints, halved step). The refined pass yields the
-convergence-order table, and the reported eigenvalue is the Richardson
-combination (4*lambda_fine - lambda_coarse)/3, which removes the O(h^2)
-truncation term of the stencil. Wave-function residuals always use the
-raw three-point operator, so observed convergence orders stay meaningful.
+convergence-order table, and for families whose record sets `richardson`
+the reported eigenvalue is the Richardson combination
+(4*lambda_fine - lambda_coarse)/3, which removes the O(h^2) truncation
+term of the stencil. Wave-function residuals always use the raw
+three-point operator, so observed convergence orders stay meaningful.
+
+`FAMILIES` holds one `Family` record per parameter type; `verify_family`
+and the CLI dispatch through it.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -307,81 +312,103 @@ class VerificationReport:
         ]
 
 
-_DEFAULTS = {
-    "eckart": dict(x_min=-18.0, x_max=18.0, n_points=4001, tol_energy=1e-5),
-    "rpt": dict(x_min=-12.0, x_max=12.0, n_points=3001, tol_energy=1e-6),
-    "hulthen": dict(x_min=-12.0, x_max=12.0, n_points=12001, tol_energy=1e-4),
-}
+@dataclass(frozen=True)
+class Family:
+    """What the verifier and the CLI know about one potential family.
+
+    `spectrum(params)`, `potential(params, xi)` and
+    `wavefunction(params, level, contour, x)` look the family functions up
+    when called, not at import, so a wrapper installed on a module
+    attribute sees every call. `contour(params, epsilon)` builds the
+    canonical path: the shifted-line families take their shift from
+    `params`, Hulthen's arch takes `epsilon` (None: pi/6).
+    `canonical` is the README setup and the CLI's parameter defaults, `grid`
+    the default (x_min, x_max, n_points). `level_keys` are the quantum
+    numbers that select one level, and `aux_columns` the level aux entries
+    the spectrum table prints after kappa (a `_re`/`_im` suffix takes that
+    part of a complex entry).
+    """
+
+    name: str
+    params: type
+    canonical: object
+    spectrum: Callable
+    potential: Callable
+    wavefunction: Callable
+    contour: Callable
+    grid: tuple
+    tol_energy: float
+    tol_residual: float
+    richardson: bool
+    level_keys: tuple
+    aux_columns: tuple
 
 
-def default_grid(family: str, contour=None) -> Grid:
-    d = _DEFAULTS[family]
-    return Grid(d["x_min"], d["x_max"], d["n_points"], contour)
-
-
-def _family_of(params) -> str:
-    if isinstance(params, EckartParams):
-        return "eckart"
-    if isinstance(params, PoschlTellerParams):
-        return "rpt"
-    if isinstance(params, HulthenParams):
-        return "hulthen"
-    raise TypeError(f"unknown parameter record {type(params).__name__}")
+# The flat tol_residual covers the sharpest canonical contour (eps=0.3, where
+# the truncation term scales like 1/sin^4 eps); order checks do the real work.
+# Hulthen reports the single-grid eigenvalue: its refined grid feeds only the
+# residual order.
+FAMILIES = {f.name: f for f in (
+    Family("eckart", EckartParams, EckartParams(3.0, 1.0, 0.5),
+           spectrum=lambda p: _sp.eckart_spectrum(p),
+           potential=lambda p, xi: eval_eckart(p, xi),
+           wavefunction=lambda p, level, contour, x:
+               _sp.eckart_wavefunction(p, level, contour.point(x)),
+           contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
+           grid=(-18.0, 18.0, 4001), tol_energy=1e-5, tol_residual=1.5e-1,
+           richardson=True, level_keys=("N",),
+           aux_columns=("u_re", "u_im", "v_re", "v_im")),
+    Family("rpt", PoschlTellerParams, PoschlTellerParams(3.5, 1.5, 0.3),
+           spectrum=lambda p: _sp.rpt_spectrum(p),
+           potential=lambda p, xi: eval_rpt(p, xi),
+           wavefunction=lambda p, level, contour, x:
+               _sp.rpt_wavefunction(p, level, contour.point(x)),
+           contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
+           grid=(-12.0, 12.0, 3001), tol_energy=1e-6, tol_residual=1.5e-1,
+           richardson=True, level_keys=("N", "sigma", "tau"), aux_columns=()),
+    Family("hulthen", HulthenParams, HulthenParams(2.0, 2.0),
+           spectrum=lambda p: _sp.hulthen_spectrum(p),
+           potential=lambda p, xi: eval_hulthen(p, xi),
+           wavefunction=lambda p, level, contour, x:
+               _sp.hulthen_wavefunction(p, level, contour, x),
+           contour=lambda p, epsilon=None:
+               ArchContour(math.pi / 6 if epsilon is None else epsilon),
+           grid=(-12.0, 12.0, 12001), tol_energy=1e-4, tol_residual=1e-4,
+           richardson=False, level_keys=("N", "sigma"), aux_columns=("s", "tau_beta")),
+)}
 
 
 def verify_family(params, contour=None, grid: Grid = None, tol_energy: float = None,
-                  tol_imag: float = None, tol_residual: float = None,
-                  seed: int = 42, convention: str = "reduction") -> VerificationReport:
+                  tol_residual: float = None, seed: int = 42) -> VerificationReport:
     """End-to-end check of a family's closed forms on one contour.
 
     Enumerates the analytic spectrum, inverse-iterates the discretized
     operator at each analytic energy on the grid and its refinement,
-    reports Richardson-extrapolated eigenvalues, wave-function residuals
-    at both steps with the observed convergence order, and the PT defect.
-    Constituent errors become failed report entries, not exceptions.
+    reports the eigenvalues (Richardson-extrapolated where the family
+    record asks for it), wave-function residuals at both steps with the
+    observed convergence order, and the PT defect. An eigenvalue must
+    match its energy within `tol_energy` and have |Im| within
+    10 * `tol_energy`. Constituent errors become failed report entries,
+    not exceptions.
     """
-    family = _family_of(params)
+    fam = next((f for f in FAMILIES.values() if isinstance(params, f.params)), None)
+    if fam is None:
+        raise TypeError(f"unknown parameter record {type(params).__name__}")
     if tol_energy is None:
-        tol_energy = _DEFAULTS[family]["tol_energy"]
-    if tol_imag is None:
-        tol_imag = 10 * tol_energy
-    # flat default covers the sharpest canonical contour (eps=0.3, where the
-    # truncation term scales like 1/sin^4 eps); order checks do the real work
+        tol_energy = fam.tol_energy
+    tol_imag = 10 * tol_energy
     if tol_residual is None:
-        tol_residual = 1e-4 if family == "hulthen" else 1.5e-1
+        tol_residual = fam.tol_residual
     if contour is None:
-        if family == "hulthen":
-            contour = ArchContour(math.pi / 6)
-        else:
-            contour = ShiftedLine(params.epsilon)
+        contour = fam.contour(params)
     if grid is None:
-        grid = default_grid(family, contour)
+        grid = Grid(*fam.grid, contour)
 
-    if family == "eckart":
-        levels = _sp.eckart_spectrum(params)
-        evaluator = lambda xi: eval_eckart(params, xi)
-
-        def wave(level, xs):
-            return _sp.eckart_wavefunction(params, level, contour.point(xs), convention)
-
-    elif family == "rpt":
-        levels = _sp.rpt_spectrum(params)
-        evaluator = lambda xi: eval_rpt(params, xi)
-
-        def wave(level, xs):
-            return _sp.rpt_wavefunction(params, level, contour.point(xs))
-
-    else:
-        levels = _sp.hulthen_spectrum(params)
-        evaluator = lambda xi: eval_hulthen(params, xi)
-
-        def wave(level, xs):
-            return _sp.hulthen_wavefunction(params, level, contour, xs)
-
+    levels = fam.spectrum(params)
+    evaluator = lambda xi: fam.potential(params, xi)
     fine = grid.refined()
     H = build_hamiltonian(evaluator, contour, grid)
     Hf = build_hamiltonian(evaluator, contour, fine)
-    richardson = family != "hulthen"
 
     entries = []
     passed = True
@@ -390,15 +417,15 @@ def verify_family(params, contour=None, grid: Grid = None, tol_energy: float = N
         E = level.energy
         try:
             coarse = _solve_one(H, E, seed, 1e-10, 200)
-            if richardson:
+            if fam.richardson:
                 fine_res = _solve_one(Hf, E, seed, 1e-10, 200)
                 lam = (4 * fine_res.eigenvalue - coarse.eigenvalue) / 3
                 iters = coarse.iterations + fine_res.iterations
             else:
                 lam = coarse.eigenvalue
                 iters = coarse.iterations
-            psi_c = wave(level, grid.points())
-            psi_f = wave(level, fine.points())
+            psi_c = fam.wavefunction(params, level, contour, grid.points())
+            psi_f = fam.wavefunction(params, level, contour, fine.points())
             res_c = residual(psi_c, E, H)
             res_f = residual(psi_f, E, Hf)
             order = math.log2(res_c / res_f) if res_f > 0 else float("nan")
@@ -417,5 +444,5 @@ def verify_family(params, contour=None, grid: Grid = None, tol_energy: float = N
 
     xs = np.linspace(-8.0, 8.0, 201)
     defect = pt_defect(evaluator, contour, xs)
-    return VerificationReport(family, entries, passed, defect,
+    return VerificationReport(fam.name, entries, passed, defect,
                               grid, tol_energy, tol_imag, tol_residual)

@@ -26,7 +26,10 @@ def _require(cond: bool, msg: str) -> None:
 
 @dataclass(frozen=True)
 class EckartParams:
-    """Couplings A and beta (B = i*beta purely imaginary) plus the line shift."""
+    """Couplings A and beta (B = i*beta purely imaginary) plus the line shift.
+
+    The shift is held to the range of its ShiftedLine contour, (0, pi/2).
+    """
 
     A: float
     beta: float
@@ -35,7 +38,7 @@ class EckartParams:
     def __post_init__(self):
         _require(math.isfinite(self.A), "A must be real and finite")
         _require(math.isfinite(self.beta), "beta must be real and finite")
-        _require(0.0 < self.epsilon < math.pi, "epsilon must lie strictly inside (0, pi)")
+        _require(0.0 < self.epsilon < math.pi / 2, "epsilon must lie strictly inside (0, pi/2)")
 
 
 @dataclass(frozen=True)

@@ -147,18 +147,22 @@ def rpt_spectrum(p: PoschlTellerParams) -> list:
     return levels
 
 
+def _parent_eigenfunction(N, tb, sa, r):
+    """sinh^{tb+1/2}(r) cosh^{sa+1/2}(r) P_N^{(tb, sa)}(cosh 2r), branch-continuous:
+    the Poschl-Teller eigenfunction with tb = tau*beta, sa = sigma*alpha."""
+    r = np.asarray(r, dtype=complex)
+    sh, ch = np.sinh(r), np.cosh(r)
+    if min(np.min(np.abs(sh)), np.min(np.abs(ch))) < 1e-12:
+        raise SingularPoint("sinh r or cosh r vanishes on the requested points")
+    poly = jacobi_p_hyp(N, tb, sa, np.cosh(2 * r))
+    return power_along_path(sh, tb + 0.5) * power_along_path(ch, sa + 0.5) * poly
+
+
 def rpt_wavefunction(p: PoschlTellerParams, level: Level, points):
     """psi = sinh^{tau*beta+1/2}(r) cosh^{sigma*alpha+1/2}(r)
     P_N^{(tau*beta, sigma*alpha)}(cosh 2r), branch-continuous."""
     qn = level.qn
-    tb = qn.tau * p.beta
-    sa = qn.sigma * p.alpha
-    r = np.asarray(points, dtype=complex)
-    sh, ch = np.sinh(r), np.cosh(r)
-    if min(np.min(np.abs(sh)), np.min(np.abs(ch))) < 1e-12:
-        raise SingularPoint("sinh r or cosh r vanishes on the requested points")
-    poly = jacobi_p_hyp(qn.N, tb, sa, np.cosh(2 * r))
-    return power_along_path(sh, tb + 0.5) * power_along_path(ch, sa + 0.5) * poly
+    return _parent_eigenfunction(qn.N, qn.tau * p.beta, qn.sigma * p.alpha, points)
 
 
 def rpt_real_energy_condition(alpha, beta, sigma: int, tau: int, N: int):
@@ -225,14 +229,8 @@ def hulthen_wavefunction(p: HulthenParams, level: Level, arch, x_samples):
     sa = level.qn.sigma * p.alpha
     n = level.qn.N
     lmap = arch_liouville_map(level.aux["kappa"])
-
-    def chi(r):
-        sh, ch = np.sinh(r), np.cosh(r)
-        poly = jacobi_p_hyp(n, tb, sa, np.cosh(2 * r))
-        return power_along_path(sh, tb + 0.5) * power_along_path(ch, sa + 0.5) * poly
-
     xi = arch.point(np.asarray(x_samples, dtype=float))
-    return transport_wavefunction(chi, lmap, xi)
+    return transport_wavefunction(lambda r: _parent_eigenfunction(n, tb, sa, r), lmap, xi)
 
 
 def eckart_spacing(p: EckartParams, N: int) -> float:

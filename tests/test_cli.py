@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from ptspectra.cli import main, parse_angle
+from ptspectra import verify_family
+from ptspectra.cli import build_parser, main, parse_angle
+from ptspectra.numeric import FAMILIES
 
 
 def _run(capsys, argv):
@@ -87,6 +89,41 @@ def test_bad_epsilon_literal_rejected(capsys):
                                  "--epsilon", "junk"])
     assert code == 2
     assert "ptspectra:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "rpt", "--A", "7", "--C", "3"],
+    ["verify", "--family", "eckart", "--alpha", "2"],
+    ["sample", "--family", "hulthen", "--beta", "1"],
+])
+def test_flags_of_another_family_rejected(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ptspectra:") and "does not apply" in err
+
+
+def test_family_choices_are_the_registry():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for parser in sub.choices.values():
+        family = next(a for a in parser._actions if a.dest == "family")
+        assert tuple(family.choices) == tuple(FAMILIES)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_bare_verify_matches_library_on_canonical_setup(capsys, name):
+    code, out, _ = _run(capsys, ["verify", "--family", name])
+    report = verify_family(FAMILIES[name].canonical)
+    assert code == (0 if report.passed else 1)
+    _, rows = _rows(out)
+    expected = [
+        [str(e.N), str(e.sigma), str(e.tau)]
+        + [f"{v:.11e}" for v in (e.E_analytic, e.eigenvalue.real, e.eigenvalue.imag,
+                                 e.abs_err, e.residual)]
+        + [str(int(e.converged))]
+        for e in report.entries
+    ]
+    assert rows == expected
 
 
 def test_sample_arch_apex(capsys):

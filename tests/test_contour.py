@@ -13,38 +13,36 @@ from ptspectra import (
     SingularPoint,
     arch_liouville_map,
     continuous_log,
-    contour_derivative,
     identity_liouville_map,
     linear_liouville_map,
     liouville_potential,
-    map_point,
     power_along_path,
     transport_wavefunction,
 )
 
 
 def test_map_point_shifted_line():
-    assert map_point(ShiftedLine(0.35), 0.0) == -0.35j
+    assert ShiftedLine(0.35).point(0.0) == -0.35j
     line = ShiftedLine(0.5)
     x = np.linspace(-3, 3, 7)
     assert np.allclose(line.point(x), x - 0.5j)
-    assert np.all(contour_derivative(line, x) == 1.0)
+    assert np.all(line.derivative(x) == 1.0)
 
 
 def test_map_point_arch():
     arch = ArchContour(math.pi / 6)
-    assert map_point(arch, 0.0) == pytest.approx(1j * math.log(2.0), abs=1e-14)
+    assert arch.point(0.0) == pytest.approx(1j * math.log(2.0), abs=1e-14)
     # asymptotic strip edge
-    assert map_point(arch, 20.0).real == pytest.approx(math.pi / 3, abs=1e-8)
+    assert arch.point(20.0).real == pytest.approx(math.pi / 3, abs=1e-8)
     assert arch.apex == pytest.approx(math.log(2.0))
 
 
 def test_arch_derivative_closed_form_and_fd():
-    assert contour_derivative(ArchContour(math.pi / 4), 0.0) == pytest.approx(1.0 + 0j, abs=1e-14)
+    assert ArchContour(math.pi / 4).derivative(0.0) == pytest.approx(1.0 + 0j, abs=1e-14)
     arch = ArchContour(0.3)
     h = 1e-5
-    fd = (map_point(arch, 1.2 + h) - map_point(arch, 1.2 - h)) / (2 * h)
-    assert contour_derivative(arch, 1.2) == pytest.approx(fd, abs=1e-8)
+    fd = (arch.point(1.2 + h) - arch.point(1.2 - h)) / (2 * h)
+    assert arch.derivative(1.2) == pytest.approx(fd, abs=1e-8)
 
 
 def test_paths_are_pt_symmetric():

@@ -30,6 +30,10 @@ def test_param_validation():
         EckartParams(3.0, 1.0, epsilon=0.0)
     with pytest.raises(InvalidParameters):
         EckartParams(3.0, 1.0, epsilon=math.pi)
+    # the shift's range is its ShiftedLine's, (0, pi/2): refused here, not
+    # later inside verification
+    with pytest.raises(InvalidParameters):
+        EckartParams(3.0, 1.0, epsilon=2.0)
     with pytest.raises(InvalidParameters):
         PoschlTellerParams(-1.0, 1.5)
     with pytest.raises(InvalidParameters):
