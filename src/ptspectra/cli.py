@@ -12,7 +12,8 @@ decimal point and ',' separators, deterministic row order. Exit codes:
 
 Every subcommand looks its family up in `numeric.FAMILIES`: the record
 supplies the parameter defaults, the parameter flags the family accepts,
-the contour, the default grid and the level functions.
+the contour, the default grid and the level functions. Each subcommand
+registers only the flags it reads; any other flag is an input error.
 """
 
 import argparse
@@ -42,6 +43,9 @@ from .spectra import (  # noqa: F401
 _PARAM_FLAGS = tuple(dict.fromkeys(
     f.name for fam in FAMILIES.values() for f in dataclasses.fields(fam.params)
     if f.name != "epsilon"))
+
+# transform's own sampling window; it does not use the family's verify grid
+_TRANSFORM_GRID = (-3.0, 3.0, 101)
 
 _ANGLE_RE = re.compile(r"^\s*(?:(?P<coef>[+-]?\d+(?:\.\d+)?)\s*\*\s*)?pi\s*(?:/\s*(?P<den>\d+(?:\.\d+)?))?\s*$")
 
@@ -74,8 +78,8 @@ def _emit(header, rows, out_path) -> None:
 
 
 def _setup(args):
-    """(family record, parameters, contour, (xmin, xmax, n)): the flags
-    given, over the family's canonical setup and default grid."""
+    """(family record, parameters, contour): the flags given, over the
+    family's canonical setup."""
     fam = FAMILIES[args.family]
     fields = [f.name for f in dataclasses.fields(fam.params)]
     given = {name: getattr(args, name) for name in _PARAM_FLAGS
@@ -87,9 +91,12 @@ def _setup(args):
     if eps is not None and "epsilon" in fields:
         given["epsilon"] = eps
     params = dataclasses.replace(fam.canonical, **given)
-    bounds = tuple(d if a is None else a
-                   for a, d in zip((args.xmin, args.xmax, args.n), fam.grid))
-    return fam, params, fam.contour(params, eps), bounds
+    return fam, params, fam.contour(params, eps)
+
+
+def _bounds(args, default):
+    """(xmin, xmax, n): each flag given, else its entry of `default`."""
+    return tuple(d if a is None else a for a, d in zip((args.xmin, args.xmax, args.n), default))
 
 
 def _aux_cell(aux, column) -> str:
@@ -104,7 +111,7 @@ def _aux_cell(aux, column) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    fam, params, _, _ = _setup(args)
+    fam, params, _ = _setup(args)
     header = ["family", "sigma", "tau", "N", "E", "kappa", *fam.aux_columns]
     rows = [
         [fam.name, str(l.qn.sigma), str(l.qn.tau), str(l.qn.N), _fmt(l.energy)]
@@ -116,10 +123,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _, params, contour, bounds = _setup(args)
-    report = verify_family(params, contour, Grid(*bounds, contour),
-                           tol_energy=args.tol_energy, tol_residual=args.tol_residual,
-                           seed=args.seed)
+    fam, params, contour = _setup(args)
+    report = verify_family(params, Grid(*_bounds(args, fam.grid), contour),
+                           tol_energy=args.tol_energy, tol_residual=args.tol_residual)
     header = ["N", "sigma", "tau", "E_analytic", "lambda_re", "lambda_im",
               "abs_err", "residual", "converged"]
     rows = [
@@ -133,8 +139,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    fam, params, contour, bounds = _setup(args)
-    x = np.linspace(*bounds)
+    fam, params, contour = _setup(args)
+    x = np.linspace(*_bounds(args, fam.grid))
     xi = contour.point(x)
     V = fam.potential(params, xi)
     header = ["x", "xi_re", "xi_im", "V_re", "V_im"]
@@ -163,7 +169,7 @@ def cmd_transform(args) -> int:
     if args.family != "hulthen":
         sys.stderr.write("ptspectra: transform requires --family hulthen\n")
         return 2
-    fam, params, contour, (xmin, xmax, n) = _setup(args)
+    fam, params, contour = _setup(args)
     level = _select_level(args, fam, params)
     if level is None:
         sys.stderr.write("ptspectra: invalid level (not an accepted bound state)\n")
@@ -175,11 +181,7 @@ def cmd_transform(args) -> int:
     def W(r):
         return (tb * tb - 0.25) / np.sinh(r) ** 2 - (alpha * alpha - 0.25) / np.cosh(r) ** 2
 
-    if args.xmin is None and args.xmax is None:
-        xmin, xmax = -3.0, 3.0
-    if args.n is None:
-        n = 101
-    x = np.linspace(xmin, xmax, n)
+    x = np.linspace(*_bounds(args, _TRANSFORM_GRID))
     xi = contour.point(x)
     if args.identity_selftest:
         lmap = identity_liouville_map(kappa)
@@ -219,14 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", type=float, default=None)
         p.add_argument("--epsilon", type=str, default=None,
                        help="contour shift in radians; 'pi/6'-style literals accepted")
+        p.add_argument("--out", type=str, default=None)
+        if name == "spectrum":
+            continue
         p.add_argument("--xmin", type=float, default=None)
         p.add_argument("--xmax", type=float, default=None)
         p.add_argument("--n", type=int, default=None)
-        p.add_argument("--tol-energy", dest="tol_energy", type=float, default=None)
-        p.add_argument("--tol-residual", dest="tol_residual", type=float, default=None)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--N", type=int, default=None, help="level selector")
+        if name == "verify":
+            p.add_argument("--tol-energy", dest="tol_energy", type=float, default=None)
+            p.add_argument("--tol-residual", dest="tol_residual", type=float, default=None)
+            continue
+        p.add_argument("--N", type=int, default=0 if name == "transform" else None,
+                       help="level selector")
         p.add_argument("--sigma", type=int, choices=(-1, 1), default=-1)
         p.add_argument("--tau", type=int, choices=(-1, 1), default=-1)
         if name == "transform":
@@ -241,8 +247,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "transform" and args.N is None:
-        args.N = 0
     try:
         return args.func(args)
     except (SpectraError, ValueError) as exc:

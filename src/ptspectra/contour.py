@@ -13,7 +13,7 @@ parameter and must not be reordered mid-stream.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,6 +26,8 @@ from .errors import (
 )
 
 _METRIC_FLOOR = 1e-12
+_FD_STEP = 1e-5
+_FD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,21 +122,21 @@ class LiouvilleMap:
     r2: Callable
     r3: Callable
     kappa: float
-    fd_step: float = field(default=1e-5)
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise InvalidParameters("kappa must be real and > 0")
 
-    def check_derivatives(self, xi, tol: float = 1e-6) -> None:
-        """Central finite-difference cross-check of r1, r2, r3 at xi."""
-        h = self.fd_step
+    def check_derivatives(self, xi) -> None:
+        """Central finite-difference cross-check of r1, r2, r3 at xi: step
+        _FD_STEP, relative tolerance _FD_TOL."""
+        h = _FD_STEP
         pairs = ((self.r, self.r1), (self.r1, self.r2), (self.r2, self.r3))
         for f, df in pairs:
             fd = (np.asarray(f(xi + h)) - np.asarray(f(xi - h))) / (2 * h)
             an = np.asarray(df(xi))
             err = np.max(np.abs(fd - an) / (1.0 + np.abs(an)))
-            if err > tol:
+            if err > _FD_TOL:
                 raise DerivativeInconsistency(
                     f"map '{self.descriptor}': analytic {df.__name__ if hasattr(df, '__name__') else 'derivative'}"
                     f" disagrees with finite differences by {float(err):.3e} relative"
@@ -201,7 +203,7 @@ def linear_liouville_map(scale: float, kappa: float) -> LiouvilleMap:
     return LiouvilleMap(f"linear x{scale}", r, const, zero, zero, kappa)
 
 
-def liouville_potential(W, lmap: LiouvilleMap, xi, floor: float = _METRIC_FLOOR):
+def liouville_potential(W, lmap: LiouvilleMap, xi):
     """V(xi) - E for the transformed problem, the full right-hand side
 
         [r'(xi)]^2 { W[r(xi)] + kappa^2 } + (3/4)[r''/r']^2 - (1/2)[r'''/r'],
@@ -214,7 +216,7 @@ def liouville_potential(W, lmap: LiouvilleMap, xi, floor: float = _METRIC_FLOOR)
     """
     lmap.check_derivatives(xi)
     rp = np.asarray(lmap.r1(xi)) if np.ndim(xi) else lmap.r1(xi)
-    if np.min(np.abs(rp)) < floor:
+    if np.min(np.abs(rp)) < _METRIC_FLOOR:
         raise SingularPoint("r'(xi) vanishes on the requested points")
     ratio2 = np.asarray(lmap.r2(xi)) / rp
     ratio3 = np.asarray(lmap.r3(xi)) / rp
@@ -222,7 +224,7 @@ def liouville_potential(W, lmap: LiouvilleMap, xi, floor: float = _METRIC_FLOOR)
     return out if np.ndim(xi) else complex(out)
 
 
-def transport_wavefunction(chi, lmap: LiouvilleMap, xi_samples, floor: float = _METRIC_FLOOR):
+def transport_wavefunction(chi, lmap: LiouvilleMap, xi_samples):
     """Psi(xi) = chi[r(xi)] / sqrt(r'(xi)) along an ordered sample sequence.
 
     The square root follows the branch-continuity policy (principal at the
@@ -230,7 +232,7 @@ def transport_wavefunction(chi, lmap: LiouvilleMap, xi_samples, floor: float = _
     """
     xi = np.asarray(xi_samples, dtype=complex)
     rp = np.asarray(lmap.r1(xi), dtype=complex)
-    if np.min(np.abs(rp)) < floor:
+    if np.min(np.abs(rp)) < _METRIC_FLOOR:
         raise SingularPoint("r'(xi) vanishes along the sample path")
     root = np.exp(0.5 * continuous_log(rp))
     return np.asarray(chi(lmap.r(xi)), dtype=complex) / root

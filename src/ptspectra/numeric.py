@@ -5,6 +5,9 @@ Dirichlet truncation. On the shifted line that is the textbook Laplacian
 plus V(xi(x_i)); on a curved path the second derivative in the path
 parameter is replaced by -(1/xi') d/dx ((1/xi') d/dx) in symmetric
 midpoint form, with the metric factor 1/xi' evaluated at half-steps.
+The contour is part of the `Grid`: `build_hamiltonian(evaluator, grid)`
+discretizes along `grid.contour` (None is the real line), and
+`solve_targeted(H, target)` inverse-iterates one eigenpair near `target`.
 
 Verification runs the eigensolve on the stated grid and on the once
 refined grid (same endpoints, halved step). The refined pass yields the
@@ -19,7 +22,7 @@ and the CLI dispatch through it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -47,6 +50,12 @@ from . import spectra as _sp
 
 _METRIC_FLOOR = 1e-10
 _GIVEUP_RESIDUAL = 1e-6
+_START_SEED = 42
+_SWEEP_TOL = 1e-10
+_MAX_SWEEPS = 200
+_SHIFT_NUDGE = 1e-8 * (1 + 1j)
+_DENSE_CAP = 1200
+_RESIDUAL_BUFFER = 0.05
 
 
 @dataclass(frozen=True)
@@ -130,15 +139,14 @@ class EigenResult:
     iterations: int
 
 
-def build_hamiltonian(evaluator, contour, grid: Grid) -> DiscretizedHamiltonian:
-    """Discretize -d^2/dxi^2 + V(xi) along the contour.
+def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
+    """Discretize -d^2/dxi^2 + V(xi) along the grid's contour.
 
-    `contour=None` means the real line (identity path). A ShiftedLine has
-    unit metric, so it shares the flat stencil; any other path goes through
-    the curved-metric midpoint form.
+    `grid.contour=None` means the real line (identity path). A ShiftedLine
+    has unit metric, so it shares the flat stencil; any other path goes
+    through the curved-metric midpoint form.
     """
-    if contour is None:
-        contour = grid.contour
+    contour = grid.contour
     x = grid.points()
     h = grid.h
     xi = x.astype(complex) if contour is None else contour.point(x)
@@ -167,10 +175,17 @@ def build_hamiltonian(evaluator, contour, grid: Grid) -> DiscretizedHamiltonian:
                                   grid, "curved")
 
 
-def _solve_one(H: DiscretizedHamiltonian, target: complex, seed: int,
-               tol: float, maxit: int) -> EigenResult:
+def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
+    """Shifted inverse iteration for the eigenpair nearest `target`.
+
+    Starts from a seeded random vector and iterates until the residual
+    drops to _SWEEP_TOL or _MAX_SWEEPS sweeps pass; the best eigenpair seen
+    is returned, or NoConvergence if it never came close. A singular or
+    overflowing shifted solve nudges the shift once by _SHIFT_NUDGE before
+    ShiftSingular is raised; every solve that returns counts as a sweep.
+    """
     n = H.n_interior
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     shift = complex(target)
@@ -180,22 +195,20 @@ def _solve_one(H: DiscretizedHamiltonian, target: complex, seed: int,
     best = None
     retried = False
     it = 0
-    while it < maxit:
+    while it < _MAX_SWEEPS:
         ab[1, :] = H.diag - shift
         try:
             w = solve_banded((1, 1), ab, v)
         except np.linalg.LinAlgError:
+            failure = "shifted system singular"
+        else:
+            it += 1
+            nw = np.linalg.norm(w)
+            failure = None if np.isfinite(nw) and nw != 0.0 else "shifted solve overflowed"
+        if failure:
             if retried:
-                raise ShiftSingular(f"shifted system singular at {shift}")
-            shift = shift + 1e-8 * (1 + 1j)
-            retried = True
-            continue
-        it += 1
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            if retried:
-                raise ShiftSingular(f"shifted solve overflowed at {shift}")
-            shift = shift + 1e-8 * (1 + 1j)
+                raise ShiftSingular(f"{failure} at {shift}")
+            shift = shift + _SHIFT_NUDGE
             retried = True
             continue
         w = w / nw
@@ -206,33 +219,22 @@ def _solve_one(H: DiscretizedHamiltonian, target: complex, seed: int,
             full = np.zeros(n + 2, dtype=complex)
             full[1:-1] = w
             best = EigenResult(complex(lam), full, res, it)
-        if res <= tol:
+        if res <= _SWEEP_TOL:
             return best
         v = w
-    if best is None or best.residual > _GIVEUP_RESIDUAL:
+    # at most one solve fails before ShiftSingular, so a sweep has set `best`
+    if best.residual > _GIVEUP_RESIDUAL:
         raise NoConvergence(
-            f"inverse iteration at shift {target} stalled; best residual "
-            f"{best.residual if best else float('inf'):.3e}",
-            best_residual=best.residual if best else None,
+            f"inverse iteration at shift {target} stalled; best residual {best.residual:.3e}",
+            best_residual=best.residual,
         )
     return best
 
 
-def solve_targeted(H: DiscretizedHamiltonian, targets, seed: int = 42,
-                   tol: float = 1e-10, maxit: int = 200) -> list:
-    """Shifted inverse iteration, one eigenpair per target.
-
-    Each target starts from the same seeded random vector and iterates
-    until the residual drops to `tol` or `maxit` sweeps pass; the best
-    eigenpair seen is returned, or NoConvergence if it never came close.
-    """
-    return [_solve_one(H, t, seed, tol, maxit) for t in targets]
-
-
-def solve_dense(H: DiscretizedHamiltonian, size_cap: int = 1200) -> list:
+def solve_dense(H: DiscretizedHamiltonian) -> list:
     """Full eigendecomposition of the dense matrix, sorted by real part."""
-    if H.n_interior > size_cap:
-        raise SizeGuard(f"n = {H.n_interior} exceeds the dense cap {size_cap}")
+    if H.n_interior > _DENSE_CAP:
+        raise SizeGuard(f"n = {H.n_interior} exceeds the dense cap {_DENSE_CAP}")
     A = H.to_dense()
     try:
         lam, vec = np.linalg.eig(A)
@@ -249,16 +251,16 @@ def solve_dense(H: DiscretizedHamiltonian, size_cap: int = 1200) -> list:
     return out
 
 
-def residual(psi, E, H: DiscretizedHamiltonian, buffer_frac: float = 0.05) -> float:
+def residual(psi, E, H: DiscretizedHamiltonian) -> float:
     """max |(H psi - E psi)| over interior nodes, ends buffered, / max|psi|.
 
-    psi is sampled on the full grid; a `buffer_frac` share of interior
+    psi is sampled on the full grid; a _RESIDUAL_BUFFER share of interior
     nodes at each end is excluded to keep boundary-truncation artifacts
     out of the norm.
     """
     psi = np.asarray(psi, dtype=complex)
     r = H.apply_full(psi) - complex(E) * psi[1:-1]
-    nb = int(math.ceil(buffer_frac * len(r)))
+    nb = int(math.ceil(_RESIDUAL_BUFFER * len(r)))
     core = r[nb:len(r) - nb] if nb else r
     return float(np.max(np.abs(core)) / np.max(np.abs(psi)))
 
@@ -378,18 +380,19 @@ FAMILIES = {f.name: f for f in (
 )}
 
 
-def verify_family(params, contour=None, grid: Grid = None, tol_energy: float = None,
-                  tol_residual: float = None, seed: int = 42) -> VerificationReport:
-    """End-to-end check of a family's closed forms on one contour.
+def verify_family(params, grid: Grid = None, tol_energy: float = None,
+                  tol_residual: float = None) -> VerificationReport:
+    """End-to-end check of a family's closed forms on the grid's contour.
 
     Enumerates the analytic spectrum, inverse-iterates the discretized
     operator at each analytic energy on the grid and its refinement,
     reports the eigenvalues (Richardson-extrapolated where the family
     record asks for it), wave-function residuals at both steps with the
-    observed convergence order, and the PT defect. An eigenvalue must
-    match its energy within `tol_energy` and have |Im| within
-    10 * `tol_energy`. Constituent errors become failed report entries,
-    not exceptions.
+    observed convergence order, and the PT defect. A missing grid is the
+    family's default grid; a grid without a contour gets the family's
+    canonical contour. An eigenvalue must match its energy within
+    `tol_energy` and have |Im| within 10 * `tol_energy`. Constituent
+    errors become failed report entries, not exceptions.
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, f.params)), None)
     if fam is None:
@@ -399,16 +402,17 @@ def verify_family(params, contour=None, grid: Grid = None, tol_energy: float = N
     tol_imag = 10 * tol_energy
     if tol_residual is None:
         tol_residual = fam.tol_residual
-    if contour is None:
-        contour = fam.contour(params)
     if grid is None:
-        grid = Grid(*fam.grid, contour)
+        grid = Grid(*fam.grid)
+    if grid.contour is None:
+        grid = replace(grid, contour=fam.contour(params))
+    contour = grid.contour
 
     levels = fam.spectrum(params)
     evaluator = lambda xi: fam.potential(params, xi)
     fine = grid.refined()
-    H = build_hamiltonian(evaluator, contour, grid)
-    Hf = build_hamiltonian(evaluator, contour, fine)
+    H = build_hamiltonian(evaluator, grid)
+    Hf = build_hamiltonian(evaluator, fine)
 
     entries = []
     passed = True
@@ -416,9 +420,9 @@ def verify_family(params, contour=None, grid: Grid = None, tol_energy: float = N
         qn = level.qn
         E = level.energy
         try:
-            coarse = _solve_one(H, E, seed, 1e-10, 200)
+            coarse = solve_targeted(H, E)
             if fam.richardson:
-                fine_res = _solve_one(Hf, E, seed, 1e-10, 200)
+                fine_res = solve_targeted(Hf, E)
                 lam = (4 * fine_res.eigenvalue - coarse.eigenvalue) / 3
                 iters = coarse.iterations + fine_res.iterations
             else:

@@ -3,7 +3,7 @@
 Each family is a frozen parameter record plus a pointwise evaluator that
 accepts a scalar or an ndarray of complex coordinates. Evaluators raise
 SingularPoint instead of returning huge values when the coordinate drifts
-within `floor` of a pole; contour code must fail loudly there.
+within SING_FLOOR of a pole; contour code must fail loudly there.
 
 PT-symmetry bookkeeping lives in :func:`pt_defect`, which measures
 max |V(xi(-x)) - conj(V(xi(x)))| along any PT-symmetric path.
@@ -75,33 +75,33 @@ class HulthenParams:
         return self.C - self.A
 
 
-def _check_floor(mag, floor: float, what: str) -> None:
-    if np.min(mag) < floor:
-        raise SingularPoint(f"|{what}| = {float(np.min(mag)):.3e} below floor {floor:.1e}")
+def _check_floor(mag, what: str) -> None:
+    if np.min(mag) < SING_FLOOR:
+        raise SingularPoint(f"|{what}| = {float(np.min(mag)):.3e} below floor {SING_FLOOR:.1e}")
 
 
-def eval_eckart(p: EckartParams, r, floor: float = SING_FLOOR):
+def eval_eckart(p: EckartParams, r):
     """A(A-1)/sinh^2 r - 2i*beta cosh r / sinh r at complex r."""
     r = np.asarray(r, dtype=complex) if np.ndim(r) else complex(r)
     sh = np.sinh(r)
-    _check_floor(np.abs(sh), floor, "sinh r")
+    _check_floor(np.abs(sh), "sinh r")
     return p.A * (p.A - 1) / sh ** 2 - 2j * p.beta * np.cosh(r) / sh
 
 
-def eval_rpt(p: PoschlTellerParams, r, floor: float = SING_FLOOR):
+def eval_rpt(p: PoschlTellerParams, r):
     """(beta^2 - 1/4)/sinh^2 r - (alpha^2 - 1/4)/cosh^2 r at complex r."""
     r = np.asarray(r, dtype=complex) if np.ndim(r) else complex(r)
     sh, ch = np.sinh(r), np.cosh(r)
-    _check_floor(np.abs(sh), floor, "sinh r")
-    _check_floor(np.abs(ch), floor, "cosh r")
+    _check_floor(np.abs(sh), "sinh r")
+    _check_floor(np.abs(ch), "cosh r")
     return (p.beta ** 2 - 0.25) / sh ** 2 - (p.alpha ** 2 - 0.25) / ch ** 2
 
 
-def eval_hulthen(p: HulthenParams, xi, floor: float = SING_FLOOR):
+def eval_hulthen(p: HulthenParams, xi):
     """A/(1-e^{2i xi})^2 + B/(1-e^{2i xi}) at complex xi."""
     xi = np.asarray(xi, dtype=complex) if np.ndim(xi) else complex(xi)
     w = 1.0 - np.exp(2j * xi)
-    _check_floor(np.abs(w), floor, "1 - e^{2i xi}")
+    _check_floor(np.abs(w), "1 - e^{2i xi}")
     return p.A / w ** 2 + p.B / w
 
 

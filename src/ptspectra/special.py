@@ -6,10 +6,11 @@ and three-term recurrence). Only the terminating branch of 2F1 is ever
 needed here, so it is summed directly; no analytic continuation exists in
 this module.
 
-Scalar calls accumulate in extended precision (np.clongdouble) and return
-ordinary complex. Array arguments are evaluated vectorized in complex128,
-which is plenty for wave-function sampling; the 1e-10 cross-oracle
-comparisons all go through the scalar path.
+Each function has one body whose working dtype follows its inputs: scalar
+calls accumulate in extended precision (np.clongdouble) and return
+ordinary complex; once any argument is an array the same body runs
+vectorized in complex128, which is plenty for wave-function sampling.
+The 1e-10 cross-oracle comparisons all go through scalar calls.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ ABS_FLOOR = 1e-13
 
 # pole / degeneracy guard on denominators and leading coefficients
 _COEFF_FLOOR = 1e-13
+# how far b may sit from a non-positive integer for 2F1 to terminate
+_TERMINATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,30 +43,39 @@ class HypergeometricReduction:
     c: complex
     z_map: str
 
-    def is_terminating(self, tol: float = 1e-9) -> bool:
+    def is_terminating(self) -> bool:
         b = complex(self.b)
-        return abs(b.imag) <= tol and abs(b.real - round(b.real)) <= tol and round(b.real) <= 0
+        return (abs(b.imag) <= _TERMINATION_TOL and abs(b.real - round(b.real)) <= _TERMINATION_TOL
+                and round(b.real) <= 0)
 
 
-def _is_scalar(*vals) -> bool:
-    return all(np.ndim(v) == 0 for v in vals)
+def _working(*vals):
+    """The inputs in one working dtype, then 1 broadcast to their shape.
+
+    The dtype is np.clongdouble when every input is a scalar, so scalar
+    calls accumulate in extended precision (as numpy scalars, which keeps
+    their arithmetic off the slower 0-d array path); complex128 once any
+    input is an array.
+    """
+    arrs = [np.asarray(v) for v in vals]
+    dt = np.clongdouble if all(x.ndim == 0 for x in arrs) else complex
+    arrs = [x.astype(dt) for x in arrs]
+    return [x[()] for x in arrs + [np.ones(np.broadcast(*arrs).shape, dtype=dt)]]
+
+
+def _finish(value):
+    """Ordinary complex for a scalar result, the complex128 array otherwise."""
+    return value if isinstance(value, np.ndarray) else complex(value)
 
 
 def pochhammer(a, k: int):
     """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1 exactly."""
     if k < 0:
         raise ValueError("k must be a non-negative integer")
-    if _is_scalar(a):
-        acc = np.clongdouble(1)
-        av = np.clongdouble(a)
-        for j in range(k):
-            acc = acc * (av + j)
-        return complex(acc)
-    a = np.asarray(a, dtype=complex)
-    acc = np.ones_like(a)
+    a, acc = _working(a)
     for j in range(k):
         acc = acc * (a + j)
-    return acc
+    return _finish(acc)
 
 
 def gauss2f1_terminating(N: int, b, c, z):
@@ -74,32 +86,17 @@ def gauss2f1_terminating(N: int, b, c, z):
     """
     if N < 0:
         raise ValueError("N must be a non-negative integer")
-    cc = complex(c) if _is_scalar(c) else None
-    if cc is not None:
-        for k in range(N):
-            if abs(cc + k) < _COEFF_FLOOR:
-                raise PoleInC(f"(c)_k vanishes at c={cc}, k={k + 1} before termination at N={N}")
-    if _is_scalar(b, c, z):
-        bv, cv, zv = np.clongdouble(b), np.clongdouble(c), np.clongdouble(z)
-        total = np.clongdouble(1)
-        term = np.clongdouble(1)
-        for k in range(N):
-            term = term * ((-N + k) * (bv + k)) / ((cv + k) * (k + 1)) * zv
-            total = total + term
-        return complex(total)
-    b = np.asarray(b, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    if cc is None:
-        for k in range(N):
-            if np.min(np.abs(c + k)) < _COEFF_FLOOR:
-                raise PoleInC(f"(c)_k vanishes at k={k + 1} before termination at N={N}")
-    total = np.ones(np.broadcast(b, c, z).shape, dtype=complex)
-    term = total.copy()
+    # gap[k] = |c + k|, for every entry of c at once
+    gap = np.abs(np.add.outer(np.arange(N), np.asarray(c, dtype=complex)))
+    if gap.min(initial=np.inf) < _COEFF_FLOOR:
+        k = int(np.argwhere(gap < _COEFF_FLOOR)[0][0])
+        raise PoleInC(f"(c)_k vanishes at k={k + 1} before termination at N={N}")
+    b, c, z, total = _working(b, c, z)
+    term = total
     for k in range(N):
         term = term * ((-N + k) * (b + k)) / ((c + k) * (k + 1)) * z
         total = total + term
-    return total
+    return _finish(total)
 
 
 def jacobi_p_hyp(n: int, a, b, y):
@@ -108,24 +105,17 @@ def jacobi_p_hyp(n: int, a, b, y):
     P_n^{(a,b)}(y) = ((a+1)_n / n!) 2F1(-n, n+a+b+1; a+1; (1-y)/2),
     valid for fully complex parameters and argument. PoleInC propagates
     from the kernel when a+1 is a non-positive integer hit by the series.
+    The prefactor accumulates in the working precision; 2F1 receives its
+    arguments rounded to complex128.
     """
     if n < 0:
         raise ValueError("n must be a non-negative integer")
-    if _is_scalar(a, b, y):
-        av, bv = np.clongdouble(a), np.clongdouble(b)
-        pref = np.clongdouble(1)
-        for j in range(n):
-            pref = pref * (av + 1 + j) / (j + 1)
-        z = (1 - np.clongdouble(y)) / 2
-        f = gauss2f1_terminating(n, complex(n + av + bv + 1), complex(av + 1), complex(z))
-        return complex(pref * np.clongdouble(f))
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    pref = np.ones(np.broadcast(a, b, y).shape, dtype=complex)
+    a, b, y, pref = _working(a, b, y)
     for j in range(n):
         pref = pref * (a + 1 + j) / (j + 1)
-    return pref * gauss2f1_terminating(n, n + a + b + 1, a + 1, (1 - y) / 2)
+    f = gauss2f1_terminating(n, *(np.asarray(v, dtype=complex)[()]
+                                  for v in (n + a + b + 1, a + 1, (1 - y) / 2)))
+    return _finish(pref * f)
 
 
 def jacobi_p_rec(n: int, a, b, y):
@@ -142,14 +132,9 @@ def jacobi_p_rec(n: int, a, b, y):
     """
     if n < 0:
         raise ValueError("n must be a non-negative integer")
-    scalar = _is_scalar(a, b, y)
-    dt = np.clongdouble if scalar else complex
-    av, bv = dt(a), dt(b)
-    yv = dt(y) if scalar else np.asarray(y, dtype=complex)
-    one = dt(1) if scalar else np.ones_like(yv)
+    av, bv, yv, p_prev = _working(a, b, y)
     if n == 0:
-        return complex(one) if scalar else one
-    p_prev = one
+        return _finish(p_prev)
     p_cur = ((av - bv) + (av + bv + 2) * yv) / 2
     for m in range(2, n + 1):
         s = 2 * m + av + bv
@@ -161,4 +146,4 @@ def jacobi_p_rec(n: int, a, b, y):
         c2 = (s - 1) * (s * (s - 2) * yv + av * av - bv * bv)
         c3 = 2 * (m + av - 1) * (m + bv - 1) * s
         p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
-    return complex(p_cur) if scalar else p_cur
+    return _finish(p_cur)

@@ -31,6 +31,7 @@ from .potentials import EckartParams, HulthenParams, PoschlTellerParams
 from .special import HypergeometricReduction, jacobi_p_hyp
 
 BOUNDARY_TOL = 1e-12
+_MAX_HULTHEN_SLOTS = 10000
 
 _SIGN_NAMES = {1: "+", -1: "-"}
 
@@ -175,7 +176,7 @@ def rpt_real_energy_condition(alpha, beta, sigma: int, tau: int, N: int):
     return (abs(E.imag) <= 1e-12, E)
 
 
-def hulthen_spectrum(p: HulthenParams, max_levels: int = 10000) -> list:
+def hulthen_spectrum(p: HulthenParams) -> list:
     """Levels of the transformed family, enumerated by (sigma, n).
 
     s = sigma*alpha + 2n + 1; tau*beta = (C - s^2)/(2s);
@@ -187,7 +188,7 @@ def hulthen_spectrum(p: HulthenParams, max_levels: int = 10000) -> list:
     for sigma in (-1, 1):
         n = 0
         while True:
-            if n > max_levels:
+            if n > _MAX_HULTHEN_SLOTS:
                 raise InternalConsistencyError("hulthen enumeration failed to terminate")
             s = sigma * p.alpha + 2 * n + 1
             if abs(s) <= BOUNDARY_TOL:

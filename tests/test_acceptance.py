@@ -164,7 +164,7 @@ def test_residual_convergence_order_and_convention(accept_log):
             res = []
             for n in steps:
                 grid = Grid(a, b, n, line)
-                H = build_hamiltonian(lambda z: ev(params, z), line, grid)
+                H = build_hamiltonian(lambda z: ev(params, z), grid)
                 psi = wave(level, line.point(grid.points()))
                 res.append(residual(psi, level.energy, H))
             out.append((level.qn.N, math.log2(res[0] / res[1]), res))

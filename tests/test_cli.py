@@ -103,6 +103,23 @@ def test_flags_of_another_family_rejected(capsys, argv):
     assert err.startswith("ptspectra:") and "does not apply" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "eckart", "--n", "5"],
+    ["spectrum", "--family", "eckart", "--N", "3"],
+    ["spectrum", "--family", "eckart", "--tol-energy", "9"],
+    ["verify", "--family", "eckart", "--N", "0"],
+    ["verify", "--family", "rpt", "--sigma", "1"],
+    ["sample", "--family", "rpt", "--tol-residual", "1"],
+    ["transform", "--family", "hulthen", "--tol-energy", "1"],
+    ["verify", "--family", "eckart", "--seed", "4"],
+])
+def test_flags_the_subcommand_does_not_read_rejected(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_family_choices_are_the_registry():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     for parser in sub.choices.values():
@@ -178,6 +195,15 @@ def test_transform_matches_closed_form(capsys):
     assert float(rows[0][0]) == pytest.approx(-3.0)
     assert float(rows[-1][0]) == pytest.approx(3.0)
     assert max(float(r[-1]) for r in rows) <= 1e-6
+
+
+def test_transform_window_falls_back_per_field(capsys):
+    code, out, _ = _run(capsys, ["transform", "--family", "hulthen", "--xmin", "-1"])
+    assert code == 0
+    _, rows = _rows(out)
+    assert len(rows) == 101
+    assert float(rows[0][0]) == pytest.approx(-1.0)
+    assert float(rows[-1][0]) == pytest.approx(3.0)
 
 
 def test_transform_identity_selftest(capsys):

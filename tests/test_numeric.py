@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ def _ham(params, eps, a, b, n):
     line = ShiftedLine(eps)
     grid = Grid(a, b, n, line)
     ev = eval_eckart if isinstance(params, EckartParams) else eval_rpt
-    return build_hamiltonian(lambda z: ev(params, z), line, grid), grid, line
+    return build_hamiltonian(lambda z: ev(params, z), grid), grid, line
 
 
 def test_grid_basics():
@@ -51,7 +52,7 @@ def test_grid_basics():
 
 def test_laplacian_stencil_row():
     g = Grid(-0.5, 0.5, 11, None)  # h = 0.1
-    H = build_hamiltonian(lambda z: np.zeros_like(z), None, g)
+    H = build_hamiltonian(lambda z: np.zeros_like(z), g)
     A = H.to_dense()
     mid = 4
     assert A[mid, mid - 1] == pytest.approx(-100.0)
@@ -61,8 +62,8 @@ def test_laplacian_stencil_row():
 
 def test_harmonic_ground_state():
     g = Grid(-10.0, 10.0, 2001, None)
-    H = build_hamiltonian(lambda z: z ** 2, None, g)
-    r = solve_targeted(H, [1.0])[0]
+    H = build_hamiltonian(lambda z: z ** 2, g)
+    r = solve_targeted(H, 1.0)
     assert abs(r.eigenvalue - 1.0) <= 1e-4
 
 
@@ -82,12 +83,12 @@ def test_metric_vanishing_guard():
 
     g = Grid(-1.0, 1.0, 11, _Pinched())
     with pytest.raises(MetricVanishing):
-        build_hamiltonian(lambda z: np.zeros_like(z), _Pinched(), g)
+        build_hamiltonian(lambda z: np.zeros_like(z), g)
 
 
 def test_targeted_eckart_raw_grid():
     H, _, _ = _ham(ECK, 0.5, -18, 18, 4001)
-    res = solve_targeted(H, [-3.75, 0.0])
+    res = [solve_targeted(H, E) for E in (-3.75, 0.0)]
     for r, E in zip(res, (-3.75, 0.0)):
         assert abs(r.eigenvalue - E) <= 2e-4
         assert abs(r.eigenvalue.imag) <= 1e-7
@@ -96,7 +97,7 @@ def test_targeted_eckart_raw_grid():
 
 def test_targeted_rpt_raw_grid():
     H, _, _ = _ham(RPT, 0.3, -12, 12, 3001)
-    res = solve_targeted(H, [-16.0, -4.0, -1.0])
+    res = [solve_targeted(H, E) for E in (-16.0, -4.0, -1.0)]
     for r, E in zip(res, (-16.0, -4.0, -1.0)):
         assert abs(r.eigenvalue - E) <= 1e-3
         assert abs(r.eigenvalue.imag) <= 1e-7
@@ -107,7 +108,7 @@ def test_targeted_far_target_is_flagged():
     # look like a confirmation of the target
     H, _, _ = _ham(RPT, 0.3, -12, 12, 3001)
     try:
-        r = solve_targeted(H, [100.0])[0]
+        r = solve_targeted(H, 100.0)
         assert abs(r.eigenvalue - 100.0) > 0.1
     except NoConvergence:
         pass
@@ -115,7 +116,7 @@ def test_targeted_far_target_is_flagged():
 
 def test_targeted_never_confirms_perturbed_energy():
     H, _, _ = _ham(ECK, 0.5, -18, 18, 4001)
-    r = solve_targeted(H, [-3.75 + 0.5])[0]
+    r = solve_targeted(H, -3.75 + 0.5)
     # converges back to the true eigenvalue, half a unit away
     assert abs(r.eigenvalue - (-3.75)) <= 1e-3
     assert abs(r.eigenvalue - (-3.25)) > 0.4
@@ -123,9 +124,9 @@ def test_targeted_never_confirms_perturbed_energy():
 
 def test_targeted_shift_on_exact_eigenvalue():
     g = Grid(-4.0, 4.0, 41, None)
-    H = build_hamiltonian(lambda z: z ** 2, None, g)
+    H = build_hamiltonian(lambda z: z ** 2, g)
     lam = solve_dense(H)[0].eigenvalue
-    r = solve_targeted(H, [lam])[0]
+    r = solve_targeted(H, lam)
     assert abs(r.eigenvalue - lam) <= 1e-8
 
 
@@ -147,7 +148,7 @@ def test_dense_diagonal_and_jordan():
 
 def test_dense_size_guard():
     g = Grid(-12.0, 12.0, 1500, None)
-    H = build_hamiltonian(lambda z: np.zeros_like(z), None, g)
+    H = build_hamiltonian(lambda z: np.zeros_like(z), g)
     with pytest.raises(SizeGuard):
         solve_dense(H)
 
@@ -155,7 +156,7 @@ def test_dense_size_guard():
 def test_dense_rpt_coarse_spectrum():
     line = ShiftedLine(0.3)
     g = Grid(-6.0, 6.0, 801, line)
-    H = build_hamiltonian(lambda z: eval_rpt(RPT, z), line, g)
+    H = build_hamiltonian(lambda z: eval_rpt(RPT, z), g)
     evs = np.array([r.eigenvalue for r in solve_dense(H)])
     for E in (-16.0, -4.0, -1.0):
         assert np.min(np.abs(evs - E)) <= 2e-3
@@ -163,7 +164,7 @@ def test_dense_rpt_coarse_spectrum():
 
 def test_residual_of_exact_eigenvector():
     g = Grid(-8.0, 8.0, 161, None)
-    H = build_hamiltonian(lambda z: z ** 2, None, g)
+    H = build_hamiltonian(lambda z: z ** 2, g)
     ground = min(solve_dense(H), key=lambda r: abs(r.eigenvalue - 1.0))
     assert residual(ground.eigenvector, ground.eigenvalue, H) <= 1e-12
 
@@ -250,3 +251,18 @@ def test_verify_family_reports_failure_honestly():
     rep = verify_family(ECK, tol_energy=1e-12)
     assert not rep.passed
     assert all(not e.converged for e in rep.entries)
+
+
+def _entry_values(report):
+    return [dataclasses.astuple(e) for e in report.entries]
+
+
+def test_verify_family_grid_without_contour_gets_the_canonical_one():
+    rep = verify_family(ECK, Grid(-18.0, 18.0, 4001))
+    assert rep.grid.contour == ShiftedLine(ECK.epsilon)
+    assert _entry_values(rep) == _entry_values(verify_family(ECK))
+
+
+def test_verify_family_runs_on_the_grid_contour():
+    rep = verify_family(ECK, Grid(-18.0, 18.0, 4001, ShiftedLine(0.6)))
+    assert _entry_values(rep) == _entry_values(verify_family(EckartParams(3.0, 1.0, 0.6)))

@@ -53,6 +53,22 @@ def test_gauss2f1_pole_in_c():
         gauss2f1_terminating(3, 1.0, -1.0, 0.3)
     # but a pole beyond the last term is harmless
     gauss2f1_terminating(1, 1.0, -1.5, 0.3)
+    # one entry of an array c is enough
+    with pytest.raises(PoleInC):
+        gauss2f1_terminating(3, 1.0, np.array([0.5, -1.0]), 0.3)
+    gauss2f1_terminating(1, 1.0, np.array([0.5, -1.5]), 0.3)
+
+
+def test_scalar_calls_accumulate_in_extended_precision():
+    # the same sum taken in np.clongdouble and rounded once at the end
+    N, b, c, z = 9, 1.3 - 0.2j, 0.7 + 0.1j, 0.9 - 0.4j
+    bv, cv, zv = np.clongdouble(b), np.clongdouble(c), np.clongdouble(z)
+    term = total = np.clongdouble(1)
+    for k in range(N):
+        term = term * ((-N + k) * (bv + k)) / ((cv + k) * (k + 1)) * zv
+        total = total + term
+    assert gauss2f1_terminating(N, b, c, z) == complex(total)
+    assert type(gauss2f1_terminating(N, b, c, z)) is complex
 
 
 def test_gauss2f1_is_polynomial_of_degree_n():
