@@ -14,6 +14,10 @@ Every subcommand looks its family up in `numeric.FAMILIES`: the record
 supplies the parameter defaults, the parameter flags the family accepts,
 the contour, the default grid and the level functions. Each subcommand
 registers only the flags it reads; any other flag is an input error.
+`verify`, `sample` and `transform` all take their window through `Grid`,
+so each rejects the same windows. `sample` and `transform` select the
+first level, in spectrum order, that matches every one of `--N`,
+`--sigma` and `--tau` given.
 """
 
 import argparse
@@ -27,7 +31,9 @@ import numpy as np
 from .contour import arch_liouville_map, identity_liouville_map, liouville_potential
 from .errors import InvalidParameters, SpectraError
 from .numeric import FAMILIES, Grid, verify_family
-# Not called here; perfbench/spans.py wraps these names on this module.
+from .potentials import PoschlTellerParams
+# perfbench/spans.py wraps these names on this module. Only eval_rpt is
+# called here (transform's parent potential); the others are kept for it.
 from .potentials import eval_eckart, eval_hulthen, eval_rpt  # noqa: F401
 from .spectra import (  # noqa: F401
     eckart_spectrum,
@@ -61,15 +67,13 @@ def parse_angle(text: str) -> float:
     return float(text)
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.11e}"
-
-
-def _emit(header, rows, out_path) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
+def _emit(header, columns, out_path) -> None:
+    """Write the table whose columns are given. A column holds either str
+    cells, written as given, or numbers, written through one `%.11e` row
+    template."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    row = ",".join("%s" if c and isinstance(c[0], str) else "%.11e" for c in columns)
+    text = "\n".join([",".join(header)] + [row % cells for cells in zip(*columns)]) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -99,26 +103,21 @@ def _bounds(args, default):
     return tuple(d if a is None else a for a, d in zip((args.xmin, args.xmax, args.n), default))
 
 
-def _aux_cell(aux, column) -> str:
-    """A level's aux entry as a CSV cell: a `_re`/`_im` suffix takes that part
-    of a complex entry, and a family without the entry gets an empty cell."""
-    key, part = column, None
-    if column.endswith(("_re", "_im")):
-        key, part = column[:-3], "real" if column.endswith("_re") else "imag"
-    if key not in aux:
-        return ""
-    return _fmt(getattr(aux[key], part) if part else aux[key])
-
-
 def cmd_spectrum(args) -> int:
     fam, params, _ = _setup(args)
+    levels = fam.spectrum(params)
     header = ["family", "sigma", "tau", "N", "E", "kappa", *fam.aux_columns]
-    rows = [
-        [fam.name, str(l.qn.sigma), str(l.qn.tau), str(l.qn.N), _fmt(l.energy)]
-        + [_aux_cell(l.aux, column) for column in header[5:]]
-        for l in fam.spectrum(params)
-    ]
-    _emit(header, rows, args.out)
+    columns = [[fam.name] * len(levels)]
+    columns += [[str(getattr(l.qn, k)) for l in levels] for k in ("sigma", "tau", "N")]
+    columns.append([l.energy for l in levels])
+    # aux entries: a `_re`/`_im` suffix takes that part of a complex entry,
+    # and a family without the entry gets empty cells
+    for column in header[5:]:
+        key, part = column, "real"
+        if column.endswith(("_re", "_im")):
+            key, part = column[:-3], "real" if column.endswith("_re") else "imag"
+        columns.append([getattr(l.aux[key], part) if key in l.aux else "" for l in levels])
+    _emit(header, columns, args.out)
     return 0
 
 
@@ -128,23 +127,22 @@ def cmd_verify(args) -> int:
                            tol_energy=args.tol_energy, tol_residual=args.tol_residual)
     header = ["N", "sigma", "tau", "E_analytic", "lambda_re", "lambda_im",
               "abs_err", "residual", "converged"]
-    rows = [
-        [str(e.N), str(e.sigma), str(e.tau), _fmt(e.E_analytic),
-         _fmt(e.eigenvalue.real), _fmt(e.eigenvalue.imag),
-         _fmt(e.abs_err), _fmt(e.residual), str(int(e.converged))]
-        for e in report.entries
-    ]
-    _emit(header, rows, args.out)
+    entries = report.entries
+    columns = [[str(getattr(e, k)) for e in entries] for k in ("N", "sigma", "tau")]
+    columns += [[e.E_analytic for e in entries], [e.eigenvalue.real for e in entries],
+                [e.eigenvalue.imag for e in entries], [e.abs_err for e in entries],
+                [e.residual for e in entries], [str(int(e.converged)) for e in entries]]
+    _emit(header, columns, args.out)
     return 0 if report.passed else 1
 
 
 def cmd_sample(args) -> int:
     fam, params, contour = _setup(args)
-    x = np.linspace(*_bounds(args, fam.grid))
+    x = Grid(*_bounds(args, fam.grid)).points()
     xi = contour.point(x)
     V = fam.potential(params, xi)
     header = ["x", "xi_re", "xi_im", "V_re", "V_im"]
-    cols = [x, xi.real, xi.imag, V.real, V.imag]
+    columns = [x, xi.real, xi.imag, V.real, V.imag]
     if args.N is not None:
         level = _select_level(args, fam, params)
         if level is None:
@@ -152,17 +150,18 @@ def cmd_sample(args) -> int:
             return 2
         psi = fam.wavefunction(params, level, contour, x)
         header += ["psi_re", "psi_im"]
-        cols += [psi.real, psi.imag]
-    rows = [[_fmt(c[i]) for c in cols] for i in range(len(x))]
-    _emit(header, rows, args.out)
+        columns += [psi.real, psi.imag]
+    _emit(header, columns, args.out)
     return 0
 
 
 def _select_level(args, fam, params):
-    """The first level whose quantum numbers in `fam.level_keys` match the flags."""
-    match = [l for l in fam.spectrum(params)
-             if all(getattr(l.qn, k) == getattr(args, k) for k in fam.level_keys)]
-    return match[0] if match else None
+    """The first level, in spectrum order, that matches every one of
+    `--N`, `--sigma` and `--tau` given; None if no level does."""
+    given = [(k, getattr(args, k)) for k in ("N", "sigma", "tau")
+             if getattr(args, k) is not None]
+    return next((l for l in fam.spectrum(params)
+                 if all(getattr(l.qn, k) == v for k, v in given)), None)
 
 
 def cmd_transform(args) -> int:
@@ -175,13 +174,13 @@ def cmd_transform(args) -> int:
         sys.stderr.write("ptspectra: invalid level (not an accepted bound state)\n")
         return 2
     kappa = level.aux["kappa"]
-    tb = level.aux["tau_beta"]
-    alpha = params.alpha
+    # the Poschl-Teller parent of this level; the arch angle is its line shift
+    parent = PoschlTellerParams(params.alpha, abs(level.aux["tau_beta"]), contour.epsilon)
 
     def W(r):
-        return (tb * tb - 0.25) / np.sinh(r) ** 2 - (alpha * alpha - 0.25) / np.cosh(r) ** 2
+        return eval_rpt(parent, r)
 
-    x = np.linspace(*_bounds(args, _TRANSFORM_GRID))
+    x = Grid(*_bounds(args, _TRANSFORM_GRID)).points()
     xi = contour.point(x)
     if args.identity_selftest:
         lmap = identity_liouville_map(kappa)
@@ -195,13 +194,9 @@ def cmd_transform(args) -> int:
     diff = np.abs(v_liou - v_closed)
     header = ["x", "xi_re", "xi_im", "V_liouville_re", "V_liouville_im",
               "V_closed_re", "V_closed_im", "abs_diff"]
-    rows = [
-        [_fmt(x[i]), _fmt(xi[i].real), _fmt(xi[i].imag),
-         _fmt(v_liou[i].real), _fmt(v_liou[i].imag),
-         _fmt(v_closed[i].real), _fmt(v_closed[i].imag), _fmt(diff[i])]
-        for i in range(len(x))
-    ]
-    _emit(header, rows, args.out)
+    columns = [x, xi.real, xi.imag, v_liou.real, v_liou.imag,
+               v_closed.real, v_closed.imag, diff]
+    _emit(header, columns, args.out)
     return 0
 
 
@@ -233,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         p.add_argument("--N", type=int, default=0 if name == "transform" else None,
                        help="level selector")
-        p.add_argument("--sigma", type=int, choices=(-1, 1), default=-1)
-        p.add_argument("--tau", type=int, choices=(-1, 1), default=-1)
+        p.add_argument("--sigma", type=int, choices=(-1, 1), default=None)
+        p.add_argument("--tau", type=int, choices=(-1, 1), default=None)
         if name == "transform":
             p.add_argument("--identity-selftest", dest="identity_selftest",
                            action="store_true")

@@ -42,8 +42,8 @@ class OutOfRange(SpectraError):
 
 
 class MetricVanishing(SpectraError):
-    """|xi'(x)| fell below floor at a grid half-step; the curved-metric
-    stencil would divide by (near) zero."""
+    """|xi'(x)| fell below floor at a grid node or half-step; the
+    midpoint-metric stencil would divide by (near) zero."""
 
 
 class NoConvergence(SpectraError):

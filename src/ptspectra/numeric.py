@@ -1,10 +1,11 @@
 """Finite-difference verification engine for the closed forms.
 
 The discrete operator is a three-point stencil along the contour with
-Dirichlet truncation. On the shifted line that is the textbook Laplacian
-plus V(xi(x_i)); on a curved path the second derivative in the path
-parameter is replaced by -(1/xi') d/dx ((1/xi') d/dx) in symmetric
-midpoint form, with the metric factor 1/xi' evaluated at half-steps.
+Dirichlet truncation: the second derivative in the path parameter is
+-(1/xi') d/dx ((1/xi') d/dx) in symmetric midpoint form, with the metric
+factor 1/xi' evaluated at nodes and half-steps, plus V(xi(x_i)). On the
+shifted line and the real line xi' = 1 and the same formula gives the
+textbook Laplacian.
 The contour is part of the `Grid`: `build_hamiltonian(evaluator, grid)`
 discretizes along `grid.contour` (None is the real line), and
 `solve_targeted(H, target)` inverse-iterates one eigenpair near `target`.
@@ -16,6 +17,8 @@ the reported eigenvalue is the Richardson combination
 (4*lambda_fine - lambda_coarse)/3, which removes the O(h^2) truncation
 term of the stencil. Wave-function residuals always use the raw
 three-point operator, so observed convergence orders stay meaningful.
+Each analytic wave function is sampled once, on the refined grid; its
+even nodes are the stated grid's nodes, bit for bit.
 
 `FAMILIES` holds one `Family` record per parameter type; `verify_family`
 and the CLI dispatch through it.
@@ -30,6 +33,7 @@ from scipy.linalg import solve_banded
 
 from .contour import ArchContour, ShiftedLine
 from .errors import (
+    InvalidParameters,
     MetricVanishing,
     NoConvergence,
     QRStall,
@@ -98,7 +102,6 @@ class DiscretizedHamiltonian:
     bc_left: complex
     bc_right: complex
     grid: Grid
-    metric: str
 
     @property
     def n_interior(self) -> int:
@@ -142,24 +145,22 @@ class EigenResult:
 def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
     """Discretize -d^2/dxi^2 + V(xi) along the grid's contour.
 
-    `grid.contour=None` means the real line (identity path). A ShiftedLine
-    has unit metric, so it shares the flat stencil; any other path goes
-    through the curved-metric midpoint form.
+    `grid.contour=None` means the real line (identity path). Every path
+    goes through the midpoint metric form; where xi' = 1 (the real line, a
+    ShiftedLine) its entries are those of the flat stencil.
     """
     contour = grid.contour
     x = grid.points()
     h = grid.h
-    xi = x.astype(complex) if contour is None else contour.point(x)
+    if contour is None:
+        xi = x.astype(complex)
+        xp_node = np.ones(len(x), dtype=complex)
+        xp_half = xp_node[1:]
+    else:
+        xi = contour.point(x)
+        xp_node = np.asarray(contour.derivative(x), dtype=complex)
+        xp_half = np.asarray(contour.derivative(x[:-1] + h / 2), dtype=complex)
     V = np.asarray(evaluator(xi[1:-1]), dtype=complex)
-    flat = contour is None or isinstance(contour, ShiftedLine)
-    if flat:
-        diag = 2.0 / h ** 2 + V
-        n_in = grid.n_points - 2
-        off = np.full(n_in - 1, -1.0 / h ** 2, dtype=complex)
-        return DiscretizedHamiltonian(diag, off, off.copy(), -1.0 / h ** 2, -1.0 / h ** 2,
-                                      grid, "flat")
-    xp_node = np.asarray(contour.derivative(x), dtype=complex)
-    xp_half = np.asarray(contour.derivative(x[:-1] + h / 2), dtype=complex)
     small = min(float(np.min(np.abs(xp_node))), float(np.min(np.abs(xp_half))))
     if small < _METRIC_FLOOR:
         raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e} on the grid")
@@ -172,7 +173,7 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
     return DiscretizedHamiltonian(diag, lower, upper,
                                   complex(-(m_i[0] * m_minus[0]) / h ** 2),
                                   complex(-(m_i[-1] * m_plus[-1]) / h ** 2),
-                                  grid, "curved")
+                                  grid)
 
 
 def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
@@ -256,12 +257,14 @@ def residual(psi, E, H: DiscretizedHamiltonian) -> float:
 
     psi is sampled on the full grid; a _RESIDUAL_BUFFER share of interior
     nodes at each end is excluded to keep boundary-truncation artifacts
-    out of the norm.
+    out of the norm. InvalidParameters when that leaves no node.
     """
     psi = np.asarray(psi, dtype=complex)
     r = H.apply_full(psi) - complex(E) * psi[1:-1]
     nb = int(math.ceil(_RESIDUAL_BUFFER * len(r)))
     core = r[nb:len(r) - nb] if nb else r
+    if not core.size:
+        raise InvalidParameters(f"{len(r)} interior nodes leave no residual core")
     return float(np.max(np.abs(core)) / np.max(np.abs(psi)))
 
 
@@ -324,11 +327,11 @@ class Family:
     attribute sees every call. `contour(params, epsilon)` builds the
     canonical path: the shifted-line families take their shift from
     `params`, Hulthen's arch takes `epsilon` (None: pi/6).
-    `canonical` is the README setup and the CLI's parameter defaults, `grid`
-    the default (x_min, x_max, n_points). `level_keys` are the quantum
-    numbers that select one level, and `aux_columns` the level aux entries
-    the spectrum table prints after kappa (a `_re`/`_im` suffix takes that
-    part of a complex entry).
+    `canonical` is the README setup and the CLI's parameter defaults,
+    `grid` the default (x_min, x_max, n_points), and `aux_columns` the
+    level aux entries the spectrum table prints after kappa (a `_re`/`_im`
+    suffix takes that part of a complex entry). The CLI selects a level by
+    the quantum numbers it is given, the same way for every family.
     """
 
     name: str
@@ -342,7 +345,6 @@ class Family:
     tol_energy: float
     tol_residual: float
     richardson: bool
-    level_keys: tuple
     aux_columns: tuple
 
 
@@ -358,7 +360,7 @@ FAMILIES = {f.name: f for f in (
                _sp.eckart_wavefunction(p, level, contour.point(x)),
            contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
            grid=(-18.0, 18.0, 4001), tol_energy=1e-5, tol_residual=1.5e-1,
-           richardson=True, level_keys=("N",),
+           richardson=True,
            aux_columns=("u_re", "u_im", "v_re", "v_im")),
     Family("rpt", PoschlTellerParams, PoschlTellerParams(3.5, 1.5, 0.3),
            spectrum=lambda p: _sp.rpt_spectrum(p),
@@ -367,7 +369,7 @@ FAMILIES = {f.name: f for f in (
                _sp.rpt_wavefunction(p, level, contour.point(x)),
            contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
            grid=(-12.0, 12.0, 3001), tol_energy=1e-6, tol_residual=1.5e-1,
-           richardson=True, level_keys=("N", "sigma", "tau"), aux_columns=()),
+           richardson=True, aux_columns=()),
     Family("hulthen", HulthenParams, HulthenParams(2.0, 2.0),
            spectrum=lambda p: _sp.hulthen_spectrum(p),
            potential=lambda p, xi: eval_hulthen(p, xi),
@@ -376,7 +378,7 @@ FAMILIES = {f.name: f for f in (
            contour=lambda p, epsilon=None:
                ArchContour(math.pi / 6 if epsilon is None else epsilon),
            grid=(-12.0, 12.0, 12001), tol_energy=1e-4, tol_residual=1e-4,
-           richardson=False, level_keys=("N", "sigma"), aux_columns=("s", "tau_beta")),
+           richardson=False, aux_columns=("s", "tau_beta")),
 )}
 
 
@@ -388,11 +390,13 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     operator at each analytic energy on the grid and its refinement,
     reports the eigenvalues (Richardson-extrapolated where the family
     record asks for it), wave-function residuals at both steps with the
-    observed convergence order, and the PT defect. A missing grid is the
-    family's default grid; a grid without a contour gets the family's
-    canonical contour. An eigenvalue must match its energy within
-    `tol_energy` and have |Im| within 10 * `tol_energy`. Constituent
-    errors become failed report entries, not exceptions.
+    observed convergence order, and the PT defect. Each analytic wave
+    function is sampled once, on the refined grid; the stated-grid
+    residual reads its even nodes. A missing grid is the family's default
+    grid; a grid without a contour gets the family's canonical contour.
+    An eigenvalue must match its energy within `tol_energy` and have |Im|
+    within 10 * `tol_energy`. Constituent errors become failed report
+    entries, not exceptions.
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, f.params)), None)
     if fam is None:
@@ -428,9 +432,8 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             else:
                 lam = coarse.eigenvalue
                 iters = coarse.iterations
-            psi_c = fam.wavefunction(params, level, contour, grid.points())
             psi_f = fam.wavefunction(params, level, contour, fine.points())
-            res_c = residual(psi_c, E, H)
+            res_c = residual(psi_f[::2], E, H)
             res_f = residual(psi_f, E, Hf)
             order = math.log2(res_c / res_f) if res_f > 0 else float("nan")
             abs_err = abs(lam - E)

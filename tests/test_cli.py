@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from ptspectra import verify_family
+from ptspectra import Grid, verify_family
 from ptspectra.cli import build_parser, main, parse_angle
 from ptspectra.numeric import FAMILIES
 
@@ -184,6 +185,89 @@ def test_sample_rejects_missing_level(capsys):
     code, _, err = _run(capsys, ["sample", "--family", "rpt", "--N", "9"])
     assert code == 2
     assert "invalid level" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the canonical Hulthen setup has no tau=+1 level
+    ["sample", "--family", "hulthen", "--N", "0", "--tau", "1"],
+    # Eckart levels carry sigma = tau = +1
+    ["sample", "--family", "eckart", "--N", "1", "--sigma", "-1"],
+])
+def test_sample_level_flags_must_all_match(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid level" in err
+
+
+def test_level_flags_left_out_match_any_value(capsys):
+    code, out, _ = _run(capsys, ["sample", "--family", "rpt", "--N", "0", "--n", "21"])
+    assert code == 0
+    given = ["sample", "--family", "rpt", "--N", "0", "--sigma", "-1", "--tau", "-1",
+             "--n", "21"]
+    assert _run(capsys, given)[1] == out
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_sample_every_canonical_level_as_the_benchmark_asks(capsys, name):
+    """The argv shape of the tabulate benchmark: every parameter flag, --n,
+    and the level's own N, sigma and tau."""
+    fam = FAMILIES[name]
+    params = fam.canonical
+    flags = []
+    for f in dataclasses.fields(params):
+        flags += [f"--{f.name}", repr(float(getattr(params, f.name)))]
+    x = Grid(*fam.grid[:2], 5).points()
+    for level in fam.spectrum(params):
+        qn = level.qn
+        code, out, err = _run(capsys, ["sample", "--family", name, *flags, "--n", "5",
+                                       "--N", str(qn.N), "--sigma", str(qn.sigma),
+                                       "--tau", str(qn.tau)])
+        assert code == 0, err
+        header, rows = _rows(out)
+        assert header[-2:] == ["psi_re", "psi_im"]
+        psi = fam.wavefunction(params, level, fam.contour(params), x)
+        assert [r[-2:] for r in rows] == [[f"{v.real:.11e}", f"{v.imag:.11e}"] for v in psi]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--family", "hulthen", "--n", "2"], "grid needs at least 3 points"),
+    (["sample", "--family", "eckart", "--xmin", "5", "--xmax", "-5"],
+     "x_max must exceed x_min"),
+    (["transform", "--family", "hulthen", "--n", "0"], "grid needs at least 3 points"),
+])
+def test_sample_and_transform_windows_are_grids(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"ptspectra: ValueError: {message}\n"
+
+
+def test_verify_failed_levels_print_nan_and_inf(capsys):
+    code, out, _ = _run(capsys, ["verify", "--family", "rpt", "--n", "3"])
+    assert code == 1
+    _, rows = _rows(out)
+    assert len(rows) == 3
+    assert all(r[4:] == ["nan", "nan", "inf", "inf", "0"] for r in rows)
+
+
+def test_verify_too_few_nodes_is_a_failed_verdict(capsys):
+    code, out, err = _run(capsys, ["verify", "--family", "hulthen",
+                                   "--xmin", "-1", "--xmax", "1", "--n", "3"])
+    assert code == 1
+    assert err == ""
+    _, rows = _rows(out)
+    assert len(rows) == 1 and rows[0][-1] == "0"
+
+
+def test_negative_zero_cell(capsys):
+    # V is real at the origin of the shifted line; its imaginary part is -0.0
+    code, out, _ = _run(capsys, ["sample", "--family", "eckart",
+                                 "--xmin", "-2", "--xmax", "2", "--n", "9"])
+    assert code == 0
+    _, rows = _rows(out)
+    assert rows[4][0] == "0.00000000000e+00"
+    assert rows[4][4] == "-0.00000000000e+00"
 
 
 def test_transform_matches_closed_form(capsys):

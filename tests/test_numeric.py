@@ -9,6 +9,7 @@ from ptspectra import (
     EckartParams,
     Grid,
     HulthenParams,
+    InvalidParameters,
     MetricVanishing,
     NoConvergence,
     PoschlTellerParams,
@@ -50,14 +51,25 @@ def test_grid_basics():
         Grid(1.0, -1.0, 5, None)
 
 
-def test_laplacian_stencil_row():
-    g = Grid(-0.5, 0.5, 11, None)  # h = 0.1
+@pytest.mark.parametrize("grid", [
+    (-1.0, 1.0, 5), (-18.0, 18.0, 4001), (-12.0, 12.0, 3001), (-12.0, 12.0, 12001),
+    (-0.3, 1.7, 7), (-5.0, 3.0, 1001), (0.1, 0.7, 3), (-math.pi, math.e, 777),
+])
+def test_refined_even_nodes_are_the_grid_bitwise(grid):
+    g = Grid(*grid)
+    assert np.array_equal(g.refined().points()[::2], g.points())
+
+
+@pytest.mark.parametrize("contour", [None, ShiftedLine(0.5)], ids=["real_line", "shifted_line"])
+def test_laplacian_stencil_row(contour):
+    g = Grid(-0.5, 0.5, 11, contour)  # h = 0.1
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
     A = H.to_dense()
     mid = 4
-    assert A[mid, mid - 1] == pytest.approx(-100.0)
-    assert A[mid, mid] == pytest.approx(200.0)
-    assert A[mid, mid + 1] == pytest.approx(-100.0)
+    # xi' = 1: the midpoint metric form gives the flat stencil's entries exactly
+    assert A[mid, mid - 1] == A[mid, mid + 1] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
+    assert A[mid, mid] == 2.0 / g.h ** 2 == pytest.approx(200.0)
+    assert H.bc_left == H.bc_right == -1.0 / g.h ** 2
 
 
 def test_harmonic_ground_state():
@@ -134,14 +146,14 @@ def test_dense_diagonal_and_jordan():
     d = np.array([2.0 + 1j, -1.0, 0.5 - 0.5j])
     z = np.zeros(2, dtype=complex)
     g = Grid(-1.0, 1.0, 5, None)
-    H = DiscretizedHamiltonian(d, z, z.copy(), 0j, 0j, g, "flat")
+    H = DiscretizedHamiltonian(d, z, z.copy(), 0j, 0j, g)
     lams = sorted((r.eigenvalue for r in solve_dense(H)), key=lambda w: w.real)
     assert np.allclose(lams, sorted(d, key=lambda w: w.real))
 
     jd = np.array([0.7 + 0.1j, 0.7 + 0.1j])
     H2 = DiscretizedHamiltonian(jd, np.zeros(1, dtype=complex),
                                 np.ones(1, dtype=complex), 0j, 0j,
-                                Grid(-1.0, 1.0, 4, None), "flat")
+                                Grid(-1.0, 1.0, 4, None))
     for r in solve_dense(H2):
         assert abs(r.eigenvalue - (0.7 + 0.1j)) <= 1e-6
 
@@ -167,6 +179,19 @@ def test_residual_of_exact_eigenvector():
     H = build_hamiltonian(lambda z: z ** 2, g)
     ground = min(solve_dense(H), key=lambda r: abs(r.eigenvalue - 1.0))
     assert residual(ground.eigenvector, ground.eigenvalue, H) <= 1e-12
+
+
+def test_residual_without_a_core_node_is_a_typed_error():
+    g = Grid(-1.0, 1.0, 4, None)  # two interior nodes, both buffered out
+    H = build_hamiltonian(lambda z: np.zeros_like(z), g)
+    with pytest.raises(InvalidParameters):
+        residual(np.ones(4), 0.0, H)
+
+
+def test_verify_family_too_few_nodes_gives_failed_entries():
+    rep = verify_family(HulthenParams(2.0, 2.0), Grid(-1.0, 1.0, 3))
+    assert not rep.passed
+    assert [e.note.split(":")[0] for e in rep.entries] == ["InvalidParameters"]
 
 
 def test_residual_second_order_ratio():
