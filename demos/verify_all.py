@@ -2,7 +2,7 @@
 
 For each family: enumerate the analytic spectrum, inverse-iterate the
 discretized contour Hamiltonian at every analytic energy, and print the
-eigenvalue error (Richardson-extrapolated for Eckart and Poschl-Teller),
+Richardson-extrapolated eigenvalue error,
 the wave-function residual at step h with its observed h -> h/2 order,
 and the PT defect of the potential-contour pair.
 """

@@ -143,7 +143,7 @@ def cmd_sample(args) -> int:
     V = fam.potential(params, xi)
     header = ["x", "xi_re", "xi_im", "V_re", "V_im"]
     columns = [x, xi.real, xi.imag, V.real, V.imag]
-    if args.N is not None:
+    if any(getattr(args, k) is not None for k in ("N", "sigma", "tau")):
         level = _select_level(args, fam, params)
         if level is None:
             sys.stderr.write("ptspectra: invalid level for psi sampling\n")

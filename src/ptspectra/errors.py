@@ -47,8 +47,9 @@ class MetricVanishing(SpectraError):
 
 
 class NoConvergence(SpectraError):
-    """Iterative eigensolve failed; `best_residual` holds the closest
-    approach to convergence."""
+    """Inverse iteration found no settled eigenpair within its sweep budget;
+    no eigenpair is returned, and `best_residual` holds the smallest
+    residual any sweep reached."""
 
     def __init__(self, message, best_residual=None):
         super().__init__(message)

@@ -8,15 +8,17 @@ shifted line and the real line xi' = 1 and the same formula gives the
 textbook Laplacian.
 The contour is part of the `Grid`: `build_hamiltonian(evaluator, grid)`
 discretizes along `grid.contour` (None is the real line), and
-`solve_targeted(H, target)` inverse-iterates one eigenpair near `target`.
+`solve_targeted(H, target)` inverse-iterates one eigenpair near `target`,
+factoring H - target once and stopping when the eigenpair has settled
+relative to ||H||_inf.
 
 Verification runs the eigensolve on the stated grid and on the once
-refined grid (same endpoints, halved step). The refined pass yields the
-convergence-order table, and for families whose record sets `richardson`
-the reported eigenvalue is the Richardson combination
-(4*lambda_fine - lambda_coarse)/3, which removes the O(h^2) truncation
-term of the stencil. Wave-function residuals always use the raw
-three-point operator, so observed convergence orders stay meaningful.
+refined grid (same endpoints, halved step) for every family. The reported
+eigenvalue is the Richardson combination (4*lambda_fine - lambda_coarse)/3,
+which removes the O(h^2) truncation term of the stencil, and the refined
+pass also yields the convergence-order table. Wave-function residuals
+always use the raw three-point operator, so observed convergence orders
+stay meaningful.
 Each analytic wave function is sampled once, on the refined grid; its
 even nodes are the stated grid's nodes, bit for bit.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .contour import ArchContour, ShiftedLine
 from .errors import (
@@ -53,9 +55,8 @@ from .potentials import (
 from . import spectra as _sp
 
 _METRIC_FLOOR = 1e-10
-_GIVEUP_RESIDUAL = 1e-6
 _START_SEED = 42
-_SWEEP_TOL = 1e-10
+_SWEEP_TOL = 1e-14
 _MAX_SWEEPS = 200
 _SHIFT_NUDGE = 1e-8 * (1 + 1j)
 _DENSE_CAP = 1200
@@ -179,57 +180,50 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
 def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
     """Shifted inverse iteration for the eigenpair nearest `target`.
 
-    Starts from a seeded random vector and iterates until the residual
-    drops to _SWEEP_TOL or _MAX_SWEEPS sweeps pass; the best eigenpair seen
-    is returned, or NoConvergence if it never came close. A singular or
-    overflowing shifted solve nudges the shift once by _SHIFT_NUDGE before
-    ShiftSingular is raised; every solve that returns counts as a sweep.
+    Starts from a seeded random vector; H - shift is factored once (LAPACK
+    gttrf) and each sweep is one gttrs solve. A sweep stops when the
+    residual and the change of the Rayleigh quotient since the previous
+    sweep are both within _SWEEP_TOL * ||H||_inf: a small residual alone can
+    be a pseudo-eigenpair of this non-normal operator whose Rayleigh
+    quotient still sits on the shift. No settled pair within _MAX_SWEEPS
+    sweeps raises NoConvergence. A singular factor or an overflowing solve
+    restarts once at the shift nudged by _SHIFT_NUDGE before ShiftSingular
+    is raised. Fewer than 3 interior nodes raise InvalidParameters.
     """
     n = H.n_interior
+    if n < 3:
+        raise InvalidParameters(f"{n} interior nodes; inverse iteration needs at least 3")
+    row = np.abs(H.diag) + np.abs(np.pad(H.lower, (1, 0))) + np.abs(np.pad(H.upper, (0, 1)))
+    tol = _SWEEP_TOL * float(np.max(row))  # relative to ||H||_inf
     rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    shift = complex(target)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = H.upper
-    ab[2, :-1] = H.lower
-    best = None
-    retried = False
-    it = 0
-    while it < _MAX_SWEEPS:
-        ab[1, :] = H.diag - shift
-        try:
-            w = solve_banded((1, 1), ab, v)
-        except np.linalg.LinAlgError:
-            failure = "shifted system singular"
-        else:
-            it += 1
+    lam_prev, best_residual, it = None, math.inf, 0
+    for shift in (complex(target), complex(target) + _SHIFT_NUDGE):
+        *lu, info = zgttrf(H.lower, H.diag - shift, H.upper)
+        failure = "shifted system singular" if info > 0 else None
+        while failure is None and it < _MAX_SWEEPS:
+            w, _ = zgttrs(*lu, v)
             nw = np.linalg.norm(w)
-            failure = None if np.isfinite(nw) and nw != 0.0 else "shifted solve overflowed"
-        if failure:
-            if retried:
-                raise ShiftSingular(f"{failure} at {shift}")
-            shift = shift + _SHIFT_NUDGE
-            retried = True
-            continue
-        w = w / nw
-        Hw = H.apply(w)
-        lam = np.vdot(w, Hw) / np.vdot(w, w)
-        res = float(np.max(np.abs(Hw - lam * w)) / np.max(np.abs(w)))
-        if best is None or res < best.residual:
-            full = np.zeros(n + 2, dtype=complex)
-            full[1:-1] = w
-            best = EigenResult(complex(lam), full, res, it)
-        if res <= _SWEEP_TOL:
-            return best
-        v = w
-    # at most one solve fails before ShiftSingular, so a sweep has set `best`
-    if best.residual > _GIVEUP_RESIDUAL:
-        raise NoConvergence(
-            f"inverse iteration at shift {target} stalled; best residual {best.residual:.3e}",
-            best_residual=best.residual,
-        )
-    return best
+            if not (np.isfinite(nw) and nw != 0.0):
+                failure = "shifted solve overflowed"
+                break
+            it += 1
+            v = w / nw
+            Hv = H.apply(v)
+            lam = complex(np.vdot(v, Hv) / np.vdot(v, v))
+            res = float(np.max(np.abs(Hv - lam * v)) / np.max(np.abs(v)))
+            best_residual = min(best_residual, res)
+            if res <= tol and lam_prev is not None and abs(lam - lam_prev) <= tol:
+                return EigenResult(lam, np.pad(v, 1), res, it)
+            lam_prev = lam
+        if failure is None:
+            raise NoConvergence(
+                f"inverse iteration at shift {target} did not settle in {_MAX_SWEEPS} "
+                f"sweeps; best residual {best_residual:.3e}",
+                best_residual=best_residual,
+            )
+    raise ShiftSingular(f"{failure} at {shift}")
 
 
 def solve_dense(H: DiscretizedHamiltonian) -> list:
@@ -330,8 +324,11 @@ class Family:
     `canonical` is the README setup and the CLI's parameter defaults,
     `grid` the default (x_min, x_max, n_points), and `aux_columns` the
     level aux entries the spectrum table prints after kappa (a `_re`/`_im`
-    suffix takes that part of a complex entry). The CLI selects a level by
-    the quantum numbers it is given, the same way for every family.
+    suffix takes that part of a complex entry). `tol_energy` and
+    `tol_residual` are the verdict's default bounds; the solve itself has
+    no per-family setting, since `verify_family` Richardson-extrapolates
+    every family. The CLI selects a level by the quantum numbers it is
+    given, the same way for every family.
     """
 
     name: str
@@ -344,14 +341,11 @@ class Family:
     grid: tuple
     tol_energy: float
     tol_residual: float
-    richardson: bool
     aux_columns: tuple
 
 
 # The flat tol_residual covers the sharpest canonical contour (eps=0.3, where
 # the truncation term scales like 1/sin^4 eps); order checks do the real work.
-# Hulthen reports the single-grid eigenvalue: its refined grid feeds only the
-# residual order.
 FAMILIES = {f.name: f for f in (
     Family("eckart", EckartParams, EckartParams(3.0, 1.0, 0.5),
            spectrum=lambda p: _sp.eckart_spectrum(p),
@@ -360,7 +354,6 @@ FAMILIES = {f.name: f for f in (
                _sp.eckart_wavefunction(p, level, contour.point(x)),
            contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
            grid=(-18.0, 18.0, 4001), tol_energy=1e-5, tol_residual=1.5e-1,
-           richardson=True,
            aux_columns=("u_re", "u_im", "v_re", "v_im")),
     Family("rpt", PoschlTellerParams, PoschlTellerParams(3.5, 1.5, 0.3),
            spectrum=lambda p: _sp.rpt_spectrum(p),
@@ -369,7 +362,7 @@ FAMILIES = {f.name: f for f in (
                _sp.rpt_wavefunction(p, level, contour.point(x)),
            contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
            grid=(-12.0, 12.0, 3001), tol_energy=1e-6, tol_residual=1.5e-1,
-           richardson=True, aux_columns=()),
+           aux_columns=()),
     Family("hulthen", HulthenParams, HulthenParams(2.0, 2.0),
            spectrum=lambda p: _sp.hulthen_spectrum(p),
            potential=lambda p, xi: eval_hulthen(p, xi),
@@ -378,7 +371,7 @@ FAMILIES = {f.name: f for f in (
            contour=lambda p, epsilon=None:
                ArchContour(math.pi / 6 if epsilon is None else epsilon),
            grid=(-12.0, 12.0, 12001), tol_energy=1e-4, tol_residual=1e-4,
-           richardson=False, aux_columns=("s", "tau_beta")),
+           aux_columns=("s", "tau_beta")),
 )}
 
 
@@ -388,11 +381,10 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
 
     Enumerates the analytic spectrum, inverse-iterates the discretized
     operator at each analytic energy on the grid and its refinement,
-    reports the eigenvalues (Richardson-extrapolated where the family
-    record asks for it), wave-function residuals at both steps with the
-    observed convergence order, and the PT defect. Each analytic wave
-    function is sampled once, on the refined grid; the stated-grid
-    residual reads its even nodes. A missing grid is the family's default
+    reports the Richardson-extrapolated eigenvalues, wave-function
+    residuals at both steps with the observed convergence order, and the
+    PT defect. Each analytic wave function is sampled once, on the refined
+    grid; the stated-grid residual reads its even nodes. A missing grid is the family's default
     grid; a grid without a contour gets the family's canonical contour.
     An eigenvalue must match its energy within `tol_energy` and have |Im|
     within 10 * `tol_energy`. Constituent errors become failed report
@@ -425,13 +417,9 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
         E = level.energy
         try:
             coarse = solve_targeted(H, E)
-            if fam.richardson:
-                fine_res = solve_targeted(Hf, E)
-                lam = (4 * fine_res.eigenvalue - coarse.eigenvalue) / 3
-                iters = coarse.iterations + fine_res.iterations
-            else:
-                lam = coarse.eigenvalue
-                iters = coarse.iterations
+            fine_res = solve_targeted(Hf, E)
+            lam = (4 * fine_res.eigenvalue - coarse.eigenvalue) / 3
+            iters = coarse.iterations + fine_res.iterations
             psi_f = fam.wavefunction(params, level, contour, fine.points())
             res_c = residual(psi_f[::2], E, H)
             res_f = residual(psi_f, E, Hf)

@@ -1,23 +1,38 @@
-"""The benchmark tracer wraps library functions by module attribute; every
-name it hooks must exist, or `perfbench` breaks only when it is run."""
+"""The benchmark drives the library from `perfbench/`; these tests catch,
+in the unit suite, the breakages that otherwise show only when it is run.
+Its tracer wraps library functions by module attribute, so every name it
+hooks must exist, and every report of its verify pools must pass the
+benchmark's independent closed-form census."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_benchmark_hook_resolves():
-    hooks = _load_spans().HOOKS
+    hooks = _load("spans").HOOKS
     assert hooks
     missing = [(m, attr) for m, attr, _, _ in hooks
                if not callable(getattr(importlib.import_module(f"ptspectra.{m}"), attr, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["canonical", "sweep"])
+def test_verify_pools_pass_the_census(monkeypatch, workload):
+    # workloads.py imports its sibling as a top-level `census` module
+    monkeypatch.setitem(sys.modules, "census", _load("census"))
+    workloads = _load("workloads")
+    problems = [p for op in workloads.BUILDERS[workload](1) for p in op.check(op.run(None))]
+    assert problems == []

@@ -200,6 +200,25 @@ def test_sample_level_flags_must_all_match(capsys, argv):
     assert "invalid level" in err
 
 
+def test_sample_sigma_and_tau_select_a_level_without_N(capsys):
+    # the canonical rpt setup has no (+,+) level
+    code, out, err = _run(capsys, ["sample", "--family", "rpt", "--sigma", "1",
+                                   "--tau", "1", "--n", "3"])
+    assert code == 2
+    assert out == ""
+    assert "invalid level" in err
+    code, out, _ = _run(capsys, ["sample", "--family", "rpt", "--sigma", "-1", "--n", "3"])
+    assert code == 0
+    header, rows = _rows(out)
+    assert header[-2:] == ["psi_re", "psi_im"]
+    fam = FAMILIES["rpt"]
+    level = fam.spectrum(fam.canonical)[0]
+    assert level.qn.label() == "(-,-,0)"
+    psi = fam.wavefunction(fam.canonical, level, fam.contour(fam.canonical),
+                           Grid(*fam.grid[:2], 3).points())
+    assert [r[-2:] for r in rows] == [[f"{v.real:.11e}", f"{v.imag:.11e}"] for v in psi]
+
+
 def test_level_flags_left_out_match_any_value(capsys):
     code, out, _ = _run(capsys, ["sample", "--family", "rpt", "--N", "0", "--n", "21"])
     assert code == 0

@@ -14,12 +14,15 @@ from ptspectra import (
     NoConvergence,
     PoschlTellerParams,
     ShiftedLine,
+    ShiftSingular,
     SizeGuard,
     build_hamiltonian,
     eckart_spectrum,
     eckart_wavefunction,
     eval_eckart,
+    eval_hulthen,
     eval_rpt,
+    hulthen_spectrum,
     pt_norm,
     residual,
     rpt_spectrum,
@@ -28,6 +31,7 @@ from ptspectra import (
     solve_targeted,
     verify_family,
 )
+from ptspectra.numeric import FAMILIES
 
 ECK = EckartParams(3.0, 1.0, 0.5)
 RPT = PoschlTellerParams(3.5, 1.5, 0.3)
@@ -140,6 +144,52 @@ def test_targeted_shift_on_exact_eigenvalue():
     lam = solve_dense(H)[0].eigenvalue
     r = solve_targeted(H, lam)
     assert abs(r.eigenvalue - lam) <= 1e-8
+
+
+def test_targeted_rejects_a_pseudo_eigenpair():
+    # A residual-only relative stop accepts the first sweep here: its residual
+    # is tiny while the Rayleigh quotient still sits on the shift (|dE| ~ 7e-11).
+    params = PoschlTellerParams(2.482097341632171, 7.429994529557295, 0.43308273382987594)
+    fam = FAMILIES["rpt"]
+    grid = Grid(*fam.grid, fam.contour(params)).refined()
+    H = build_hamiltonian(lambda z: eval_rpt(params, z), grid)
+    level = next(l for l in rpt_spectrum(params) if l.qn.label() == "(-,-,4)")
+    r = solve_targeted(H, level.energy)
+    assert abs(r.eigenvalue - level.energy) >= 1e-4
+
+
+def test_targeted_unsettled_solve_is_no_convergence():
+    params = HulthenParams(1.034496611022668, 1.8605910872978733)
+    fam = FAMILIES["hulthen"]
+    H = build_hamiltonian(lambda z: eval_hulthen(params, z),
+                          Grid(*fam.grid, fam.contour(params)))
+    with pytest.raises(NoConvergence) as info:
+        solve_targeted(H, 728.19)
+    assert 0 < info.value.best_residual < math.inf
+    (entry,) = verify_family(params).entries
+    assert hulthen_spectrum(params)[0].energy == pytest.approx(728.19, abs=1e-2)
+    assert entry.note.startswith("NoConvergence")
+    assert not entry.converged
+
+
+def _diagonal(d):
+    d = np.asarray(d, dtype=complex)
+    z = np.zeros(len(d) - 1, dtype=complex)
+    return DiscretizedHamiltonian(d, z, z.copy(), 0j, 0j, Grid(-1.0, 1.0, len(d) + 2))
+
+
+def test_targeted_singular_shift_is_nudged_once():
+    r = solve_targeted(_diagonal([1.0, 2.0, 3.0]), 1.0)
+    assert abs(r.eigenvalue - 1.0) <= 1e-12
+    # the nudged shift lands on the second diagonal entry: singular again
+    with pytest.raises(ShiftSingular, match="shifted system singular"):
+        solve_targeted(_diagonal([1.0, 1.0 + 1e-8 * (1 + 1j), 3.0]), 1.0)
+
+
+def test_targeted_needs_three_interior_nodes():
+    H = build_hamiltonian(lambda z: z ** 2, Grid(-1.0, 1.0, 4))
+    with pytest.raises(InvalidParameters):
+        solve_targeted(H, 0.0)
 
 
 def test_dense_diagonal_and_jordan():
@@ -267,9 +317,17 @@ def test_verify_family_hulthen_transformed_equation():
     rep = verify_family(HulthenParams(2.0, 2.0))
     assert rep.passed
     e = rep.entries[0]
-    assert e.abs_err <= 1e-4
+    assert e.abs_err <= 1e-9  # Richardson-extrapolated like every family
     assert e.residual <= 1e-4
     assert 1.8 <= e.order <= 2.2
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_canonical_levels_settle_in_a_few_sweeps(name):
+    fam = FAMILIES[name]
+    rep = verify_family(fam.canonical)
+    # coarse plus refined solve; the absolute stop took up to 22 for Hulthen
+    assert all(e.iterations <= 10 for e in rep.entries)
 
 
 def test_verify_family_reports_failure_honestly():
