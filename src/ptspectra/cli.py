@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .contour import arch_liouville_map, identity_liouville_map, liouville_potential
+from .contour import arch_map, identity_map, liouville_potential
 from .errors import InvalidParameters, SpectraError
 from .numeric import FAMILIES, Grid, verify_family
 from .potentials import PoschlTellerParams
@@ -62,7 +62,10 @@ def parse_angle(text: str) -> float:
     if m:
         value = math.pi * float(m.group("coef") or 1.0)
         if m.group("den"):
-            value /= float(m.group("den"))
+            den = float(m.group("den"))
+            if den == 0.0:
+                raise ValueError(f"angle {text!r} divides by zero")
+            value /= den
         return value
     return float(text)
 
@@ -183,14 +186,11 @@ def cmd_transform(args) -> int:
     x = Grid(*_bounds(args, _TRANSFORM_GRID)).points()
     xi = contour.point(x)
     if args.identity_selftest:
-        lmap = identity_liouville_map(kappa)
-        v_liou = liouville_potential(W, lmap, xi)
-        v_closed = W(xi) + kappa ** 2
+        lmap, v_closed = identity_map, W(xi) + kappa ** 2
     else:
-        lmap = arch_liouville_map(kappa)
-        v_liou = liouville_potential(W, lmap, xi)
         # closed form of the same V - E object: Hulthen potential minus E = kappa^2
-        v_closed = fam.potential(params, xi) - kappa ** 2
+        lmap, v_closed = arch_map, fam.potential(params, xi) - kappa ** 2
+    v_liou = liouville_potential(W, kappa, lmap, xi)
     diff = np.abs(v_liou - v_closed)
     header = ["x", "xi_re", "xi_im", "V_liouville_re", "V_liouville_im",
               "V_closed_re", "V_closed_im", "abs_diff"]

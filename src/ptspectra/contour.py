@@ -4,6 +4,11 @@ Two path families are provided: the shifted line x - i*eps and the
 down-bent arch obtained from it by sinh(x - i*eps) = -i e^{i xi(x)}.
 Both are PT-symmetric: xi(-x) = -xi(x)*.
 
+A Liouville coordinate map is one function `lmap(xi)` returning
+(r, r', r'', r''') at xi, so one evaluation shares the work of all four
+(`arch_map`, `identity_map`); `check_derivatives` cross-checks any such
+map against finite differences.
+
 Branch policy, used everywhere complex powers or roots appear along a
 path: principal value at the first sample, then phase continuity sample
 to sample (unwrapping by whole turns). An adjacent phase jump that stays
@@ -14,7 +19,6 @@ parameter and must not be reordered mid-stream.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -111,128 +115,80 @@ def power_along_path(base_values, exponent):
     return np.exp(exponent * continuous_log(base_values))
 
 
-@dataclass(frozen=True)
-class LiouvilleMap:
-    """An invertible coordinate map r(xi) with three derivative closures
-    and the base problem's decay rate kappa > 0."""
-
-    descriptor: str
-    r: Callable
-    r1: Callable
-    r2: Callable
-    r3: Callable
-    kappa: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise InvalidParameters("kappa must be real and > 0")
-
-    def check_derivatives(self, xi) -> None:
-        """Central finite-difference cross-check of r1, r2, r3 at xi: step
-        _FD_STEP, relative tolerance _FD_TOL."""
-        h = _FD_STEP
-        pairs = ((self.r, self.r1), (self.r1, self.r2), (self.r2, self.r3))
-        for f, df in pairs:
-            fd = (np.asarray(f(xi + h)) - np.asarray(f(xi - h))) / (2 * h)
-            an = np.asarray(df(xi))
-            err = np.max(np.abs(fd - an) / (1.0 + np.abs(an)))
-            if err > _FD_TOL:
-                raise DerivativeInconsistency(
-                    f"map '{self.descriptor}': analytic {df.__name__ if hasattr(df, '__name__') else 'derivative'}"
-                    f" disagrees with finite differences by {float(err):.3e} relative"
-                )
-
-
-def arch_liouville_map(kappa: float) -> LiouvilleMap:
-    """The arch map sinh r = -i e^{i xi}, i.e. r(xi) = arcsinh(-i e^{i xi}).
+def arch_map(xi):
+    """The arch map sinh r = -i e^{i xi}, i.e. r(xi) = arcsinh(-i e^{i xi}),
+    as (r, r', r'', r''') at xi.
 
     Derivatives follow from r' = i tanh r by repeated differentiation:
     r'' = -tanh r sech^2 r, r''' = i tanh r sech^2 r (2 tanh^2 r - sech^2 r).
     The principal arcsinh branch reproduces r(xi(x)) = x - i*eps along the
     whole arch.
     """
-
-    def r(xi):
-        return np.arcsinh(-1j * np.exp(1j * np.asarray(xi, dtype=complex)))
-
-    def r1(xi):
-        return 1j * np.tanh(r(xi))
-
-    def r2(xi):
-        rv = r(xi)
-        return -np.tanh(rv) / np.cosh(rv) ** 2
-
-    def r3(xi):
-        rv = r(xi)
-        t = np.tanh(rv)
-        s2 = 1.0 / np.cosh(rv) ** 2
-        return 1j * t * s2 * (2 * t ** 2 - s2)
-
-    return LiouvilleMap("arch: sinh r = -i exp(i xi)", r, r1, r2, r3, kappa)
+    r = np.arcsinh(-1j * np.exp(1j * np.asarray(xi, dtype=complex)))
+    t = np.tanh(r)
+    c2 = np.cosh(r) ** 2
+    s2 = 1.0 / c2
+    return r, 1j * t, -t / c2, 1j * t * s2 * (2 * t ** 2 - s2)
 
 
-def identity_liouville_map(kappa: float) -> LiouvilleMap:
-    """r(xi) = xi; curvature terms vanish."""
-
-    def one(xi):
-        return np.ones(np.shape(xi), dtype=complex) if np.ndim(xi) else 1.0 + 0.0j
-
-    def zero(xi):
-        return np.zeros(np.shape(xi), dtype=complex) if np.ndim(xi) else 0.0 + 0.0j
-
-    return LiouvilleMap("identity", lambda xi: np.asarray(xi, dtype=complex) if np.ndim(xi) else complex(xi),
-                        one, zero, zero, kappa)
+def identity_map(xi):
+    """r(xi) = xi as (r, r', r'', r''') = (xi, 1, 0, 0); curvature terms vanish."""
+    r = np.asarray(xi, dtype=complex)
+    return r, np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
 
 
-def linear_liouville_map(scale: float, kappa: float) -> LiouvilleMap:
-    """r(xi) = scale * xi; pure rescaling, curvature terms vanish."""
-    if scale == 0:
-        raise InvalidParameters("scale must be nonzero")
+def check_derivatives(lmap, xi):
+    """`lmap(xi)`, after a central finite-difference cross-check of its
+    entries 1-3 against entries 0-2: step _FD_STEP, relative tolerance
+    _FD_TOL. Raises DerivativeInconsistency naming the derivative that
+    disagrees."""
+    h = _FD_STEP
+    plus, minus, at = lmap(xi + h), lmap(xi - h), lmap(xi)
+    for k, name in enumerate(("r'", "r''", "r'''")):
+        fd = (np.asarray(plus[k]) - np.asarray(minus[k])) / (2 * h)
+        an = np.asarray(at[k + 1])
+        err = np.max(np.abs(fd - an) / (1.0 + np.abs(an)))
+        if err > _FD_TOL:
+            raise DerivativeInconsistency(
+                f"analytic {name} disagrees with finite differences by {float(err):.3e} relative"
+            )
+    return at
 
-    def r(xi):
-        return scale * (np.asarray(xi, dtype=complex) if np.ndim(xi) else complex(xi))
 
-    def const(xi):
-        if np.ndim(xi):
-            return np.full(np.shape(xi), complex(scale))
-        return complex(scale)
-
-    def zero(xi):
-        return np.zeros(np.shape(xi), dtype=complex) if np.ndim(xi) else 0.0 + 0.0j
-
-    return LiouvilleMap(f"linear x{scale}", r, const, zero, zero, kappa)
-
-
-def liouville_potential(W, lmap: LiouvilleMap, xi):
+def liouville_potential(W, kappa, lmap, xi):
     """V(xi) - E for the transformed problem, the full right-hand side
 
         [r'(xi)]^2 { W[r(xi)] + kappa^2 } + (3/4)[r''/r']^2 - (1/2)[r'''/r'],
 
-    where -kappa^2 is the base problem's bound-state energy. The caller
-    separates V from the transformed energy E using the target family's
-    closed form. Raises SingularPoint when r' vanishes at xi and
-    DerivativeInconsistency when the map's analytic derivatives fail
-    their finite-difference cross-check.
+    where `lmap(xi)` gives (r, r', r'', r''') and -kappa^2 is the base
+    problem's bound-state energy. The caller separates V from the
+    transformed energy E using the target family's closed form. Raises
+    InvalidParameters unless kappa is finite and > 0, SingularPoint when r'
+    vanishes at xi and DerivativeInconsistency when the map's analytic
+    derivatives fail their finite-difference cross-check.
     """
-    lmap.check_derivatives(xi)
-    rp = np.asarray(lmap.r1(xi)) if np.ndim(xi) else lmap.r1(xi)
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise InvalidParameters("kappa must be real and > 0")
+    r, rp, r2, r3 = check_derivatives(lmap, xi)
     if np.min(np.abs(rp)) < _METRIC_FLOOR:
         raise SingularPoint("r'(xi) vanishes on the requested points")
-    ratio2 = np.asarray(lmap.r2(xi)) / rp
-    ratio3 = np.asarray(lmap.r3(xi)) / rp
-    out = rp ** 2 * (W(lmap.r(xi)) + lmap.kappa ** 2) + 0.75 * ratio2 ** 2 - 0.5 * ratio3
+    ratio2 = r2 / rp
+    ratio3 = r3 / rp
+    out = rp ** 2 * (W(r) + kappa ** 2) + 0.75 * ratio2 ** 2 - 0.5 * ratio3
     return out if np.ndim(xi) else complex(out)
 
 
-def transport_wavefunction(chi, lmap: LiouvilleMap, xi_samples):
-    """Psi(xi) = chi[r(xi)] / sqrt(r'(xi)) along an ordered sample sequence.
+def transport_wavefunction(chi, lmap, xi_samples):
+    """Psi(xi) = chi[r(xi)] / sqrt(r'(xi)) along an ordered sample sequence,
+    r and r' taken from one `lmap(xi)` call.
 
     The square root follows the branch-continuity policy (principal at the
     first sample, continuous thereafter).
     """
     xi = np.asarray(xi_samples, dtype=complex)
-    rp = np.asarray(lmap.r1(xi), dtype=complex)
+    r, rp = lmap(xi)[:2]
+    rp = np.asarray(rp, dtype=complex)
     if np.min(np.abs(rp)) < _METRIC_FLOOR:
         raise SingularPoint("r'(xi) vanishes along the sample path")
     root = np.exp(0.5 * continuous_log(rp))
-    return np.asarray(chi(lmap.r(xi)), dtype=complex) / root
+    return np.asarray(chi(r), dtype=complex) / root

@@ -48,25 +48,18 @@ class MetricVanishing(SpectraError):
 
 class NoConvergence(SpectraError):
     """Inverse iteration found no settled eigenpair within its sweep budget;
-    no eigenpair is returned, and `best_residual` holds the smallest
-    residual any sweep reached."""
+    no eigenpair is returned, `best_residual` holds the smallest residual
+    any sweep reached and `iterations` the number of sweeps run."""
 
-    def __init__(self, message, best_residual=None):
+    def __init__(self, message, best_residual=None, iterations=0):
         super().__init__(message)
         self.best_residual = best_residual
+        self.iterations = iterations
 
 
 class ShiftSingular(SpectraError):
     """Shifted system was numerically singular even after perturbing the
     shift."""
-
-
-class SizeGuard(SpectraError):
-    """Dense solve refused: matrix larger than the configured cap."""
-
-
-class QRStall(SpectraError):
-    """Dense QR eigeniteration failed to converge."""
 
 
 class InternalConsistencyError(SpectraError):

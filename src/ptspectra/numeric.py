@@ -38,9 +38,7 @@ from .errors import (
     InvalidParameters,
     MetricVanishing,
     NoConvergence,
-    QRStall,
     ShiftSingular,
-    SizeGuard,
     SpectraError,
 )
 from .potentials import (
@@ -59,7 +57,6 @@ _START_SEED = 42
 _SWEEP_TOL = 1e-14
 _MAX_SWEEPS = 200
 _SHIFT_NUDGE = 1e-8 * (1 + 1j)
-_DENSE_CAP = 1200
 _RESIDUAL_BUFFER = 0.05
 
 
@@ -71,6 +68,8 @@ class Grid:
     contour: object = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("grid bounds must be finite")
         if self.n_points < 3:
             raise ValueError("grid needs at least 3 points")
         if not self.x_max > self.x_min:
@@ -124,15 +123,6 @@ class DiscretizedHamiltonian:
         w[0] += self.bc_left * psi[0]
         w[-1] += self.bc_right * psi[-1]
         return w
-
-    def to_dense(self) -> np.ndarray:
-        n = self.n_interior
-        A = np.zeros((n, n), dtype=complex)
-        idx = np.arange(n)
-        A[idx, idx] = self.diag
-        A[idx[1:], idx[:-1]] = self.lower
-        A[idx[:-1], idx[1:]] = self.upper
-        return A
 
 
 @dataclass
@@ -221,29 +211,9 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
             raise NoConvergence(
                 f"inverse iteration at shift {target} did not settle in {_MAX_SWEEPS} "
                 f"sweeps; best residual {best_residual:.3e}",
-                best_residual=best_residual,
+                best_residual=best_residual, iterations=it,
             )
     raise ShiftSingular(f"{failure} at {shift}")
-
-
-def solve_dense(H: DiscretizedHamiltonian) -> list:
-    """Full eigendecomposition of the dense matrix, sorted by real part."""
-    if H.n_interior > _DENSE_CAP:
-        raise SizeGuard(f"n = {H.n_interior} exceeds the dense cap {_DENSE_CAP}")
-    A = H.to_dense()
-    try:
-        lam, vec = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:
-        raise QRStall(str(exc)) from exc
-    order = np.lexsort((lam.imag, lam.real))
-    out = []
-    for k in order:
-        v = vec[:, k]
-        res = float(np.max(np.abs(A @ v - lam[k] * v)) / np.max(np.abs(v)))
-        full = np.zeros(H.n_interior + 2, dtype=complex)
-        full[1:-1] = v
-        out.append(EigenResult(complex(lam[k]), full, res, 0))
-    return out
 
 
 def residual(psi, E, H: DiscretizedHamiltonian) -> float:
@@ -388,7 +358,7 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     grid; a grid without a contour gets the family's canonical contour.
     An eigenvalue must match its energy within `tol_energy` and have |Im|
     within 10 * `tol_energy`. Constituent errors become failed report
-    entries, not exceptions.
+    entries, not exceptions; such an entry counts the sweeps already run.
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, f.params)), None)
     if fam is None:
@@ -415,11 +385,13 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     for level in levels:
         qn = level.qn
         E = level.energy
+        iters = 0
         try:
             coarse = solve_targeted(H, E)
+            iters = coarse.iterations
             fine_res = solve_targeted(Hf, E)
+            iters += fine_res.iterations
             lam = (4 * fine_res.eigenvalue - coarse.eigenvalue) / 3
-            iters = coarse.iterations + fine_res.iterations
             psi_f = fam.wavefunction(params, level, contour, fine.points())
             res_c = residual(psi_f[::2], E, H)
             res_f = residual(psi_f, E, Hf)
@@ -433,7 +405,8 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
         except SpectraError as exc:
             entries.append(LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E,
                                        complex("nan+nanj"), float("inf"), float("inf"),
-                                       float("inf"), float("inf"), float("nan"), 0,
+                                       float("inf"), float("inf"), float("nan"),
+                                       iters + getattr(exc, "iterations", 0),
                                        False, f"{type(exc).__name__}: {exc}"))
             passed = False
 

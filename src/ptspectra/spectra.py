@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import arch_liouville_map, power_along_path, transport_wavefunction
+from .contour import arch_map, power_along_path, transport_wavefunction
 from .errors import (
     BoundaryLevelWarning,
     DegenerateSWarning,
@@ -221,17 +221,16 @@ def hulthen_wavefunction(p: HulthenParams, level: Level, arch, x_samples):
     """Psi(xi(x)) = chi[r(xi)] / sqrt(r'(xi)) along the arch.
 
     chi is the parent eigenfunction rebuilt from the level's derived
-    parameters (beta = |tau*beta|, tau = sign); the arch map supplies
-    r(xi) = x - i*eps and the metric factor.
+    parameters (beta = |tau*beta|, tau = sign); one `arch_map` call
+    supplies r(xi) = x - i*eps and the metric factor r'(xi).
     """
     if "kappa" not in level.aux or level.qn.family != "hulthen":
         raise InvalidParameters("level must come from hulthen_spectrum")
     tb = level.aux["tau_beta"]
     sa = level.qn.sigma * p.alpha
     n = level.qn.N
-    lmap = arch_liouville_map(level.aux["kappa"])
     xi = arch.point(np.asarray(x_samples, dtype=float))
-    return transport_wavefunction(lambda r: _parent_eigenfunction(n, tb, sa, r), lmap, xi)
+    return transport_wavefunction(lambda r: _parent_eigenfunction(n, tb, sa, r), arch_map, xi)
 
 
 def eckart_spacing(p: EckartParams, N: int) -> float:

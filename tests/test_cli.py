@@ -25,6 +25,8 @@ def test_parse_angle_literals():
     assert parse_angle("pi/6") == pytest.approx(math.pi / 6)
     assert parse_angle("2*pi/3") == pytest.approx(2 * math.pi / 3)
     assert parse_angle("0.3") == pytest.approx(0.3)
+    with pytest.raises(ValueError):
+        parse_angle("pi/0")
 
 
 def test_spectrum_eckart_table(capsys):
@@ -86,10 +88,10 @@ def test_unknown_family_rejected(capsys):
 
 
 def test_bad_epsilon_literal_rejected(capsys):
-    code, _, err = _run(capsys, ["spectrum", "--family", "eckart",
-                                 "--epsilon", "junk"])
-    assert code == 2
-    assert "ptspectra:" in err
+    for literal in ("junk", "pi/0"):
+        code, _, err = _run(capsys, ["spectrum", "--family", "eckart", "--epsilon", literal])
+        assert code == 2
+        assert err.startswith("ptspectra: ValueError:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -254,6 +256,8 @@ def test_sample_every_canonical_level_as_the_benchmark_asks(capsys, name):
     (["sample", "--family", "eckart", "--xmin", "5", "--xmax", "-5"],
      "x_max must exceed x_min"),
     (["transform", "--family", "hulthen", "--n", "0"], "grid needs at least 3 points"),
+    (["sample", "--family", "rpt", "--xmax", "inf", "--n", "5"], "grid bounds must be finite"),
+    (["verify", "--family", "eckart", "--xmax", "inf", "--n", "5"], "grid bounds must be finite"),
 ])
 def test_sample_and_transform_windows_are_grids(capsys, argv, message):
     code, out, err = _run(capsys, argv)

@@ -8,13 +8,11 @@ from ptspectra import (
     BranchDiscontinuity,
     DerivativeInconsistency,
     InvalidParameters,
-    LiouvilleMap,
     ShiftedLine,
     SingularPoint,
-    arch_liouville_map,
+    arch_map,
     continuous_log,
-    identity_liouville_map,
-    linear_liouville_map,
+    identity_map,
     liouville_potential,
     power_along_path,
     transport_wavefunction,
@@ -95,34 +93,36 @@ def test_power_along_path_keeps_branch():
 
 
 def test_liouville_map_validation():
+    xi = np.linspace(0.2, 1.0, 5) - 0.3j
     with pytest.raises(InvalidParameters):
-        identity_liouville_map(-1.0)
+        liouville_potential(lambda r: r ** 2, -1.0, identity_map, xi)
     with pytest.raises(InvalidParameters):
-        identity_liouville_map(0.0)
+        liouville_potential(lambda r: r ** 2, 0.0, identity_map, xi)
 
 
 def test_liouville_identity_map():
-    lmap = identity_liouville_map(1.5)
     xi = np.linspace(0.2, 1.0, 5) - 0.3j
-    out = liouville_potential(lambda r: r ** 2, lmap, xi)
+    out = liouville_potential(lambda r: r ** 2, 1.5, identity_map, xi)
     assert np.allclose(out, xi ** 2 + 2.25, atol=1e-12)
 
 
 def test_liouville_linear_map():
-    lmap = linear_liouville_map(2.0, kappa=0.7)
+    # r = 2 xi: pure rescaling, curvature terms vanish
+    linear = lambda z: (2.0 * z, np.full_like(z, 2.0), np.zeros_like(z), np.zeros_like(z))
     xi = np.linspace(-1.0, 1.0, 9) + 0.1j
-    out = liouville_potential(lambda r: np.cos(r), lmap, xi)
+    out = liouville_potential(lambda r: np.cos(r), 0.7, linear, xi)
     assert np.allclose(out, 4.0 * (np.cos(2 * xi) + 0.49), atol=1e-12)
 
 
 def test_liouville_derivative_cross_check_catches_lies():
-    good = arch_liouville_map(1.5)
-    bad = LiouvilleMap(descriptor="broken", r=good.r, r1=good.r1,
-                       r2=lambda xi: 1.1 * good.r2(xi), r3=good.r3, kappa=1.5)
+    def bad(z):
+        r, r1, r2, r3 = arch_map(z)
+        return r, r1, 1.1 * r2, r3
+
     xi = ArchContour(math.pi / 6).point(np.linspace(-2, 2, 21))
-    liouville_potential(lambda r: np.sinh(r) ** -2, good, xi)
-    with pytest.raises(DerivativeInconsistency):
-        liouville_potential(lambda r: np.sinh(r) ** -2, bad, xi)
+    liouville_potential(lambda r: np.sinh(r) ** -2, 1.5, arch_map, xi)
+    with pytest.raises(DerivativeInconsistency, match="r''"):
+        liouville_potential(lambda r: np.sinh(r) ** -2, 1.5, bad, xi)
 
 
 def test_arch_map_inverts_the_arch():
@@ -130,31 +130,25 @@ def test_arch_map_inverts_the_arch():
     eps = math.pi / 6
     x = np.linspace(-6, 6, 41)
     xi = ArchContour(eps).point(x)
-    lmap = arch_liouville_map(1.5)
-    assert np.max(np.abs(lmap.r(xi) - (x - 1j * eps))) <= 1e-12
+    assert np.max(np.abs(arch_map(xi)[0] - (x - 1j * eps))) <= 1e-12
 
 
 def test_arch_chain_rule():
     eps = 0.4
     x = np.linspace(-5, 5, 33)
     arch = ArchContour(eps)
-    lmap = arch_liouville_map(2.0)
-    chain = lmap.r1(arch.point(x)) * arch.derivative(x)
+    chain = arch_map(arch.point(x))[1] * arch.derivative(x)
     assert np.max(np.abs(chain - 1.0)) <= 1e-10
 
 
 def test_transport_trivial_and_branch():
-    lmap = identity_liouville_map(1.0)
     xi = np.linspace(-1, 1, 11).astype(complex)
     chi = lambda r: np.exp(-r ** 2)
-    out = transport_wavefunction(chi, lmap, xi)
+    out = transport_wavefunction(chi, identity_map, xi)
     assert np.allclose(out, chi(xi), atol=1e-14)
 
     # r' = -1 everywhere: 1/sqrt(-1) is one fixed branch, no sign flips
-    flip = LiouvilleMap(descriptor="neg", r=lambda z: -z,
-                        r1=lambda z: -np.ones_like(z),
-                        r2=lambda z: np.zeros_like(z),
-                        r3=lambda z: np.zeros_like(z), kappa=1.0)
+    flip = lambda z: (-z, -np.ones_like(z), np.zeros_like(z), np.zeros_like(z))
     const = transport_wavefunction(lambda r: np.ones_like(r), flip, xi)
     assert np.allclose(const, const[0])
     assert abs(const[0] ** 2 + 1.0) <= 1e-12  # (1/sqrt(-1))^2 = -1

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, eigvals, eigvalsh_tridiagonal
 
 from ptspectra import (
     DiscretizedHamiltonian,
@@ -15,7 +16,6 @@ from ptspectra import (
     PoschlTellerParams,
     ShiftedLine,
     ShiftSingular,
-    SizeGuard,
     build_hamiltonian,
     eckart_spectrum,
     eckart_wavefunction,
@@ -27,10 +27,10 @@ from ptspectra import (
     residual,
     rpt_spectrum,
     rpt_wavefunction,
-    solve_dense,
     solve_targeted,
     verify_family,
 )
+from ptspectra import numeric
 from ptspectra.numeric import FAMILIES
 
 ECK = EckartParams(3.0, 1.0, 0.5)
@@ -53,6 +53,9 @@ def test_grid_basics():
         Grid(-1.0, 1.0, 2, None)
     with pytest.raises(ValueError):
         Grid(1.0, -1.0, 5, None)
+    for bounds in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            Grid(*bounds, 5)
 
 
 @pytest.mark.parametrize("grid", [
@@ -68,11 +71,12 @@ def test_refined_even_nodes_are_the_grid_bitwise(grid):
 def test_laplacian_stencil_row(contour):
     g = Grid(-0.5, 0.5, 11, contour)  # h = 0.1
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
-    A = H.to_dense()
     mid = 4
-    # xi' = 1: the midpoint metric form gives the flat stencil's entries exactly
-    assert A[mid, mid - 1] == A[mid, mid + 1] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
-    assert A[mid, mid] == 2.0 / g.h ** 2 == pytest.approx(200.0)
+    # xi' = 1: the midpoint metric form gives the flat stencil's entries exactly;
+    # row mid holds lower[mid - 1], diag[mid] and upper[mid]
+    assert H.lower[mid - 1] == H.upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
+    assert H.diag[mid] == 2.0 / g.h ** 2 == pytest.approx(200.0)
+    assert np.array_equal(H.lower, H.upper)
     assert H.bc_left == H.bc_right == -1.0 / g.h ** 2
 
 
@@ -85,8 +89,9 @@ def test_harmonic_ground_state():
 
 def test_complex_symmetric_discretization():
     H, _, _ = _ham(RPT, 0.3, -12, 12, 301)
-    A = H.to_dense()
-    assert np.max(np.abs(A - A.T)) == 0.0
+    # H = H^T, not Hermitian: the sub- and superdiagonal are equal bit for bit
+    assert np.array_equal(H.lower, H.upper)
+    assert np.any(H.diag.imag)
 
 
 def test_metric_vanishing_guard():
@@ -141,7 +146,9 @@ def test_targeted_never_confirms_perturbed_energy():
 def test_targeted_shift_on_exact_eigenvalue():
     g = Grid(-4.0, 4.0, 41, None)
     H = build_hamiltonian(lambda z: z ** 2, g)
-    lam = solve_dense(H)[0].eigenvalue
+    assert not np.any(H.diag.imag) and not np.any(H.lower.imag)
+    assert np.array_equal(H.lower, H.upper)
+    lam = eigvalsh_tridiagonal(H.diag.real, H.lower.real)[0]
     r = solve_targeted(H, lam)
     assert abs(r.eigenvalue - lam) <= 1e-8
 
@@ -166,10 +173,31 @@ def test_targeted_unsettled_solve_is_no_convergence():
     with pytest.raises(NoConvergence) as info:
         solve_targeted(H, 728.19)
     assert 0 < info.value.best_residual < math.inf
+    assert info.value.iterations == 200
     (entry,) = verify_family(params).entries
     assert hulthen_spectrum(params)[0].energy == pytest.approx(728.19, abs=1e-2)
     assert entry.note.startswith("NoConvergence")
     assert not entry.converged
+    assert entry.iterations == 200  # the coarse solve's whole sweep budget
+
+
+def test_failed_fine_solve_keeps_the_coarse_sweeps(monkeypatch):
+    fam = FAMILIES["eckart"]
+    grid = Grid(*fam.grid, fam.contour(ECK))
+    H = build_hamiltonian(lambda z: eval_eckart(ECK, z), grid)
+    solve = numeric.solve_targeted
+
+    def fine_stalls(Hg, target):
+        if Hg.grid.n_points > grid.n_points:
+            raise NoConvergence("stalled", iterations=7)
+        return solve(Hg, target)
+
+    monkeypatch.setattr(numeric, "solve_targeted", fine_stalls)
+    entries = verify_family(ECK).entries
+    assert entries
+    for e in entries:
+        assert e.note == "NoConvergence: stalled"
+        assert e.iterations == solve(H, e.E_analytic).iterations + 7
 
 
 def _diagonal(d):
@@ -192,34 +220,13 @@ def test_targeted_needs_three_interior_nodes():
         solve_targeted(H, 0.0)
 
 
-def test_dense_diagonal_and_jordan():
-    d = np.array([2.0 + 1j, -1.0, 0.5 - 0.5j])
-    z = np.zeros(2, dtype=complex)
-    g = Grid(-1.0, 1.0, 5, None)
-    H = DiscretizedHamiltonian(d, z, z.copy(), 0j, 0j, g)
-    lams = sorted((r.eigenvalue for r in solve_dense(H)), key=lambda w: w.real)
-    assert np.allclose(lams, sorted(d, key=lambda w: w.real))
-
-    jd = np.array([0.7 + 0.1j, 0.7 + 0.1j])
-    H2 = DiscretizedHamiltonian(jd, np.zeros(1, dtype=complex),
-                                np.ones(1, dtype=complex), 0j, 0j,
-                                Grid(-1.0, 1.0, 4, None))
-    for r in solve_dense(H2):
-        assert abs(r.eigenvalue - (0.7 + 0.1j)) <= 1e-6
-
-
-def test_dense_size_guard():
-    g = Grid(-12.0, 12.0, 1500, None)
-    H = build_hamiltonian(lambda z: np.zeros_like(z), g)
-    with pytest.raises(SizeGuard):
-        solve_dense(H)
-
-
 def test_dense_rpt_coarse_spectrum():
     line = ShiftedLine(0.3)
     g = Grid(-6.0, 6.0, 801, line)
     H = build_hamiltonian(lambda z: eval_rpt(RPT, z), g)
-    evs = np.array([r.eigenvalue for r in solve_dense(H)])
+    # blind: every eigenvalue of the assembled tridiagonal, no target
+    A = np.diag(H.diag) + np.diag(H.lower, -1) + np.diag(H.upper, 1)
+    evs = eigvals(A)
     for E in (-16.0, -4.0, -1.0):
         assert np.min(np.abs(evs - E)) <= 2e-3
 
@@ -227,8 +234,10 @@ def test_dense_rpt_coarse_spectrum():
 def test_residual_of_exact_eigenvector():
     g = Grid(-8.0, 8.0, 161, None)
     H = build_hamiltonian(lambda z: z ** 2, g)
-    ground = min(solve_dense(H), key=lambda r: abs(r.eigenvalue - 1.0))
-    assert residual(ground.eigenvector, ground.eigenvalue, H) <= 1e-12
+    assert not np.any(H.diag.imag) and np.array_equal(H.lower, H.upper)
+    lams, vecs = eigh_tridiagonal(H.diag.real, H.lower.real)
+    k = np.argmin(np.abs(lams - 1.0))
+    assert residual(np.pad(vecs[:, k], 1), lams[k], H) <= 1e-12
 
 
 def test_residual_without_a_core_node_is_a_typed_error():

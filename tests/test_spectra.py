@@ -12,6 +12,7 @@ from ptspectra import (
     OutOfRange,
     PoschlTellerParams,
     ShiftedLine,
+    continuous_log,
     eckart_spacing,
     eckart_spectrum,
     eckart_wavefunction,
@@ -22,6 +23,7 @@ from ptspectra import (
     rpt_spectrum,
     rpt_wavefunction,
 )
+from ptspectra.spectra import _parent_eigenfunction
 
 
 def test_eckart_spectrum_examples():
@@ -194,6 +196,24 @@ def test_hulthen_wavefunction_modulus_identity():
     chi = power_along_path(np.sinh(r), tb + 0.5) \
         * power_along_path(np.cosh(r), level.qn.sigma * p.alpha + 0.5)
     assert np.max(np.abs(np.abs(psi) - np.abs(chi) * np.abs(np.tanh(r)) ** -0.5)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha, C, eps", [
+    (2.0, 2.0, math.pi / 6), (2.8157, 3.5532, 0.4), (4.4460, -2.1225, 1.2)])
+def test_hulthen_wavefunction_complex_value(alpha, C, eps):
+    # on the arch r(xi(x)) = x - i eps and 1/sqrt(r') = sqrt(xi'(x)), so psi is the
+    # parent eigenfunction on the shifted line times the continuous root of xi'
+    p = HulthenParams(alpha, C)
+    arch = ArchContour(eps)
+    x = np.linspace(-6, 6, 601)
+    levels = hulthen_spectrum(p)
+    assert levels
+    for level in levels:
+        psi = hulthen_wavefunction(p, level, arch, x)
+        want = _parent_eigenfunction(level.qn.N, level.aux["tau_beta"],
+                                     level.qn.sigma * p.alpha, x - 1j * eps) \
+            * np.exp(0.5 * continuous_log(arch.derivative(x)))
+        assert np.max(np.abs(psi - want) / np.abs(want)) <= 1e-12
 
 
 def test_hulthen_wavefunction_end_decay():
