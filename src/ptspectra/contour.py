@@ -2,7 +2,8 @@
 
 Two path families are provided: the shifted line x - i*eps and the
 down-bent arch obtained from it by sinh(x - i*eps) = -i e^{i xi(x)}.
-Both are PT-symmetric: xi(-x) = -xi(x)*.
+Both are PT-symmetric: xi(-x) = -xi(x)*. Each path gives its closed-form
+jet `jet(x)`, the tuple (xi, xi', xi'', xi''') in the path parameter x.
 
 A Liouville coordinate map is one function `lmap(xi)` returning
 (r, r', r'', r''') at xi, so one evaluation shares the work of all four
@@ -48,10 +49,14 @@ class ShiftedLine:
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         return x - 1j * self.epsilon
 
+    def jet(self, x):
+        """(xi, xi', xi'', xi''') at x: (x - i*eps, 1, 0, 0)."""
+        one = np.ones(np.shape(x), dtype=complex)
+        zero = np.zeros_like(one)
+        return self.point(x), one, zero, zero
+
     def derivative(self, x):
-        if np.ndim(x):
-            return np.ones(np.shape(x), dtype=complex)
-        return 1.0 + 0.0j
+        return self.jet(x)[1]
 
 
 @dataclass(frozen=True)
@@ -75,10 +80,18 @@ class ArchContour:
         u = 0.5 * np.log(np.sinh(x) ** 2 + math.sin(self.epsilon) ** 2)
         return v - 1j * u
 
-    def derivative(self, x):
-        # xi'(x) = -i coth(x - i eps), from differentiating the arch identity
+    def jet(self, x):
+        """(xi, xi', xi'', xi''') at x. Differentiating the arch identity
+        gives, with z = x - i eps, xi' = -i coth z, xi'' = i csch^2 z and
+        xi''' = -2i coth z csch^2 z."""
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        return -1j / np.tanh(x - 1j * self.epsilon)
+        z = x - 1j * self.epsilon
+        coth = 1.0 / np.tanh(z)
+        csch2 = 1.0 / np.sinh(z) ** 2
+        return self.point(x), -1j * coth, 1j * csch2, -2j * coth * csch2
+
+    def derivative(self, x):
+        return self.jet(x)[1]
 
     @property
     def apex(self) -> float:
@@ -155,6 +168,12 @@ def check_derivatives(lmap, xi):
     return at
 
 
+def add_curvature(base, rp, r2, r3):
+    """base + (3/4)[r''/r']^2 - (1/2)[r'''/r'], evaluated left to right: the
+    curvature term of the Liouville normal form added to `base`."""
+    return base + 0.75 * (r2 / rp) ** 2 - 0.5 * (r3 / rp)
+
+
 def liouville_potential(W, kappa, lmap, xi):
     """V(xi) - E for the transformed problem, the full right-hand side
 
@@ -172,9 +191,7 @@ def liouville_potential(W, kappa, lmap, xi):
     r, rp, r2, r3 = check_derivatives(lmap, xi)
     if np.min(np.abs(rp)) < _METRIC_FLOOR:
         raise SingularPoint("r'(xi) vanishes on the requested points")
-    ratio2 = r2 / rp
-    ratio3 = r3 / rp
-    out = rp ** 2 * (W(r) + kappa ** 2) + 0.75 * ratio2 ** 2 - 0.5 * ratio3
+    out = add_curvature(rp ** 2 * (W(r) + kappa ** 2), rp, r2, r3)
     return out if np.ndim(xi) else complex(out)
 
 

@@ -1,26 +1,32 @@
 """Finite-difference verification engine for the closed forms.
 
-The discrete operator is a three-point stencil along the contour with
-Dirichlet truncation: the second derivative in the path parameter is
--(1/xi') d/dx ((1/xi') d/dx) in symmetric midpoint form, with the metric
-factor 1/xi' evaluated at nodes and half-steps, plus V(xi(x_i)). On the
-shifted line and the real line xi' = 1 and the same formula gives the
-textbook Laplacian.
-The contour is part of the `Grid`: `build_hamiltonian(evaluator, grid)`
-discretizes along `grid.contour` (None is the real line), and
-`solve_targeted(H, target)` inverse-iterates one eigenpair near `target`,
-factoring H - target once and stopping when the eigenpair has settled
-relative to ||H||_inf.
+Every discrete operator is a complex tridiagonal pencil A u = lambda M u on
+the grid's interior nodes, with Dirichlet truncation at the ends. The
+contour is part of the `Grid` (None is the real line).
 
-Verification runs the eigensolve on the stated grid and on the once
+`build_hamiltonian(evaluator, grid)` is the fourth-order Numerov pencil
+of the Liouville normal form along `grid.contour`. With the contour's jet
+(xi, xi', xi'', xi''') the unknown is u = psi / sqrt(xi'), and the
+equation in the path parameter reads -u'' + Q u = E W u with W = xi'^2
+and Q = xi'^2 V + (3/4)(xi''/xi')^2 - (1/2) xi'''/xi'. Numerov's stencil
+turns it into A = L + B diag(Q) and M = B diag(W), where
+L = tridiag(-1, 2, -1)/h^2 and B = tridiag(1, 10, 1)/12. On the shifted
+line and the real line xi' = 1, so Q = V and W = 1.
+`build_three_point(evaluator, grid)` is the second-order reference
+operator, -(1/xi') d/dx ((1/xi') d/dx) + V in symmetric midpoint form,
+with M = I.
+`solve_targeted(H, target)` inverse-iterates one eigenpair of either
+pencil near `target`, factoring A - target M once and stopping when the
+eigenpair has settled relative to ||A||_inf + |target| ||M||_inf.
+
+Verification solves the Numerov pencil on the stated grid and on the once
 refined grid (same endpoints, halved step) for every family. The reported
-eigenvalue is the Richardson combination (4*lambda_fine - lambda_coarse)/3,
-which removes the O(h^2) truncation term of the stencil, and the refined
-pass also yields the convergence-order table. Wave-function residuals
-always use the raw three-point operator, so observed convergence orders
-stay meaningful.
-Each analytic wave function is sampled once, on the refined grid; its
-even nodes are the stated grid's nodes, bit for bit.
+eigenvalue is the Richardson combination (16*lambda_fine - lambda_coarse)/15,
+which removes the O(h^4) truncation term of the stencil, and the refined
+pass also yields the convergence-order table of the Numerov residuals.
+Each analytic wave function is sampled once, on the refined grid, and
+scaled to the Liouville unknown; its even nodes are the stated grid's
+nodes, bit for bit.
 
 `FAMILIES` holds one `Family` record per parameter type; `verify_family`
 and the CLI dispatch through it.
@@ -33,7 +39,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .contour import ArchContour, ShiftedLine
+from .contour import ArchContour, ShiftedLine, add_curvature, continuous_log, identity_map
 from .errors import (
     InvalidParameters,
     MetricVanishing,
@@ -58,6 +64,7 @@ _SWEEP_TOL = 1e-14
 _MAX_SWEEPS = 200
 _SHIFT_NUDGE = 1e-8 * (1 + 1j)
 _RESIDUAL_BUFFER = 0.05
+_MAX_POINTS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,8 @@ class Grid:
             raise ValueError("grid bounds must be finite")
         if self.n_points < 3:
             raise ValueError("grid needs at least 3 points")
+        if self.n_points > _MAX_POINTS:
+            raise ValueError(f"grid of {self.n_points} points exceeds the cap of {_MAX_POINTS}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
 
@@ -87,13 +96,33 @@ class Grid:
         return Grid(self.x_min, self.x_max, 2 * self.n_points - 1, self.contour)
 
 
+def _band_product(bands, v, ends=(0.0, 0.0)):
+    """The tridiagonal rows `bands` = (diag, lower, upper, bc_left, bc_right)
+    applied to the interior vector v, the boundary nodes holding `ends`."""
+    diag, lower, upper, bc_left, bc_right = bands
+    w = diag * v
+    w[1:] += lower * v[:-1]
+    w[:-1] += upper * v[1:]
+    w[0] += bc_left * ends[0]
+    w[-1] += bc_right * ends[1]
+    return w
+
+
+def _norm_inf(bands) -> float:
+    diag, lower, upper = bands[:3]
+    return float(np.max(np.abs(diag) + np.abs(np.pad(lower, (1, 0)))
+                        + np.abs(np.pad(upper, (0, 1)))))
+
+
 @dataclass
 class DiscretizedHamiltonian:
-    """Complex tridiagonal operator on the grid's interior nodes.
+    """Complex tridiagonal pencil A u = lambda M u on the grid's interior nodes.
 
-    `bc_left`/`bc_right` are the couplings of the first/last interior row
-    to the (Dirichlet-zero) boundary nodes; residual evaluation of analytic
-    wave functions needs them to apply the full stencil.
+    `diag`/`lower`/`upper` hold A. `bc_left`/`bc_right` are the couplings
+    of A's first/last interior row to the (Dirichlet-zero) boundary nodes;
+    residual evaluation of analytic wave functions needs them to apply the
+    full stencil. `mass` holds M in the same layout,
+    (diag, lower, upper, bc_left, bc_right); None stores M = I.
     """
 
     diag: np.ndarray
@@ -102,27 +131,33 @@ class DiscretizedHamiltonian:
     bc_left: complex
     bc_right: complex
     grid: Grid
+    mass: tuple = None
+
+    def __post_init__(self):
+        if self.mass is None:
+            zero = np.zeros(len(self.lower), dtype=complex)
+            self.mass = (np.ones(len(self.diag), dtype=complex), zero, zero, 0j, 0j)
 
     @property
     def n_interior(self) -> int:
         return len(self.diag)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """H v for an interior-node vector (boundary values taken as 0)."""
-        w = self.diag * v
-        w[1:] += self.lower * v[:-1]
-        w[:-1] += self.upper * v[1:]
-        return w
+    @property
+    def bands(self) -> tuple:
+        """A as (diag, lower, upper, bc_left, bc_right)."""
+        return self.diag, self.lower, self.upper, self.bc_left, self.bc_right
 
-    def apply_full(self, psi: np.ndarray) -> np.ndarray:
-        """Full stencil applied to a whole-grid sample, returned on the
-        interior nodes; uses the actual boundary samples of psi."""
+    def apply(self, v: np.ndarray):
+        """(A v, M v) for an interior-node vector (boundary values taken as 0)."""
+        return _band_product(self.bands, v), _band_product(self.mass, v)
+
+    def apply_full(self, psi: np.ndarray):
+        """(A psi, M psi) for a whole-grid sample, returned on the interior
+        nodes; uses the actual boundary samples of psi."""
         if len(psi) != self.grid.n_points:
             raise ValueError("psi must be sampled on the full grid")
-        w = self.apply(np.asarray(psi[1:-1], dtype=complex))
-        w[0] += self.bc_left * psi[0]
-        w[-1] += self.bc_right * psi[-1]
-        return w
+        v, ends = np.asarray(psi[1:-1], dtype=complex), (psi[0], psi[-1])
+        return _band_product(self.bands, v, ends), _band_product(self.mass, v, ends)
 
 
 @dataclass
@@ -134,11 +169,42 @@ class EigenResult:
 
 
 def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
-    """Discretize -d^2/dxi^2 + V(xi) along the grid's contour.
+    """The Numerov pencil of -d^2/dxi^2 + V(xi) along the grid's contour.
 
-    `grid.contour=None` means the real line (identity path). Every path
-    goes through the midpoint metric form; where xi' = 1 (the real line, a
-    ShiftedLine) its entries are those of the flat stencil.
+    In Liouville normal form, u = psi / sqrt(xi'), the equation in the path
+    parameter is -u'' + Q u = E W u with W = xi'^2 and
+    Q = xi'^2 V + (3/4)(xi''/xi')^2 - (1/2) xi'''/xi', from the contour's
+    closed-form `jet`. Numerov's O(h^4) stencil gives A = L + B diag(Q) and
+    M = B diag(W), with L = tridiag(-1, 2, -1)/h^2 and
+    B = tridiag(1, 10, 1)/12; the boundary couplings take Q and W at the
+    end nodes. `grid.contour=None` means the real line; there and on a
+    ShiftedLine xi' = 1, so Q = V and W = 1. MetricVanishing when |xi'|
+    falls below _METRIC_FLOOR at a node.
+    """
+    x = grid.points()
+    jet = identity_map(x) if grid.contour is None else grid.contour.jet(x)
+    xi, xp, xp2, xp3 = (np.asarray(c, dtype=complex) for c in jet)
+    small = float(np.min(np.abs(xp)))
+    if small < _METRIC_FLOOR:
+        raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e} on the grid")
+    Q = add_curvature(xp ** 2 * np.asarray(evaluator(xi), dtype=complex), xp, xp2, xp3)
+    W = xp ** 2
+    off, b0, b1 = -1.0 / grid.h ** 2, 10.0 / 12.0, 1.0 / 12.0
+    return DiscretizedHamiltonian(
+        2.0 / grid.h ** 2 + b0 * Q[1:-1], off + b1 * Q[1:-2], off + b1 * Q[2:-1],
+        complex(off + b1 * Q[0]), complex(off + b1 * Q[-1]), grid,
+        (b0 * W[1:-1], b1 * W[1:-2], b1 * W[2:-1], complex(b1 * W[0]), complex(b1 * W[-1])))
+
+
+def build_three_point(evaluator, grid: Grid) -> DiscretizedHamiltonian:
+    """The second-order reference operator, M = I: -d^2/dxi^2 + V(xi) along
+    the grid's contour as one three-point stencil in midpoint metric form,
+    -(1/xi') d/dx ((1/xi') d/dx).
+
+    `grid.contour=None` means the real line. Where xi' = 1 (the real line,
+    a ShiftedLine) its entries are those of the flat stencil.
+    MetricVanishing when |xi'| falls below _METRIC_FLOOR at a node or a
+    half-step.
     """
     contour = grid.contour
     x = grid.points()
@@ -168,13 +234,17 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
 
 
 def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
-    """Shifted inverse iteration for the eigenpair nearest `target`.
+    """Shifted inverse iteration for the eigenpair of A u = lambda M u
+    nearest `target`.
 
-    Starts from a seeded random vector; H - shift is factored once (LAPACK
-    gttrf) and each sweep is one gttrs solve. A sweep stops when the
-    residual and the change of the Rayleigh quotient since the previous
-    sweep are both within _SWEEP_TOL * ||H||_inf: a small residual alone can
-    be a pseudo-eigenpair of this non-normal operator whose Rayleigh
+    Starts from a seeded random vector; A - shift M is factored once
+    (LAPACK gttrf) and each sweep is one gttrs solve of
+    (A - shift M) w = M v. The eigenvalue is the Rayleigh quotient
+    v^H A v / v^H M v and the residual max|A v - lambda M v| / max|v|. A
+    sweep stops when the residual and the change of the Rayleigh quotient
+    since the previous sweep are both within
+    _SWEEP_TOL * (||A||_inf + |target| ||M||_inf): a small residual alone
+    can be a pseudo-eigenpair of this non-normal pencil whose Rayleigh
     quotient still sits on the shift. No settled pair within _MAX_SWEEPS
     sweeps raises NoConvergence. A singular factor or an overflowing solve
     restarts once at the shift nudged by _SHIFT_NUDGE before ShiftSingular
@@ -183,26 +253,28 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
     n = H.n_interior
     if n < 3:
         raise InvalidParameters(f"{n} interior nodes; inverse iteration needs at least 3")
-    row = np.abs(H.diag) + np.abs(np.pad(H.lower, (1, 0))) + np.abs(np.pad(H.upper, (0, 1)))
-    tol = _SWEEP_TOL * float(np.max(row))  # relative to ||H||_inf
+    tol = _SWEEP_TOL * (_norm_inf(H.bands) + abs(target) * _norm_inf(H.mass))
+    m_diag, m_lower, m_upper = H.mass[:3]
     rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    Mv = H.apply(v)[1]
     lam_prev, best_residual, it = None, math.inf, 0
     for shift in (complex(target), complex(target) + _SHIFT_NUDGE):
-        *lu, info = zgttrf(H.lower, H.diag - shift, H.upper)
+        *lu, info = zgttrf(H.lower - shift * m_lower, H.diag - shift * m_diag,
+                           H.upper - shift * m_upper)
         failure = "shifted system singular" if info > 0 else None
         while failure is None and it < _MAX_SWEEPS:
-            w, _ = zgttrs(*lu, v)
+            w, _ = zgttrs(*lu, Mv)
             nw = np.linalg.norm(w)
             if not (np.isfinite(nw) and nw != 0.0):
                 failure = "shifted solve overflowed"
                 break
             it += 1
             v = w / nw
-            Hv = H.apply(v)
-            lam = complex(np.vdot(v, Hv) / np.vdot(v, v))
-            res = float(np.max(np.abs(Hv - lam * v)) / np.max(np.abs(v)))
+            Av, Mv = H.apply(v)
+            lam = complex(np.vdot(v, Av) / np.vdot(v, Mv))
+            res = float(np.max(np.abs(Av - lam * Mv)) / np.max(np.abs(v)))
             best_residual = min(best_residual, res)
             if res <= tol and lam_prev is not None and abs(lam - lam_prev) <= tol:
                 return EigenResult(lam, np.pad(v, 1), res, it)
@@ -217,14 +289,16 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
 
 
 def residual(psi, E, H: DiscretizedHamiltonian) -> float:
-    """max |(H psi - E psi)| over interior nodes, ends buffered, / max|psi|.
+    """max |A psi - E M psi| over interior nodes, ends buffered, / max|psi|.
 
-    psi is sampled on the full grid; a _RESIDUAL_BUFFER share of interior
-    nodes at each end is excluded to keep boundary-truncation artifacts
-    out of the norm. InvalidParameters when that leaves no node.
+    psi is sampled on the full grid; for the Numerov pencil it is the
+    Liouville unknown u = psi / sqrt(xi'). A _RESIDUAL_BUFFER share of
+    interior nodes at each end is excluded to keep boundary-truncation
+    artifacts out of the norm. InvalidParameters when that leaves no node.
     """
     psi = np.asarray(psi, dtype=complex)
-    r = H.apply_full(psi) - complex(E) * psi[1:-1]
+    Apsi, Mpsi = H.apply_full(psi)
+    r = Apsi - complex(E) * Mpsi
     nb = int(math.ceil(_RESIDUAL_BUFFER * len(r)))
     core = r[nb:len(r) - nb] if nb else r
     if not core.size:
@@ -296,9 +370,10 @@ class Family:
     level aux entries the spectrum table prints after kappa (a `_re`/`_im`
     suffix takes that part of a complex entry). `tol_energy` and
     `tol_residual` are the verdict's default bounds; the solve itself has
-    no per-family setting, since `verify_family` Richardson-extrapolates
-    every family. The CLI selects a level by the quantum numbers it is
-    given, the same way for every family.
+    no per-family setting, since `verify_family` solves the same Numerov
+    pencil and extrapolates at fourth order for every family. The CLI
+    selects a level by the quantum numbers it is given, the same way for
+    every family.
     """
 
     name: str
@@ -314,8 +389,9 @@ class Family:
     aux_columns: tuple
 
 
-# The flat tol_residual covers the sharpest canonical contour (eps=0.3, where
-# the truncation term scales like 1/sin^4 eps); order checks do the real work.
+# tol_residual bounds the Numerov residual. The flat bound was sized for the
+# three-point residual of the sharpest canonical contour (eps=0.3), which is
+# far larger; order checks do the real work.
 FAMILIES = {f.name: f for f in (
     Family("eckart", EckartParams, EckartParams(3.0, 1.0, 0.5),
            spectrum=lambda p: _sp.eckart_spectrum(p),
@@ -323,7 +399,7 @@ FAMILIES = {f.name: f for f in (
            wavefunction=lambda p, level, contour, x:
                _sp.eckart_wavefunction(p, level, contour.point(x)),
            contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
-           grid=(-18.0, 18.0, 4001), tol_energy=1e-5, tol_residual=1.5e-1,
+           grid=(-18.0, 18.0, 1001), tol_energy=1e-5, tol_residual=1.5e-1,
            aux_columns=("u_re", "u_im", "v_re", "v_im")),
     Family("rpt", PoschlTellerParams, PoschlTellerParams(3.5, 1.5, 0.3),
            spectrum=lambda p: _sp.rpt_spectrum(p),
@@ -331,7 +407,7 @@ FAMILIES = {f.name: f for f in (
            wavefunction=lambda p, level, contour, x:
                _sp.rpt_wavefunction(p, level, contour.point(x)),
            contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
-           grid=(-12.0, 12.0, 3001), tol_energy=1e-6, tol_residual=1.5e-1,
+           grid=(-12.0, 12.0, 1001), tol_energy=1e-6, tol_residual=1.5e-1,
            aux_columns=()),
     Family("hulthen", HulthenParams, HulthenParams(2.0, 2.0),
            spectrum=lambda p: _sp.hulthen_spectrum(p),
@@ -340,7 +416,7 @@ FAMILIES = {f.name: f for f in (
                _sp.hulthen_wavefunction(p, level, contour, x),
            contour=lambda p, epsilon=None:
                ArchContour(math.pi / 6 if epsilon is None else epsilon),
-           grid=(-12.0, 12.0, 12001), tol_energy=1e-4, tol_residual=1e-4,
+           grid=(-12.0, 12.0, 1001), tol_energy=1e-4, tol_residual=1e-4,
            aux_columns=("s", "tau_beta")),
 )}
 
@@ -349,25 +425,34 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
                   tol_residual: float = None) -> VerificationReport:
     """End-to-end check of a family's closed forms on the grid's contour.
 
-    Enumerates the analytic spectrum, inverse-iterates the discretized
-    operator at each analytic energy on the grid and its refinement,
-    reports the Richardson-extrapolated eigenvalues, wave-function
-    residuals at both steps with the observed convergence order, and the
-    PT defect. Each analytic wave function is sampled once, on the refined
-    grid; the stated-grid residual reads its even nodes. A missing grid is the family's default
-    grid; a grid without a contour gets the family's canonical contour.
-    An eigenvalue must match its energy within `tol_energy` and have |Im|
-    within 10 * `tol_energy`. Constituent errors become failed report
-    entries, not exceptions; such an entry counts the sweeps already run.
+    Enumerates the analytic spectrum, inverse-iterates the Numerov pencil
+    at each analytic energy on the grid and its refinement, reports the
+    fourth-order Richardson-extrapolated eigenvalues
+    (16 lambda_fine - lambda_coarse)/15, Numerov residuals of the analytic
+    wave function at both steps with the observed convergence order, and
+    the PT defect. Each analytic wave function is sampled once, on the
+    refined grid, and scaled to the Liouville unknown
+    u = psi exp(-log(xi')/2) with the branch-continuous log (exactly psi
+    where xi' = 1); the stated-grid residual reads its even nodes. A
+    missing grid is the family's default grid; a grid without a contour
+    gets the family's canonical contour. An eigenvalue must match its
+    energy within `tol_energy` and have |Im| within 10 * `tol_energy`, and
+    the stated-grid residual must be within `tol_residual`; both
+    tolerances must be finite and > 0 (InvalidParameters). Constituent
+    errors become failed report entries, not exceptions; such an entry
+    counts the sweeps already run.
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, f.params)), None)
     if fam is None:
         raise TypeError(f"unknown parameter record {type(params).__name__}")
     if tol_energy is None:
         tol_energy = fam.tol_energy
-    tol_imag = 10 * tol_energy
     if tol_residual is None:
         tol_residual = fam.tol_residual
+    if not all(math.isfinite(t) and t > 0 for t in (tol_energy, tol_residual)):
+        raise InvalidParameters(f"tolerances must be finite and > 0, got "
+                                f"tol_energy={tol_energy}, tol_residual={tol_residual}")
+    tol_imag = 10 * tol_energy
     if grid is None:
         grid = Grid(*fam.grid)
     if grid.contour is None:
@@ -377,6 +462,8 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     levels = fam.spectrum(params)
     evaluator = lambda xi: fam.potential(params, xi)
     fine = grid.refined()
+    x_fine = fine.points()
+    xp_fine = contour.derivative(x_fine)
     H = build_hamiltonian(evaluator, grid)
     Hf = build_hamiltonian(evaluator, fine)
 
@@ -391,10 +478,11 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             iters = coarse.iterations
             fine_res = solve_targeted(Hf, E)
             iters += fine_res.iterations
-            lam = (4 * fine_res.eigenvalue - coarse.eigenvalue) / 3
-            psi_f = fam.wavefunction(params, level, contour, fine.points())
-            res_c = residual(psi_f[::2], E, H)
-            res_f = residual(psi_f, E, Hf)
+            lam = (16 * fine_res.eigenvalue - coarse.eigenvalue) / 15
+            u_f = (fam.wavefunction(params, level, contour, x_fine)
+                   * np.exp(-0.5 * continuous_log(xp_fine)))
+            res_c = residual(u_f[::2], E, H)
+            res_f = residual(u_f, E, Hf)
             order = math.log2(res_c / res_f) if res_f > 0 else float("nan")
             abs_err = abs(lam - E)
             ok = abs_err <= tol_energy and abs(lam.imag) <= tol_imag and res_c <= tol_residual

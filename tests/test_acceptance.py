@@ -36,7 +36,7 @@ from ptspectra import (
     rpt_wavefunction,
     verify_family,
 )
-from ptspectra.numeric import Grid, build_hamiltonian, residual
+from ptspectra.numeric import Grid, build_three_point, residual
 
 ECK = EckartParams(3.0, 1.0, 0.5)
 RPT = PoschlTellerParams(3.5, 1.5, 0.3)
@@ -164,7 +164,7 @@ def test_residual_convergence_order_and_convention(accept_log):
             res = []
             for n in steps:
                 grid = Grid(a, b, n, line)
-                H = build_hamiltonian(lambda z: ev(params, z), grid)
+                H = build_three_point(lambda z: ev(params, z), grid)
                 psi = wave(level, line.point(grid.points()))
                 res.append(residual(psi, level.energy, H))
             out.append((level.qn.N, math.log2(res[0] / res[1]), res))

@@ -258,12 +258,26 @@ def test_sample_every_canonical_level_as_the_benchmark_asks(capsys, name):
     (["transform", "--family", "hulthen", "--n", "0"], "grid needs at least 3 points"),
     (["sample", "--family", "rpt", "--xmax", "inf", "--n", "5"], "grid bounds must be finite"),
     (["verify", "--family", "eckart", "--xmax", "inf", "--n", "5"], "grid bounds must be finite"),
+    (["sample", "--family", "rpt", "--n", "100000000000"],
+     "grid of 100000000000 points exceeds the cap of 10000000"),
+    (["verify", "--family", "eckart", "--n", "100000000000"],
+     "grid of 100000000000 points exceeds the cap of 10000000"),
 ])
 def test_sample_and_transform_windows_are_grids(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err == f"ptspectra: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol-energy", "nan"], ["--tol-residual", "-1"], ["--tol-energy", "inf"],
+])
+def test_verify_bad_tolerance_is_an_input_error(capsys, flags):
+    code, out, err = _run(capsys, ["verify", "--family", "eckart", *flags])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ptspectra: InvalidParameters: tolerances must be finite and > 0")
 
 
 def test_verify_failed_levels_print_nan_and_inf(capsys):

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, eigvals, eigvalsh_tridiagonal
 
 from ptspectra import (
+    ArchContour,
     DiscretizedHamiltonian,
     EckartParams,
     Grid,
@@ -17,6 +18,8 @@ from ptspectra import (
     ShiftedLine,
     ShiftSingular,
     build_hamiltonian,
+    build_three_point,
+    check_derivatives,
     eckart_spectrum,
     eckart_wavefunction,
     eval_eckart,
@@ -30,7 +33,7 @@ from ptspectra import (
     solve_targeted,
     verify_family,
 )
-from ptspectra import numeric
+from ptspectra import numeric, spectra
 from ptspectra.numeric import FAMILIES
 
 ECK = EckartParams(3.0, 1.0, 0.5)
@@ -41,7 +44,7 @@ def _ham(params, eps, a, b, n):
     line = ShiftedLine(eps)
     grid = Grid(a, b, n, line)
     ev = eval_eckart if isinstance(params, EckartParams) else eval_rpt
-    return build_hamiltonian(lambda z: ev(params, z), grid), grid, line
+    return build_three_point(lambda z: ev(params, z), grid), grid, line
 
 
 def test_grid_basics():
@@ -58,6 +61,14 @@ def test_grid_basics():
             Grid(*bounds, 5)
 
 
+def test_grid_point_cap():
+    assert numeric._MAX_POINTS == 10 ** 7
+    assert Grid(-1.0, 1.0, numeric._MAX_POINTS).n_points == 10 ** 7
+    for n in (10 ** 7 + 1, 10 ** 11):
+        with pytest.raises(ValueError, match=f"grid of {n} points exceeds the cap of 10000000"):
+            Grid(-1.0, 1.0, n)
+
+
 @pytest.mark.parametrize("grid", [
     (-1.0, 1.0, 5), (-18.0, 18.0, 4001), (-12.0, 12.0, 3001), (-12.0, 12.0, 12001),
     (-0.3, 1.7, 7), (-5.0, 3.0, 1001), (0.1, 0.7, 3), (-math.pi, math.e, 777),
@@ -70,7 +81,7 @@ def test_refined_even_nodes_are_the_grid_bitwise(grid):
 @pytest.mark.parametrize("contour", [None, ShiftedLine(0.5)], ids=["real_line", "shifted_line"])
 def test_laplacian_stencil_row(contour):
     g = Grid(-0.5, 0.5, 11, contour)  # h = 0.1
-    H = build_hamiltonian(lambda z: np.zeros_like(z), g)
+    H = build_three_point(lambda z: np.zeros_like(z), g)
     mid = 4
     # xi' = 1: the midpoint metric form gives the flat stencil's entries exactly;
     # row mid holds lower[mid - 1], diag[mid] and upper[mid]
@@ -82,7 +93,7 @@ def test_laplacian_stencil_row(contour):
 
 def test_harmonic_ground_state():
     g = Grid(-10.0, 10.0, 2001, None)
-    H = build_hamiltonian(lambda z: z ** 2, g)
+    H = build_three_point(lambda z: z ** 2, g)
     r = solve_targeted(H, 1.0)
     assert abs(r.eigenvalue - 1.0) <= 1e-4
 
@@ -104,7 +115,7 @@ def test_metric_vanishing_guard():
 
     g = Grid(-1.0, 1.0, 11, _Pinched())
     with pytest.raises(MetricVanishing):
-        build_hamiltonian(lambda z: np.zeros_like(z), g)
+        build_three_point(lambda z: np.zeros_like(z), g)
 
 
 def test_targeted_eckart_raw_grid():
@@ -145,7 +156,7 @@ def test_targeted_never_confirms_perturbed_energy():
 
 def test_targeted_shift_on_exact_eigenvalue():
     g = Grid(-4.0, 4.0, 41, None)
-    H = build_hamiltonian(lambda z: z ** 2, g)
+    H = build_three_point(lambda z: z ** 2, g)
     assert not np.any(H.diag.imag) and not np.any(H.lower.imag)
     assert np.array_equal(H.lower, H.upper)
     lam = eigvalsh_tridiagonal(H.diag.real, H.lower.real)[0]
@@ -158,8 +169,8 @@ def test_targeted_rejects_a_pseudo_eigenpair():
     # is tiny while the Rayleigh quotient still sits on the shift (|dE| ~ 7e-11).
     params = PoschlTellerParams(2.482097341632171, 7.429994529557295, 0.43308273382987594)
     fam = FAMILIES["rpt"]
-    grid = Grid(*fam.grid, fam.contour(params)).refined()
-    H = build_hamiltonian(lambda z: eval_rpt(params, z), grid)
+    grid = Grid(-12.0, 12.0, 3001, fam.contour(params)).refined()
+    H = build_three_point(lambda z: eval_rpt(params, z), grid)
     level = next(l for l in rpt_spectrum(params) if l.qn.label() == "(-,-,4)")
     r = solve_targeted(H, level.energy)
     assert abs(r.eigenvalue - level.energy) >= 1e-4
@@ -223,7 +234,7 @@ def test_targeted_needs_three_interior_nodes():
 def test_dense_rpt_coarse_spectrum():
     line = ShiftedLine(0.3)
     g = Grid(-6.0, 6.0, 801, line)
-    H = build_hamiltonian(lambda z: eval_rpt(RPT, z), g)
+    H = build_three_point(lambda z: eval_rpt(RPT, z), g)
     # blind: every eigenvalue of the assembled tridiagonal, no target
     A = np.diag(H.diag) + np.diag(H.lower, -1) + np.diag(H.upper, 1)
     evs = eigvals(A)
@@ -233,7 +244,7 @@ def test_dense_rpt_coarse_spectrum():
 
 def test_residual_of_exact_eigenvector():
     g = Grid(-8.0, 8.0, 161, None)
-    H = build_hamiltonian(lambda z: z ** 2, g)
+    H = build_three_point(lambda z: z ** 2, g)
     assert not np.any(H.diag.imag) and np.array_equal(H.lower, H.upper)
     lams, vecs = eigh_tridiagonal(H.diag.real, H.lower.real)
     k = np.argmin(np.abs(lams - 1.0))
@@ -310,7 +321,7 @@ def test_verify_family_eckart():
     for e in rep.entries:
         assert e.abs_err <= 1e-5
         assert abs(e.eigenvalue.imag) <= 1e-7
-        assert 1.8 <= e.order <= 2.2
+        assert 3.8 <= e.order <= 4.2
     assert len(rep.convergence_table) == 2
 
 
@@ -328,7 +339,7 @@ def test_verify_family_hulthen_transformed_equation():
     e = rep.entries[0]
     assert e.abs_err <= 1e-9  # Richardson-extrapolated like every family
     assert e.residual <= 1e-4
-    assert 1.8 <= e.order <= 2.2
+    assert 3.8 <= e.order <= 4.2
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -350,11 +361,128 @@ def _entry_values(report):
 
 
 def test_verify_family_grid_without_contour_gets_the_canonical_one():
-    rep = verify_family(ECK, Grid(-18.0, 18.0, 4001))
+    rep = verify_family(ECK, Grid(*FAMILIES["eckart"].grid))
     assert rep.grid.contour == ShiftedLine(ECK.epsilon)
     assert _entry_values(rep) == _entry_values(verify_family(ECK))
 
 
 def test_verify_family_runs_on_the_grid_contour():
-    rep = verify_family(ECK, Grid(-18.0, 18.0, 4001, ShiftedLine(0.6)))
+    rep = verify_family(ECK, Grid(*FAMILIES["eckart"].grid, ShiftedLine(0.6)))
     assert _entry_values(rep) == _entry_values(verify_family(EckartParams(3.0, 1.0, 0.6)))
+
+
+def test_numerov_stencil_row():
+    g = Grid(-0.5, 0.5, 11, ShiftedLine(0.5))  # h = 0.1
+    H = build_hamiltonian(lambda z: np.zeros_like(z), g)
+    m_diag, m_lower, m_upper, m_left, m_right = H.mass
+    mid = 4
+    # V = 0, xi' = 1: A = L = tridiag(-1, 2, -1)/h^2 and M = B = tridiag(1, 10, 1)/12
+    assert H.lower[mid - 1] == H.upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
+    assert H.diag[mid] == 2.0 / g.h ** 2
+    assert H.bc_left == H.bc_right == -1.0 / g.h ** 2
+    assert m_lower[mid - 1] == m_upper[mid] == m_left == m_right == 1 / 12
+    assert m_diag[mid] == 10 / 12
+
+
+def test_numerov_pencil_carries_the_potential_on_the_neighbours():
+    line = ShiftedLine(0.3)
+    g = Grid(-12.0, 12.0, 41, line)
+    H = build_hamiltonian(lambda z: eval_rpt(RPT, z), g)
+    V = eval_rpt(RPT, line.point(g.points()))
+    n = g.n_points
+    L = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / g.h ** 2
+    B = (10 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 12
+    A = L + B @ np.diag(V)
+    assert np.allclose(H.diag, np.diag(A)[1:-1], rtol=1e-14, atol=0)
+    assert np.allclose(H.lower, np.diag(A, -1)[1:-1], rtol=1e-14, atol=0)
+    assert np.allclose(H.upper, np.diag(A, 1)[1:-1], rtol=1e-14, atol=0)
+    assert H.bc_left == pytest.approx(A[1, 0], rel=1e-14)
+    assert H.bc_right == pytest.approx(A[-2, -1], rel=1e-14)
+
+
+@pytest.mark.parametrize("contour", [ArchContour(math.pi / 6), ShiftedLine(0.5)],
+                         ids=["arch", "shifted_line"])
+def test_contour_jets_match_finite_differences(contour):
+    x = np.linspace(-4.0, 4.0, 33)
+    jet = check_derivatives(contour.jet, x)
+    assert np.array_equal(jet[0], contour.point(x))
+    assert np.array_equal(contour.derivative(x), jet[1])
+
+
+def test_numerov_eigenvalues_converge_at_fourth_order():
+    line = ShiftedLine(RPT.epsilon)
+    errors = []
+    for n in (501, 1001):
+        H = build_hamiltonian(lambda z: eval_rpt(RPT, z), Grid(-12.0, 12.0, n, line))
+        errors.append([abs(solve_targeted(H, l.energy).eigenvalue - l.energy)
+                       for l in rpt_spectrum(RPT)])
+    assert len(errors[0]) == 3
+    for coarse, fine in zip(*errors):
+        assert 14.0 <= coarse / fine <= 18.0
+
+
+def test_verify_family_rejects_the_printed_eckart_convention(monkeypatch):
+    wave = spectra.eckart_wavefunction
+    monkeypatch.setattr(spectra, "eckart_wavefunction",
+                        lambda p, level, z: wave(p, level, z, convention="printed"))
+    rep = verify_family(ECK)
+    assert not rep.passed
+    # degree-0 polynomials cannot distinguish the conventions; N = 1 can
+    (e,) = [e for e in rep.entries if e.N == 1]
+    assert e.abs_err <= 1e-5  # the energy is right; the residual catches the function
+    assert e.residual > 0.5 and e.residual_fine > 0.5
+    assert not e.converged
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_verify_family_rejects_energies_moved_by_ten_tolerances(monkeypatch, name):
+    fam = FAMILIES[name]
+    attr = f"{name}_spectrum"
+    levels = getattr(spectra, attr)
+    monkeypatch.setattr(spectra, attr, lambda p: [
+        dataclasses.replace(l, energy=l.energy + 10 * fam.tol_energy) for l in levels(p)])
+    rep = verify_family(fam.canonical)
+    assert rep.entries and not rep.passed
+    assert not any(e.converged for e in rep.entries)
+
+
+def test_verify_family_rejects_tau_swapped_rpt_labels(monkeypatch):
+    levels = spectra.rpt_spectrum
+    monkeypatch.setattr(spectra, "rpt_spectrum", lambda p: [
+        dataclasses.replace(l, qn=dataclasses.replace(l.qn, tau=-l.qn.tau)) for l in levels(p)])
+    rep = verify_family(RPT)
+    assert len(rep.entries) == 3 and not rep.passed
+    for e in rep.entries:
+        assert e.abs_err <= 1e-6  # the energies are right; the residual catches the labels
+        assert e.residual > 1.0
+        assert not e.converged
+
+
+@pytest.mark.parametrize("tols", [
+    {"tol_energy": math.nan}, {"tol_energy": math.inf}, {"tol_energy": 0.0},
+    {"tol_residual": -1.0}, {"tol_residual": math.nan},
+], ids=["energy_nan", "energy_inf", "energy_zero", "residual_negative", "residual_nan"])
+def test_verify_family_rejects_bad_tolerances(tols):
+    with pytest.raises(InvalidParameters, match="tolerances must be finite and > 0"):
+        verify_family(ECK, **tols)
+
+
+# Canonical |dE| of the second-order verifier this one replaced (three-point
+# stencil, Richardson at second order, 4001/3001/12001-point default grids).
+# A change that shrinks the grids or lowers the extrapolation order must not
+# give back accuracy unnoticed.
+_CANONICAL_ABS_ERR = {
+    "eckart": {"(+,+,0)": 7.6e-11, "(+,+,1)": 2.6e-10},
+    "rpt": {"(-,-,0)": 2.6e-9, "(-,-,1)": 1.0e-8, "(-,+,0)": 1.5e-9},
+    "hulthen": {"(-,-,0)": 2.4e-12},
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_canonical_accuracy_no_worse_than_the_second_order_verifier(name):
+    rep = verify_family(FAMILIES[name].canonical)
+    assert rep.passed
+    bounds = _CANONICAL_ABS_ERR[name]
+    assert [e.label for e in rep.entries] == list(bounds)
+    for e in rep.entries:
+        assert e.abs_err <= bounds[e.label]
