@@ -12,7 +12,11 @@ decimal point and ',' separators, deterministic row order. Exit codes:
 
 Every subcommand looks its family up in `numeric.FAMILIES`: the record
 supplies the parameter defaults, the parameter flags the family accepts,
-the contour, the default grid and the level functions. Each subcommand
+the contour, the default window and the level functions. `verify`
+without `--xmin`, `--xmax` or `--n` (and, for Hulthen, without an arch
+`--epsilon` other than the canonical one) verifies on the library's
+stretched rule grid, as `verify_family(params)` does; with any of them it
+verifies on the uniform window. Each subcommand
 registers only the flags it reads; any other flag is an input error.
 `verify`, `sample` and `transform` all take their window through `Grid`,
 so each rejects the same windows. `sample` and `transform` select the
@@ -126,8 +130,12 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     fam, params, contour = _setup(args)
-    report = verify_family(params, Grid(*_bounds(args, fam.grid), contour),
-                           tol_energy=args.tol_energy, tol_residual=args.tol_residual)
+    # no window flag and the canonical contour: the library's own rule grid
+    windowed = any(v is not None for v in (args.xmin, args.xmax, args.n))
+    grid = (Grid(*_bounds(args, fam.grid), contour)
+            if windowed or contour != fam.contour(params) else None)
+    report = verify_family(params, grid, tol_energy=args.tol_energy,
+                           tol_residual=args.tol_residual)
     header = ["N", "sigma", "tau", "E_analytic", "lambda_re", "lambda_im",
               "abs_err", "residual", "converged"]
     entries = report.entries

@@ -2,8 +2,10 @@
 
 Two path families are provided: the shifted line x - i*eps and the
 down-bent arch obtained from it by sinh(x - i*eps) = -i e^{i xi(x)}.
-Both are PT-symmetric: xi(-x) = -xi(x)*. Each path gives its closed-form
-jet `jet(x)`, the tuple (xi, xi', xi'', xi''') in the path parameter x.
+Both are PT-symmetric: xi(-x) = -xi(x)*. A path is one function, its
+closed-form jet `jet(x)`, the tuple (xi, xi', xi'', xi''') in the path
+parameter x; `point` and `derivative` read its first two entries.
+`Stretched(contour, a)` re-parametrises any path by x = a sinh(s).
 
 A Liouville coordinate map is one function `lmap(xi)` returning
 (r, r', r'', r''') at xi, so one evaluation shares the work of all four
@@ -36,7 +38,19 @@ _FD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class ShiftedLine:
+class _Path:
+    """A path given by its closed-form jet; `point` and `derivative` read
+    entries 0 and 1 of `jet(x)`."""
+
+    def point(self, x):
+        return self.jet(x)[0]
+
+    def derivative(self, x):
+        return self.jet(x)[1]
+
+
+@dataclass(frozen=True)
+class ShiftedLine(_Path):
     """Straight path xi(x) = x - i*epsilon, unit derivative."""
 
     epsilon: float
@@ -45,27 +59,22 @@ class ShiftedLine:
         if not (0.0 < self.epsilon < math.pi / 2):
             raise InvalidParameters("epsilon must lie strictly inside (0, pi/2)")
 
-    def point(self, x):
-        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        return x - 1j * self.epsilon
-
     def jet(self, x):
         """(xi, xi', xi'', xi''') at x: (x - i*eps, 1, 0, 0)."""
+        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         one = np.ones(np.shape(x), dtype=complex)
         zero = np.zeros_like(one)
-        return self.point(x), one, zero, zero
-
-    def derivative(self, x):
-        return self.jet(x)[1]
+        return x - 1j * self.epsilon, one, zero, zero
 
 
 @dataclass(frozen=True)
-class ArchContour:
+class ArchContour(_Path):
     """Down-bent arch xi(x) = v(x) - i u(x).
 
     v = arctan(tanh x / tan eps), u = (1/2) ln(sinh^2 x + sin^2 eps).
     Real part saturates at +-(pi/2 - eps); the apex sits at x = 0 with
     imaginary part ln(1/sin eps) > 0. Satisfies sinh(x - i eps) = -i e^{i xi}.
+    u overflows beyond |x| of about 355, where sinh^2 x does.
     """
 
     epsilon: float
@@ -74,29 +83,49 @@ class ArchContour:
         if not (0.0 < self.epsilon < math.pi / 2):
             raise InvalidParameters("epsilon must lie strictly inside (0, pi/2)")
 
-    def point(self, x):
-        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        v = np.arctan(np.tanh(x) / math.tan(self.epsilon))
-        u = 0.5 * np.log(np.sinh(x) ** 2 + math.sin(self.epsilon) ** 2)
-        return v - 1j * u
-
     def jet(self, x):
         """(xi, xi', xi'', xi''') at x. Differentiating the arch identity
         gives, with z = x - i eps, xi' = -i coth z, xi'' = i csch^2 z and
         xi''' = -2i coth z csch^2 z."""
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+        v = np.arctan(np.tanh(x) / math.tan(self.epsilon))
+        u = 0.5 * np.log(np.sinh(x) ** 2 + math.sin(self.epsilon) ** 2)
         z = x - 1j * self.epsilon
         coth = 1.0 / np.tanh(z)
         csch2 = 1.0 / np.sinh(z) ** 2
-        return self.point(x), -1j * coth, 1j * csch2, -2j * coth * csch2
-
-    def derivative(self, x):
-        return self.jet(x)[1]
+        return v - 1j * u, -1j * coth, 1j * csch2, -2j * coth * csch2
 
     @property
     def apex(self) -> float:
         """Height of the path's top above the real axis, ln(1/sin eps)."""
         return math.log(1.0 / math.sin(self.epsilon))
+
+
+@dataclass(frozen=True)
+class Stretched(_Path):
+    """`contour` re-parametrised by x = a sinh(s), the mapped grid of
+    Fattal, Baer and Kosloff (1996): a step ds in s is a step a ds at the
+    centre and grows as a cosh(s) ds outwards, so a grid uniform in s
+    reaches far along the path on few points.
+
+    The jet in s is the contour's jet in x by the chain rule, with
+    x' = a cosh s, x'' = x and x''' = x': xi' = c' x', xi'' = c'' x'^2 + c' x''
+    and xi''' = c''' x'^3 + 3 c'' x' x'' + c' x'''. Stretching keeps the
+    path's PT symmetry, since x(-s) = -x(s).
+    """
+
+    contour: object
+    a: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise InvalidParameters("stretch a must be finite and > 0")
+
+    def jet(self, s):
+        s = np.asarray(s, dtype=float) if np.ndim(s) else float(s)
+        x, x1 = self.a * np.sinh(s), self.a * np.cosh(s)
+        c, c1, c2, c3 = self.contour.jet(x)
+        return c, c1 * x1, c2 * x1 ** 2 + c1 * x, c3 * x1 ** 3 + 3 * c2 * x1 * x + c1 * x1
 
 
 def continuous_log(values):
@@ -123,9 +152,14 @@ def continuous_log(values):
     return logs
 
 
-def power_along_path(base_values, exponent):
-    """base^exponent with the branch-continuity policy along the samples."""
-    return np.exp(exponent * continuous_log(base_values))
+def power_along_path(base_values, exponent, *more):
+    """base^exponent, times base_k^exponent_k for each further pair in
+    `more` = (base_2, exponent_2, ...), with the branch-continuity policy
+    along the samples. The product is formed in the log domain, one exp of
+    the summed exponent * continuous_log(base), so it stays finite where a
+    factor alone would overflow or underflow."""
+    pairs = (base_values, exponent) + more
+    return np.exp(sum(e * continuous_log(b) for b, e in zip(pairs[::2], pairs[1::2])))
 
 
 def arch_map(xi):

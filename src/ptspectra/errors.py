@@ -57,6 +57,13 @@ class NoConvergence(SpectraError):
         self.iterations = iterations
 
 
+class ResolutionLimit(SpectraError):
+    """The verify grid cannot resolve a level: the level needs more grid
+    points than the point cap, or a longer range than the one on which its
+    far field stays finite. `verify_family` still solves the level on the
+    capped grid and reports it with this note, never as a pass."""
+
+
 class ShiftSingular(SpectraError):
     """Shifted system was numerically singular even after perturbing the
     shift."""

@@ -28,6 +28,18 @@ Each analytic wave function is sampled once, on the refined grid, and
 scaled to the Liouville unknown; its even nodes are the stated grid's
 nodes, bit for bit.
 
+Without a given grid, `verify_family` sizes a stretched grid from the
+closed forms (`_rule_grid`): the canonical contour re-parametrised by
+x = a sinh(s) (`Stretched`), uniform in s on [-S, S]. a sinh(S) reaches
+past the range on which every level decays to tol_energy, a sets the
+core step a ds from the shortest local wavelength and the singularity
+distance eps, and n is the fewest points that meet the step and the
+Numerov residual estimates, capped at 1001. A level the capped grid
+cannot resolve (too many points, a range past where its far field stays
+finite, or an eigenvalue or residual that moves across its tolerance when
+the step is halved) is still solved, but its entry is typed
+ResolutionLimit and never passes.
+
 `FAMILIES` holds one `Family` record per parameter type; `verify_family`
 and the CLI dispatch through it.
 """
@@ -39,11 +51,19 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .contour import ArchContour, ShiftedLine, add_curvature, continuous_log, identity_map
+from .contour import (
+    ArchContour,
+    ShiftedLine,
+    Stretched,
+    add_curvature,
+    continuous_log,
+    identity_map,
+)
 from .errors import (
     InvalidParameters,
     MetricVanishing,
     NoConvergence,
+    ResolutionLimit,
     ShiftSingular,
     SpectraError,
 )
@@ -65,6 +85,18 @@ _MAX_SWEEPS = 200
 _SHIFT_NUDGE = 1e-8 * (1 + 1j)
 _RESIDUAL_BUFFER = 0.05
 _MAX_POINTS = 10 ** 7
+# The verify-grid rule (`_rule_grid`). Numerov's stencil is held to
+# _STEP_THETA radians of the local wavenumber per step, and its h^4 residual
+# estimate, with a _RESIDUAL_SAFETY margin, to tol_residual. The grid
+# reaches _RANGE_FACTOR times the range on which each level decays to
+# tol_energy, since the Dirichlet ends shift an eigenvalue by about the
+# square of the amplitude left there. _VERIFY_POINTS caps the stated grid.
+_VERIFY_POINTS = 1001
+_STEP_THETA = 0.4
+_RESIDUAL_SAFETY = 100.0
+_RANGE_FACTOR = 1.5
+_PROBE_POINTS = 200
+_STRETCHES = 2.0 ** -np.arange(14)
 
 
 @dataclass(frozen=True)
@@ -110,8 +142,10 @@ def _band_product(bands, v, ends=(0.0, 0.0)):
 
 def _norm_inf(bands) -> float:
     diag, lower, upper = bands[:3]
-    return float(np.max(np.abs(diag) + np.abs(np.pad(lower, (1, 0)))
-                        + np.abs(np.pad(upper, (0, 1)))))
+    rows = np.abs(diag)
+    rows[1:] += np.abs(lower)
+    rows[:-1] += np.abs(upper)
+    return float(np.max(rows))
 
 
 @dataclass
@@ -122,7 +156,8 @@ class DiscretizedHamiltonian:
     of A's first/last interior row to the (Dirichlet-zero) boundary nodes;
     residual evaluation of analytic wave functions needs them to apply the
     full stencil. `mass` holds M in the same layout,
-    (diag, lower, upper, bc_left, bc_right); None stores M = I.
+    (diag, lower, upper, bc_left, bc_right); None stores M = I. `norms`
+    holds (||A||_inf, ||M||_inf), taken once when the pencil is built.
     """
 
     diag: np.ndarray
@@ -137,6 +172,7 @@ class DiscretizedHamiltonian:
         if self.mass is None:
             zero = np.zeros(len(self.lower), dtype=complex)
             self.mass = (np.ones(len(self.diag), dtype=complex), zero, zero, 0j, 0j)
+        self.norms = (_norm_inf(self.bands), _norm_inf(self.mass))
 
     @property
     def n_interior(self) -> int:
@@ -253,7 +289,7 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
     n = H.n_interior
     if n < 3:
         raise InvalidParameters(f"{n} interior nodes; inverse iteration needs at least 3")
-    tol = _SWEEP_TOL * (_norm_inf(H.bands) + abs(target) * _norm_inf(H.mass))
+    tol = _SWEEP_TOL * (H.norms[0] + abs(target) * H.norms[1])
     m_diag, m_lower, m_upper = H.mass[:3]
     rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -366,14 +402,17 @@ class Family:
     canonical path: the shifted-line families take their shift from
     `params`, Hulthen's arch takes `epsilon` (None: pi/6).
     `canonical` is the README setup and the CLI's parameter defaults,
-    `grid` the default (x_min, x_max, n_points), and `aux_columns` the
-    level aux entries the spectrum table prints after kappa (a `_re`/`_im`
-    suffix takes that part of a complex entry). `tol_energy` and
-    `tol_residual` are the verdict's default bounds; the solve itself has
-    no per-family setting, since `verify_family` solves the same Numerov
-    pencil and extrapolates at fourth order for every family. The CLI
-    selects a level by the quantum numbers it is given, the same way for
-    every family.
+    `grid` the uniform window (x_min, x_max, n_points) that `sample`
+    tabulates and that `verify`'s window flags fall back on, and
+    `aux_columns` the level aux entries the spectrum table prints after
+    kappa (a `_re`/`_im` suffix takes that part of a complex entry).
+    `tol_energy` and `tol_residual` are the verdict's default bounds.
+    `decay(level)` is the closed-form rate at which a level's wave function
+    decays along the path, and `reach(level)` the path range |x| on which
+    its far field stays finite in floating point: sinh and cosh overflow
+    past |x| of about 710 and the arch's height past 355, and a degree-N
+    Jacobi factor of cosh 2r grows as e^{2N|x|}. The CLI selects a level by
+    the quantum numbers it is given, the same way for every family.
     """
 
     name: str
@@ -387,6 +426,8 @@ class Family:
     tol_energy: float
     tol_residual: float
     aux_columns: tuple
+    decay: Callable
+    reach: Callable
 
 
 # tol_residual bounds the Numerov residual. The flat bound was sized for the
@@ -400,7 +441,9 @@ FAMILIES = {f.name: f for f in (
                _sp.eckart_wavefunction(p, level, contour.point(x)),
            contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
            grid=(-18.0, 18.0, 1001), tol_energy=1e-5, tol_residual=1.5e-1,
-           aux_columns=("u_re", "u_im", "v_re", "v_im")),
+           aux_columns=("u_re", "u_im", "v_re", "v_im"),
+           decay=lambda level: level.aux["D"],
+           reach=lambda level: 700.0),
     Family("rpt", PoschlTellerParams, PoschlTellerParams(3.5, 1.5, 0.3),
            spectrum=lambda p: _sp.rpt_spectrum(p),
            potential=lambda p, xi: eval_rpt(p, xi),
@@ -408,7 +451,9 @@ FAMILIES = {f.name: f for f in (
                _sp.rpt_wavefunction(p, level, contour.point(x)),
            contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
            grid=(-12.0, 12.0, 1001), tol_energy=1e-6, tol_residual=1.5e-1,
-           aux_columns=()),
+           aux_columns=(),
+           decay=lambda level: level.aux["kappa"],
+           reach=lambda level: 700.0 / (1 + 2 * level.qn.N)),
     Family("hulthen", HulthenParams, HulthenParams(2.0, 2.0),
            spectrum=lambda p: _sp.hulthen_spectrum(p),
            potential=lambda p, xi: eval_hulthen(p, xi),
@@ -417,8 +462,77 @@ FAMILIES = {f.name: f for f in (
            contour=lambda p, epsilon=None:
                ArchContour(math.pi / 6 if epsilon is None else epsilon),
            grid=(-12.0, 12.0, 1001), tol_energy=1e-4, tol_residual=1e-4,
-           aux_columns=("s", "tau_beta")),
+           aux_columns=("s", "tau_beta"),
+           decay=lambda level: level.aux["kappa"],
+           reach=lambda level: 350.0 / (1 + 2 * level.qn.N)),
 )}
+
+
+def _rule_grid(fam, params, levels, tol_energy, tol_residual):
+    """(grid, notes): the stretched verify grid for `levels`, sized from the
+    closed forms, and per level a ResolutionLimit note ("" when resolved).
+
+    The grid is Grid(-S, S, n, Stretched(contour, a)) on the canonical
+    contour, so the local step in x is h(x) = sqrt(a^2 + x^2) ds.
+    - Range: a level decays to tol_energy at L = log(1/tol_energy)/decay;
+      the grid reaches X = _RANGE_FACTOR max L, but no farther than the
+      smallest `reach`, and a sinh S = X.
+    - Step: on a probe of the path out to X, each level's local wavenumber
+      is k^2 = |Q - E W| (the unstretched Liouville normal form) plus
+      1/(x^2 + d^2), d = min(eps, pi/2 - eps) the singularity distance.
+      Out to its L the level needs k h <= _STEP_THETA and the s-space
+      Numerov residual estimate (a^2 + x^2) e^{-decay x} h^4 k^6/240,
+      times _RESIDUAL_SAFETY, within tol_residual.
+    - a is the stretch, among 2^-j (j < 14) times the probed range, that
+      needs the fewest points; n = 2 ceil(S/ds) + 1 is capped at
+      _VERIFY_POINTS.
+    A level that needs a longer range than the grid reaches, or more points
+    than the grid has, is typed. Levels that could not be resolved on their
+    own do not size the grid, unless no level can be.
+    """
+    contour = fam.contour(params)
+    if not levels:
+        return Grid(*fam.grid, contour), []
+    d = min(contour.epsilon, math.pi / 2 - contour.epsilon)
+    ranges = np.array([math.log(1 / tol_energy) / fam.decay(l) for l in levels])
+    reach = min(fam.reach(l) for l in levels)
+    far = min(_RANGE_FACTOR * ranges.max(), reach)
+    x = d * np.sinh(np.linspace(0.0, math.asinh(far / d), _PROBE_POINTS))
+    xi, xp, xp2, xp3 = contour.jet(x)
+    qv = xp ** 2 * fam.potential(params, xi)
+    stretch = far * _STRETCHES[:, None]
+    w = stretch ** 2 + x ** 2
+    ds = []  # per level: the step in s each stretch allows
+    for level, L in zip(levels, ranges):
+        k2 = np.abs(add_curvature(qv - level.energy * xp ** 2, xp, xp2, xp3)) + 1 / (x * x + d * d)
+        envelope = np.exp(-np.minimum(fam.decay(level) * x, 700.0))
+        allowed = np.minimum(
+            _STEP_THETA / np.sqrt(k2 * w),
+            (240 * tol_residual / (_RESIDUAL_SAFETY * envelope * k2 ** 3)) ** 0.25 / w ** 0.75)
+        ds.append(np.min(np.where(x <= L, allowed, np.inf), axis=1))
+    ds = np.array(ds)
+
+    def points(X):  # points each level needs, per stretch, to reach X
+        return 2 * np.ceil(np.arcsinh(X / stretch[:, 0]) / ds) + 1
+
+    own = points(np.minimum(_RANGE_FACTOR * ranges, reach)[:, None]).min(axis=1)
+    sizing = (ranges <= reach) & (own <= _VERIFY_POINTS)
+    if not sizing.any():
+        sizing[:] = True
+    X = min(_RANGE_FACTOR * ranges[sizing].max(), reach)
+    need = points(X)
+    j = int(np.argmin(need[sizing].max(axis=0)))
+    a = float(stretch[j, 0])
+    n = int(min(need[sizing, j].max(), _VERIFY_POINTS))
+    notes = []
+    for L, m in zip(ranges, need[:, j]):
+        if L > X:
+            notes.append(f"needs |x| up to {L:.3g}, the grid reaches {X:.3g}")
+        elif m > n:
+            notes.append(f"needs {int(m)} points, the grid has {n}")
+        else:
+            notes.append("")
+    return Grid(-math.asinh(X / a), math.asinh(X / a), n, Stretched(contour, a)), notes
 
 
 def verify_family(params, grid: Grid = None, tol_energy: float = None,
@@ -434,8 +548,12 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     refined grid, and scaled to the Liouville unknown
     u = psi exp(-log(xi')/2) with the branch-continuous log (exactly psi
     where xi' = 1); the stated-grid residual reads its even nodes. A
-    missing grid is the family's default grid; a grid without a contour
-    gets the family's canonical contour. An eigenvalue must match its
+    missing grid is the stretched grid `_rule_grid` sizes from the closed
+    forms, on the canonical contour; there a level the grid cannot resolve
+    is still solved, but its entry is not converged and its note starts
+    with ResolutionLimit. A given grid is used as it is, and one without a
+    contour gets the family's canonical contour. The PT defect is sampled
+    on 201 points of the grid's range. An eigenvalue must match its
     energy within `tol_energy` and have |Im| within 10 * `tol_energy`, and
     the stated-grid residual must be within `tol_residual`; both
     tolerances must be finite and > 0 (InvalidParameters). Constituent
@@ -453,13 +571,16 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
         raise InvalidParameters(f"tolerances must be finite and > 0, got "
                                 f"tol_energy={tol_energy}, tol_residual={tol_residual}")
     tol_imag = 10 * tol_energy
-    if grid is None:
-        grid = Grid(*fam.grid)
+    levels = fam.spectrum(params)
+    rule = grid is None
+    if rule:
+        grid, limits = _rule_grid(fam, params, levels, tol_energy, tol_residual)
+    else:
+        limits = [""] * len(levels)
     if grid.contour is None:
         grid = replace(grid, contour=fam.contour(params))
     contour = grid.contour
 
-    levels = fam.spectrum(params)
     evaluator = lambda xi: fam.potential(params, xi)
     fine = grid.refined()
     x_fine = fine.points()
@@ -468,8 +589,7 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     Hf = build_hamiltonian(evaluator, fine)
 
     entries = []
-    passed = True
-    for level in levels:
+    for level, limit in zip(levels, limits):
         qn = level.qn
         E = level.energy
         iters = 0
@@ -486,19 +606,30 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             order = math.log2(res_c / res_f) if res_f > 0 else float("nan")
             abs_err = abs(lam - E)
             ok = abs_err <= tol_energy and abs(lam.imag) <= tol_imag and res_c <= tol_residual
-            entries.append(LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E, lam,
-                                       abs_err, abs(lam.imag), res_c, res_f, order,
-                                       iters, ok))
-            passed = passed and ok
+            record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E, lam, abs_err,
+                                 abs(lam.imag), res_c, res_f, order, iters, ok)
+            step = abs(fine_res.eigenvalue - coarse.eigenvalue)
+            if rule and not ok and (step > tol_energy or res_f <= tol_residual < res_c):
+                # halving the step moves the verdict's quantities across a
+                # tolerance: the stated grid does not resolve them
+                limit = limit or (f"halving the step moves the eigenvalue by {step:.3g} "
+                                  f"and the residual from {res_c:.3g} to {res_f:.3g}")
         except SpectraError as exc:
-            entries.append(LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E,
-                                       complex("nan+nanj"), float("inf"), float("inf"),
-                                       float("inf"), float("inf"), float("nan"),
-                                       iters + getattr(exc, "iterations", 0),
-                                       False, f"{type(exc).__name__}: {exc}"))
-            passed = False
+            record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E,
+                                 complex("nan+nanj"), float("inf"), float("inf"),
+                                 float("inf"), float("inf"), float("nan"),
+                                 iters + getattr(exc, "iterations", 0),
+                                 False, f"{type(exc).__name__}: {exc}")
+        if rule and record.note.startswith(NoConvergence.__name__):
+            # the rule grid already meets the step estimates: an eigenpair
+            # that does not settle on it is below its floating-point resolution
+            limit = limit or f"no settled eigenpair on {grid.n_points} points ({record.note})"
+        if limit:
+            record.converged, record.note = False, f"{ResolutionLimit.__name__}: {limit}"
+        entries.append(record)
 
-    xs = np.linspace(-8.0, 8.0, 201)
+    xs = np.linspace(grid.x_min, grid.x_max, 201)
     defect = pt_defect(evaluator, contour, xs)
+    passed = all(e.converged for e in entries)
     return VerificationReport(fam.name, entries, passed, defect,
                               grid, tol_energy, tol_imag, tol_residual)

@@ -80,29 +80,47 @@ def _check_floor(mag, what: str) -> None:
         raise SingularPoint(f"|{what}| = {float(np.min(mag)):.3e} below floor {SING_FLOOR:.1e}")
 
 
+def _scalar_like(value, like):
+    return value if np.ndim(like) else complex(value)
+
+
 def eval_eckart(p: EckartParams, r):
-    """A(A-1)/sinh^2 r - 2i*beta cosh r / sinh r at complex r."""
-    r = np.asarray(r, dtype=complex) if np.ndim(r) else complex(r)
+    """A(A-1)/sinh^2 r - 2i*beta cosh r / sinh r at complex r.
+
+    Formed as A(A-1) (1/sinh r)^2 - 2i*beta / tanh r: finite out to |Re r|
+    of about 710, where sinh r overflows (sinh^2 r overflows at half that),
+    and exactly real on the imaginary axis.
+    """
+    r = np.asarray(r, dtype=complex)
     sh = np.sinh(r)
     _check_floor(np.abs(sh), "sinh r")
-    return p.A * (p.A - 1) / sh ** 2 - 2j * p.beta * np.cosh(r) / sh
+    return _scalar_like(p.A * (p.A - 1) * (1 / sh) ** 2 - 2j * p.beta / np.tanh(r), r)
 
 
 def eval_rpt(p: PoschlTellerParams, r):
-    """(beta^2 - 1/4)/sinh^2 r - (alpha^2 - 1/4)/cosh^2 r at complex r."""
-    r = np.asarray(r, dtype=complex) if np.ndim(r) else complex(r)
+    """(beta^2 - 1/4)/sinh^2 r - (alpha^2 - 1/4)/cosh^2 r at complex r,
+    formed through (1/sinh r)^2 and (1/cosh r)^2 like `eval_eckart`."""
+    r = np.asarray(r, dtype=complex)
     sh, ch = np.sinh(r), np.cosh(r)
     _check_floor(np.abs(sh), "sinh r")
     _check_floor(np.abs(ch), "cosh r")
-    return (p.beta ** 2 - 0.25) / sh ** 2 - (p.alpha ** 2 - 0.25) / ch ** 2
+    return _scalar_like((p.beta ** 2 - 0.25) * (1 / sh) ** 2
+                        - (p.alpha ** 2 - 0.25) * (1 / ch) ** 2, r)
 
 
 def eval_hulthen(p: HulthenParams, xi):
-    """A/(1-e^{2i xi})^2 + B/(1-e^{2i xi}) at complex xi."""
-    xi = np.asarray(xi, dtype=complex) if np.ndim(xi) else complex(xi)
-    w = 1.0 - np.exp(2j * xi)
-    _check_floor(np.abs(w), "1 - e^{2i xi}")
-    return p.A / w ** 2 + p.B / w
+    """A/(1-e^{2i xi})^2 + B/(1-e^{2i xi}) at complex xi.
+
+    With z = 2i xi, 1/(1-e^z) is formed through q = e^{-|Re z|} <= 1, as
+    -q/(1-q) where Re z >= 0 and 1/(1-q) elsewhere, so it stays finite at
+    any |Im xi|; near a pole |1 - q| is |1 - e^z|.
+    """
+    z = 2j * np.asarray(xi, dtype=complex)
+    up = np.real(z) >= 0
+    q = np.exp(np.where(up, -z, z))
+    _check_floor(np.abs(1 - q), "1 - e^{2i xi}")
+    g = np.where(up, -q, 1.0) / (1 - q)
+    return _scalar_like(p.A * g ** 2 + p.B * g, xi)
 
 
 def pt_defect(evaluator, contour, x_samples) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import arch_map, power_along_path, transport_wavefunction
+from .contour import arch_map, continuous_log, power_along_path, transport_wavefunction
 from .errors import (
     BoundaryLevelWarning,
     DegenerateSWarning,
@@ -113,14 +113,13 @@ def eckart_wavefunction(p: EckartParams, level: Level, points, convention: str =
     sh = np.sinh(r)
     if np.min(np.abs(sh)) < 1e-12:
         raise SingularPoint("sinh r vanishes on the requested points")
-    # y -+ 1 computed as exp(-+r)/sinh r: identical values, no cancellation
-    # in coth r -+ 1 at large |Re r|
-    ym = np.exp(-r) / sh
-    yp = np.exp(r) / sh
-    y = np.cosh(r) / sh
     pa, pb = (2 * u, 2 * v) if convention == "reduction" else (u / 2, v / 2)
-    poly = jacobi_p_hyp(level.qn.N, pa, pb, y)
-    return power_along_path(ym, u) * power_along_path(yp, v) * poly
+    poly = jacobi_p_hyp(level.qn.N, pa, pb, np.cosh(r) / sh)
+    # y -+ 1 = e^{-+r}/sinh r, so u log(y-1) + v log(y+1) = (v-u) r - (u+v) log sinh r:
+    # one exp in the log domain, finite where y - 1 itself underflows. On a
+    # shifted line, -r - log sinh r is the principal log of y - 1 at every
+    # first sample, so the branch is that of the two continued powers.
+    return np.exp((v - u) * r - (u + v) * continuous_log(sh)) * poly
 
 
 def rpt_spectrum(p: PoschlTellerParams) -> list:
@@ -156,7 +155,7 @@ def _parent_eigenfunction(N, tb, sa, r):
     if min(np.min(np.abs(sh)), np.min(np.abs(ch))) < 1e-12:
         raise SingularPoint("sinh r or cosh r vanishes on the requested points")
     poly = jacobi_p_hyp(N, tb, sa, np.cosh(2 * r))
-    return power_along_path(sh, tb + 0.5) * power_along_path(ch, sa + 0.5) * poly
+    return power_along_path(sh, tb + 0.5, ch, sa + 0.5) * poly
 
 
 def rpt_wavefunction(p: PoschlTellerParams, level: Level, points):

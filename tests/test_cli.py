@@ -146,6 +146,21 @@ def test_bare_verify_matches_library_on_canonical_setup(capsys, name):
     assert rows == expected
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--family", "rpt", "--n", "1001"], "rpt"),
+    (["verify", "--family", "eckart", "--xmin", "-18"], "eckart"),
+    (["verify", "--family", "hulthen", "--epsilon", "pi/5"], "hulthen"),
+])
+def test_verify_window_flags_keep_the_uniform_window(capsys, argv, name):
+    code, out, _ = _run(capsys, argv)
+    fam = FAMILIES[name]
+    eps = math.pi / 5 if name == "hulthen" else None
+    report = verify_family(fam.canonical, Grid(*fam.grid, fam.contour(fam.canonical, eps)))
+    assert code == (0 if report.passed else 1)
+    _, rows = _rows(out)
+    assert [r[4] for r in rows] == [f"{e.eigenvalue.real:.11e}" for e in report.entries]
+
+
 def test_sample_arch_apex(capsys):
     code, out, _ = _run(capsys, ["sample", "--family", "hulthen",
                                  "--epsilon", "pi/6",

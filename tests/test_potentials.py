@@ -146,3 +146,10 @@ def test_pt_defect_canonical_contours(family, make):
     p, contour, ev = make()
     x = np.linspace(-8, 8, 201)
     assert pt_defect(lambda z: ev(p, z), contour, x) <= 1e-12
+
+
+def test_evaluators_stay_finite_in_the_far_field():
+    for x in (400.0, -400.0):
+        assert np.isfinite(eval_eckart(EckartParams(3.0, 1.0, 0.5), x - 0.5j))
+        assert np.isfinite(eval_rpt(PoschlTellerParams(3.5, 1.5, 0.3), x - 0.3j))
+        assert np.isfinite(eval_hulthen(HulthenParams(2.0, 2.0), 0.5 + 1j * x))

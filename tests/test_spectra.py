@@ -23,6 +23,7 @@ from ptspectra import (
     rpt_spectrum,
     rpt_wavefunction,
 )
+from ptspectra.numeric import FAMILIES
 from ptspectra.spectra import _parent_eigenfunction
 
 
@@ -248,3 +249,19 @@ def test_eckart_spacing_exceeds_one():
             continue
         N = int(rng.integers(1, nmax + 1))
         assert eckart_spacing(EckartParams(A, beta), N) > 1.0
+
+
+def test_wavefunctions_stay_finite_in_the_far_field():
+    # the power products are formed in the log domain: each factor alone
+    # overflows (sinh^{tau beta + 1/2} at |x| = 120) or underflows (y - 1 at 400)
+    p = EckartParams(3.0, 1.0, 0.5)
+    for level in eckart_spectrum(p):
+        psi = eckart_wavefunction(p, level, np.linspace(-400.0, 400.0, 8001) - 0.5j)
+        assert np.all(np.isfinite(psi)) and abs(psi[-1]) < 1e-100
+    p = PoschlTellerParams(6.258, 7.64, 0.724)
+    # past its reach a level's Jacobi factor overflows; the verifier types it
+    levels = [l for l in rpt_spectrum(p) if FAMILIES["rpt"].reach(l) >= 120.0]
+    assert {l.qn.label() for l in levels} >= {"(-,-,0)", "(+,-,0)"}
+    for level in levels:
+        psi = rpt_wavefunction(p, level, np.linspace(-120.0, 120.0, 2401) - 0.724j)
+        assert np.all(np.isfinite(psi))
