@@ -13,6 +13,10 @@ echo "== verify the eckart family on its default grid =="
 ptspectra verify --family eckart
 
 echo
+echo "== verify the hulthen family on an arch of angle pi/5 =="
+ptspectra verify --family hulthen --epsilon pi/5
+
+echo
 echo "== sample the arch contour and the hulthen potential along it =="
 ptspectra sample --family hulthen --epsilon pi/6 --xmin -4 --xmax 4 --n 9
 

@@ -6,17 +6,22 @@ runs the finite-difference check of a family and sets the exit code,
 and `transform` compares the coordinate-transformed parent potential
 against the closed form along the arch.
 
-All output is CSV with 12-significant-digit scientific notation, '.'
-decimal point and ',' separators, deterministic row order. Exit codes:
-0 = pass, 1 = verification failure, 2 = invalid input.
+All output is CSV with '.' decimal point and ',' separators and
+deterministic row order. Every number is written byte for byte as
+`'%.11e' % x` writes it (12 significant digits): numpy builds the digits
+of whole blocks of rows, and the cells it cannot round exactly (zeros,
+non-finite values, |x| outside [1e-280, 1e280], cells within 1e-3 of a
+rounding tie) go through `'%.11e' %` itself. Exit codes: 0 = pass,
+1 = verification failure, 2 = invalid input.
 
 Every subcommand looks its family up in `numeric.FAMILIES`: the record
 supplies the parameter defaults, the parameter flags the family accepts,
-the contour, the default window and the level functions. `verify`
-without `--xmin`, `--xmax` or `--n` (and, for Hulthen, without an arch
-`--epsilon` other than the canonical one) verifies on the library's
-stretched rule grid, as `verify_family(params)` does; with any of them it
-verifies on the uniform window. Each subcommand
+the contour, the default window and the level functions. `--epsilon` is
+the record's epsilon: the line shift for Eckart and Poschl-Teller, the
+arch angle for Hulthen. `verify` without `--xmin`, `--xmax` or `--n`
+verifies on the library's stretched rule grid, as
+`verify_family(params)` does; with any of them it verifies on the
+uniform window. Each subcommand
 registers only the flags it reads; any other flag is an input error.
 `verify`, `sample` and `transform` all take their window through `Grid`,
 so each rejects the same windows. `sample` and `transform` select the
@@ -25,7 +30,9 @@ first level, in spectrum order, that matches every one of `--N`,
 """
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -74,18 +81,106 @@ def parse_angle(text: str) -> float:
     return float(text)
 
 
+# The '%.11e' writer. A cell is a record of _SLOTS uint32 slots, each holding
+# one zero-padded piece of its text: "-d.", "dd", "ddd", "ddd", "ddd",
+# "e+dd(d)" over two slots, and the separator. The zero bytes are dropped
+# when a block of rows is joined, so a one-byte separator may be stored as a
+# uint32 value on either byte order.
+_SLOTS = 8
+_BLOCK = 1024  # rows formatted and written at a time
+
+
+def _slots(texts):
+    """uint32 slots holding `texts`, each zero-padded to a multiple of 4 bytes."""
+    width = -(-max(map(len, texts)) // 4) * 4
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), dtype=np.uint32)
+
+
+_LEAD = _slots([b"%s%d." % (sign, d) for sign in (b"", b"-") for d in range(10)])
+_PAIR = _slots([b"%02d" % k for k in range(100)])
+_TRIPLE = _slots([b"%03d" % k for k in range(1000)])
+_EXP = _slots([b"e%+03d" % e for e in range(-300, 301)]).reshape(-1, 2)
+# _POW10[k + 300] is 10^k correctly rounded, for k in [-300, 300]
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
+
+
+def _format(v):
+    """(v.shape, _SLOTS) uint32 records of `'%.11e' % x` and a ',' for the
+    floats `v`.
+
+    With e = floor(log10|x|), corrected once so that s = |x| 10^(11-e) lies
+    in [1e11, 1e12) (log10 may round across a power of ten), the digits are
+    those of m = rint(s), m = 1e12 carrying into the exponent. s carries two
+    roundings (10^k and the product), so it is within 2.3e-4 of the exact
+    scaled value, and rint(s) is the correctly rounded m unless the fraction
+    of s is within 1e-3 of 1/2. Those near-ties, exact ties among them, and
+    every zero, non-finite or |x| outside [1e-280, 1e280] are formatted by
+    `'%.11e' %` itself.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-280) & (a <= 1e280)  # False for +-0, nan and +-inf
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = a * _POW10[311 - e]
+    e += (s >= 1e12).astype(np.intp) - (s < 1e11)
+    s = a * _POW10[311 - e]
+    m = np.rint(s)
+    fast &= np.abs(s - np.floor(s) - 0.5) > 1e-3
+    carry = m == 1e12
+    e += carry
+    m[carry] = 1e11
+    # m = d0 d1d2 ddd | ddd ddd; floor of an exact quotient of integers below
+    # 2^53 is their integer quotient
+    hi = np.floor(m / 1e6)
+    lo = m - 1e6 * hi
+    head = np.floor(hi / 1e3)
+    lead = np.floor(head / 1e2)
+    out = np.empty(v.shape + (_SLOTS,), dtype=np.uint32)
+    out[..., 0] = _LEAD[(lead + 10 * np.signbit(v)).astype(np.intp)]
+    out[..., 1] = _PAIR[(head - 1e2 * lead).astype(np.intp)]
+    out[..., 2] = _TRIPLE[(hi - 1e3 * head).astype(np.intp)]
+    mid = np.floor(lo / 1e3)
+    out[..., 3] = _TRIPLE[mid.astype(np.intp)]
+    out[..., 4] = _TRIPLE[(lo - 1e3 * mid).astype(np.intp)]
+    out[..., 5:7] = _EXP[e + 300]
+    out[..., 7] = ord(",")
+    slow = np.nonzero(~fast)
+    if slow[0].size:
+        text = np.array(["%.11e" % x for x in v[slow].tolist()], dtype=f"S{4 * _SLOTS - 4}")
+        out[slow + (slice(0, _SLOTS - 1),)] = text.view(np.uint32).reshape(-1, _SLOTS - 1)
+    return out
+
+
+def _records(cells):
+    """uint32 records of the str `cells` and a ',', as `_format` writes them."""
+    cells = np.array(cells, dtype="S")
+    out = np.zeros((len(cells), -(-cells.itemsize // 4) + 1), dtype=np.uint32)
+    out.view(np.uint8)[:, :cells.itemsize] = cells.view(np.uint8).reshape(len(cells), -1)
+    out[:, -1] = ord(",")
+    return out
+
+
 def _emit(header, columns, out_path) -> None:
-    """Write the table whose columns are given. A column holds either str
-    cells, written as given, or numbers, written through one `%.11e` row
-    template."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    row = ",".join("%s" if c and isinstance(c[0], str) else "%.11e" for c in columns)
-    text = "\n".join([",".join(header)] + [row % cells for cells in zip(*columns)]) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the table whose columns are given, to `out_path` or stdout.
+
+    A column holds either str cells, written as given, or numbers, each
+    written byte for byte as `'%.11e' % x` writes it: `_format` builds the
+    digits with numpy and falls back on `'%.11e' %` for zeros, non-finite
+    values, |x| outside [1e-280, 1e280] and cells within 1e-3 of a
+    rounding tie. Rows are formatted and written _BLOCK at a time.
+    """
+    numeric = [isinstance(c, np.ndarray) or not (len(c) and isinstance(c[0], str))
+               for c in columns]
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK):
+            block = [c[start:start + _BLOCK] for c in columns]
+            values = np.array([c for c, num in zip(block, numeric) if num], dtype=float)
+            cells = iter(_format(values))
+            rows = np.concatenate([next(cells) if num else _records(c)
+                                   for c, num in zip(block, numeric)], axis=1)
+            rows[:, -1] = ord("\n")
+            fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _setup(args):
@@ -98,11 +193,10 @@ def _setup(args):
     stray = [name for name in given if name not in fields]
     if stray:
         raise InvalidParameters(f"--{stray[0]} does not apply to --family {fam.name}")
-    eps = parse_angle(args.epsilon) if args.epsilon is not None else None
-    if eps is not None and "epsilon" in fields:
-        given["epsilon"] = eps
+    if args.epsilon is not None:
+        given["epsilon"] = parse_angle(args.epsilon)
     params = dataclasses.replace(fam.canonical, **given)
-    return fam, params, fam.contour(params, eps)
+    return fam, params, fam.contour(params)
 
 
 def _bounds(args, default):
@@ -130,10 +224,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     fam, params, contour = _setup(args)
-    # no window flag and the canonical contour: the library's own rule grid
+    # no window flag: the library's own rule grid
     windowed = any(v is not None for v in (args.xmin, args.xmax, args.n))
-    grid = (Grid(*_bounds(args, fam.grid), contour)
-            if windowed or contour != fam.contour(params) else None)
+    grid = Grid(*_bounds(args, fam.grid), contour) if windowed else None
     report = verify_family(params, grid, tol_energy=args.tol_energy,
                            tol_residual=args.tol_residual)
     header = ["N", "sigma", "tau", "E_analytic", "lambda_re", "lambda_im",
@@ -208,7 +301,9 @@ def cmd_transform(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="ptspectra",
         description="Closed-form spectra of complex-contour potentials, "
@@ -223,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in _PARAM_FLAGS:
             p.add_argument(f"--{flag}", type=float, default=None)
         p.add_argument("--epsilon", type=str, default=None,
-                       help="contour shift in radians; 'pi/6'-style literals accepted")
+                       help="line shift or arch angle in radians; 'pi/6'-style literals accepted")
         p.add_argument("--out", type=str, default=None)
         if name == "spectrum":
             continue

@@ -398,9 +398,9 @@ class Family:
     `spectrum(params)`, `potential(params, xi)` and
     `wavefunction(params, level, contour, x)` look the family functions up
     when called, not at import, so a wrapper installed on a module
-    attribute sees every call. `contour(params, epsilon)` builds the
-    canonical path: the shifted-line families take their shift from
-    `params`, Hulthen's arch takes `epsilon` (None: pi/6).
+    attribute sees every call. `contour(params)` builds the path of the
+    record's `epsilon`: the shift of a ShiftedLine, the angle of
+    Hulthen's ArchContour.
     `canonical` is the README setup and the CLI's parameter defaults,
     `grid` the uniform window (x_min, x_max, n_points) that `sample`
     tabulates and that `verify`'s window flags fall back on, and
@@ -439,7 +439,7 @@ FAMILIES = {f.name: f for f in (
            potential=lambda p, xi: eval_eckart(p, xi),
            wavefunction=lambda p, level, contour, x:
                _sp.eckart_wavefunction(p, level, contour.point(x)),
-           contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
+           contour=lambda p: ShiftedLine(p.epsilon),
            grid=(-18.0, 18.0, 1001), tol_energy=1e-5, tol_residual=1.5e-1,
            aux_columns=("u_re", "u_im", "v_re", "v_im"),
            decay=lambda level: level.aux["D"],
@@ -449,7 +449,7 @@ FAMILIES = {f.name: f for f in (
            potential=lambda p, xi: eval_rpt(p, xi),
            wavefunction=lambda p, level, contour, x:
                _sp.rpt_wavefunction(p, level, contour.point(x)),
-           contour=lambda p, epsilon=None: ShiftedLine(p.epsilon),
+           contour=lambda p: ShiftedLine(p.epsilon),
            grid=(-12.0, 12.0, 1001), tol_energy=1e-6, tol_residual=1.5e-1,
            aux_columns=(),
            decay=lambda level: level.aux["kappa"],
@@ -459,8 +459,7 @@ FAMILIES = {f.name: f for f in (
            potential=lambda p, xi: eval_hulthen(p, xi),
            wavefunction=lambda p, level, contour, x:
                _sp.hulthen_wavefunction(p, level, contour, x),
-           contour=lambda p, epsilon=None:
-               ArchContour(math.pi / 6 if epsilon is None else epsilon),
+           contour=lambda p: ArchContour(p.epsilon),
            grid=(-12.0, 12.0, 1001), tol_energy=1e-4, tol_residual=1e-4,
            aux_columns=("s", "tau_beta"),
            decay=lambda level: level.aux["kappa"],

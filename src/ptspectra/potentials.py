@@ -57,14 +57,17 @@ class PoschlTellerParams:
 
 @dataclass(frozen=True)
 class HulthenParams:
-    """alpha (inherited from the Poschl-Teller parent) and C = A + B."""
+    """alpha (inherited from the Poschl-Teller parent) and C = A + B, with
+    the angle of the ArchContour, held to (0, pi/2) like the line shifts."""
 
     alpha: float
     C: float
+    epsilon: float = math.pi / 6
 
     def __post_init__(self):
         _require(math.isfinite(self.alpha) and self.alpha > 0, "alpha must be > 0")
         _require(math.isfinite(self.C), "C must be real and finite")
+        _require(0.0 < self.epsilon < math.pi / 2, "epsilon must lie strictly inside (0, pi/2)")
 
     @property
     def A(self) -> float:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ptspectra import Grid, verify_family
+from ptspectra import ArchContour, Grid, HulthenParams, InvalidParameters, verify_family
 from ptspectra.cli import build_parser, main, parse_angle
 from ptspectra.numeric import FAMILIES
 
@@ -123,6 +123,24 @@ def test_flags_the_subcommand_does_not_read_rejected(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+def test_consecutive_calls_share_no_parse_state(capsys):
+    """The parser is built once per process; no call leaves state on it."""
+    assert build_parser() is build_parser()
+    _, with_psi, _ = _run(capsys, ["sample", "--family", "rpt", "--N", "1", "--n", "3"])
+    code, out, _ = _run(capsys, ["sample", "--family", "rpt", "--n", "3"])
+    assert code == 0
+    assert _rows(with_psi)[0][-2:] == ["psi_re", "psi_im"]
+    assert _rows(out)[0] == ["x", "xi_re", "xi_im", "V_re", "V_im"]
+    _, windowed, _ = _run(capsys, ["verify", "--family", "eckart", "--n", "1001"])
+    code, out, _ = _run(capsys, ["verify", "--family", "eckart"])
+    report = verify_family(FAMILIES["eckart"].canonical)
+    assert code == 0 and out != windowed
+    assert [r[4] for r in _rows(out)[1]] == [f"{e.eigenvalue.real:.11e}" for e in report.entries]
+    code, out, err = _run(capsys, ["verify", "--family", "eckart", "--N", "0"])
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+    assert _run(capsys, ["spectrum", "--family", "eckart"])[0] == 0
+
+
 def test_family_choices_are_the_registry():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     for parser in sub.choices.values():
@@ -149,16 +167,39 @@ def test_bare_verify_matches_library_on_canonical_setup(capsys, name):
 @pytest.mark.parametrize("argv, name", [
     (["verify", "--family", "rpt", "--n", "1001"], "rpt"),
     (["verify", "--family", "eckart", "--xmin", "-18"], "eckart"),
-    (["verify", "--family", "hulthen", "--epsilon", "pi/5"], "hulthen"),
 ])
 def test_verify_window_flags_keep_the_uniform_window(capsys, argv, name):
     code, out, _ = _run(capsys, argv)
     fam = FAMILIES[name]
-    eps = math.pi / 5 if name == "hulthen" else None
-    report = verify_family(fam.canonical, Grid(*fam.grid, fam.contour(fam.canonical, eps)))
+    report = verify_family(fam.canonical, Grid(*fam.grid, fam.contour(fam.canonical)))
     assert code == (0 if report.passed else 1)
     _, rows = _rows(out)
     assert [r[4] for r in rows] == [f"{e.eigenvalue.real:.11e}" for e in report.entries]
+
+
+@pytest.mark.parametrize("angle, eps", [("pi/5", math.pi / 5), ("1.2", 1.2)],
+                         ids=["pi/5", "1.2"])
+def test_verify_hulthen_arch_angle_uses_the_rule_grid(capsys, angle, eps):
+    """The arch angle is a field of the Hulthen record, so bare verify with
+    --epsilon sizes the rule grid on that arch, as verify_family does."""
+    code, out, _ = _run(capsys, ["verify", "--family", "hulthen", "--epsilon", angle])
+    report = verify_family(HulthenParams(2.0, 2.0, epsilon=eps))
+    assert report.passed and report.grid.contour.contour == ArchContour(eps)
+    assert code == 0
+    _, rows = _rows(out)
+    assert rows == [
+        [str(e.N), str(e.sigma), str(e.tau)]
+        + [f"{v:.11e}" for v in (e.E_analytic, e.eigenvalue.real, e.eigenvalue.imag,
+                                 e.abs_err, e.residual)]
+        + [str(int(e.converged))]
+        for e in report.entries
+    ]
+
+
+def test_hulthen_arch_angle_is_held_to_its_range():
+    for eps in (0.0, math.pi / 2, float("nan")):
+        with pytest.raises(InvalidParameters):
+            HulthenParams(2.0, 2.0, epsilon=eps)
 
 
 def test_sample_arch_apex(capsys):
