@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ptspectra import ArchContour, Grid, HulthenParams, InvalidParameters, verify_family
+from ptspectra import ArchContour, Grid, HulthenParams, verify_family
 from ptspectra.cli import build_parser, main, parse_angle
 from ptspectra.numeric import FAMILIES
 
@@ -18,6 +18,17 @@ def _rows(out):
     lines = out.strip().split("\n")
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def _verify_rows(report):
+    """The verify table rows of `report`, cell by cell."""
+    return [
+        [str(e.N), str(e.sigma), str(e.tau)]
+        + [f"{v:.11e}" for v in (e.E_analytic, e.eigenvalue.real, e.eigenvalue.imag,
+                                 e.abs_err, e.residual)]
+        + [str(int(e.converged))]
+        for e in report.entries
+    ]
 
 
 def test_parse_angle_literals():
@@ -154,14 +165,7 @@ def test_bare_verify_matches_library_on_canonical_setup(capsys, name):
     report = verify_family(FAMILIES[name].canonical)
     assert code == (0 if report.passed else 1)
     _, rows = _rows(out)
-    expected = [
-        [str(e.N), str(e.sigma), str(e.tau)]
-        + [f"{v:.11e}" for v in (e.E_analytic, e.eigenvalue.real, e.eigenvalue.imag,
-                                 e.abs_err, e.residual)]
-        + [str(int(e.converged))]
-        for e in report.entries
-    ]
-    assert rows == expected
+    assert rows == _verify_rows(report)
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -187,19 +191,7 @@ def test_verify_hulthen_arch_angle_uses_the_rule_grid(capsys, angle, eps):
     assert report.passed and report.grid.contour.contour == ArchContour(eps)
     assert code == 0
     _, rows = _rows(out)
-    assert rows == [
-        [str(e.N), str(e.sigma), str(e.tau)]
-        + [f"{v:.11e}" for v in (e.E_analytic, e.eigenvalue.real, e.eigenvalue.imag,
-                                 e.abs_err, e.residual)]
-        + [str(int(e.converged))]
-        for e in report.entries
-    ]
-
-
-def test_hulthen_arch_angle_is_held_to_its_range():
-    for eps in (0.0, math.pi / 2, float("nan")):
-        with pytest.raises(InvalidParameters):
-            HulthenParams(2.0, 2.0, epsilon=eps)
+    assert rows == _verify_rows(report)
 
 
 def test_sample_arch_apex(capsys):

@@ -40,6 +40,9 @@ def test_param_validation():
         PoschlTellerParams(3.5, 1.5, epsilon=2.0)
     with pytest.raises(InvalidParameters):
         HulthenParams(0.0, 2.0)
+    # the arch angle is held to its ArchContour's range the same way
+    with pytest.raises(InvalidParameters):
+        HulthenParams(2.0, 2.0, epsilon=math.pi / 2)
 
 
 def test_hulthen_derived_couplings():
