@@ -42,8 +42,8 @@ class OutOfRange(SpectraError):
 
 
 class MetricVanishing(SpectraError):
-    """|xi'(x)| fell below floor at a grid node or half-step; the
-    midpoint-metric stencil would divide by (near) zero."""
+    """|xi'(x)| fell below floor at a grid node; the Liouville normal form
+    of the Numerov pencil would divide by (near) zero."""
 
 
 class NoConvergence(SpectraError):
@@ -60,7 +60,9 @@ class NoConvergence(SpectraError):
 class ResolutionLimit(SpectraError):
     """The verify grid cannot resolve a level: the level needs more grid
     points than the point cap, or a longer range than the one on which its
-    far field stays finite. `verify_family` still solves the level on the
+    far field stays finite; its eigenvalue or residual moves across its
+    tolerance when the step is halved; or its inverse iteration does not
+    settle on the rule grid. `verify_family` still solves the level on the
     capped grid and reports it with this note, never as a pass."""
 
 

@@ -1,7 +1,7 @@
 """Finite-difference verification engine for the closed forms.
 
-Every discrete operator is a complex tridiagonal pencil A u = lambda M u on
-the grid's interior nodes, with Dirichlet truncation at the ends. The
+The one discrete operator is a complex tridiagonal pencil A u = lambda M u
+on the grid's interior nodes, with Dirichlet truncation at the ends. The
 contour is part of the `Grid` (None is the real line).
 
 `build_hamiltonian(evaluator, grid)` is the fourth-order Numerov pencil
@@ -12,11 +12,8 @@ and Q = xi'^2 V + (3/4)(xi''/xi')^2 - (1/2) xi'''/xi'. Numerov's stencil
 turns it into A = L + B diag(Q) and M = B diag(W), where
 L = tridiag(-1, 2, -1)/h^2 and B = tridiag(1, 10, 1)/12. On the shifted
 line and the real line xi' = 1, so Q = V and W = 1.
-`build_three_point(evaluator, grid)` is the second-order reference
-operator, -(1/xi') d/dx ((1/xi') d/dx) + V in symmetric midpoint form,
-with M = I.
-`solve_targeted(H, target)` inverse-iterates one eigenpair of either
-pencil near `target`, factoring A - target M once and stopping when the
+`solve_targeted(H, target)` inverse-iterates one eigenpair of the pencil
+near `target`, factoring A - target M once and stopping when the
 eigenpair has settled relative to ||A||_inf + |target| ||M||_inf.
 
 Verification solves the Numerov pencil on the stated grid and on the once
@@ -45,6 +42,7 @@ and the CLI dispatch through it.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -109,6 +107,10 @@ class Grid:
     def __post_init__(self):
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise ValueError("grid bounds must be finite")
+        try:
+            operator.index(self.n_points)
+        except TypeError:
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}") from None
         if self.n_points < 3:
             raise ValueError("grid needs at least 3 points")
         if self.n_points > _MAX_POINTS:
@@ -156,8 +158,8 @@ class DiscretizedHamiltonian:
     of A's first/last interior row to the (Dirichlet-zero) boundary nodes;
     residual evaluation of analytic wave functions needs them to apply the
     full stencil. `mass` holds M in the same layout,
-    (diag, lower, upper, bc_left, bc_right); None stores M = I. `norms`
-    holds (||A||_inf, ||M||_inf), taken once when the pencil is built.
+    (diag, lower, upper, bc_left, bc_right). `norms` holds
+    (||A||_inf, ||M||_inf), taken once when the pencil is built.
     """
 
     diag: np.ndarray
@@ -166,12 +168,9 @@ class DiscretizedHamiltonian:
     bc_left: complex
     bc_right: complex
     grid: Grid
-    mass: tuple = None
+    mass: tuple
 
     def __post_init__(self):
-        if self.mass is None:
-            zero = np.zeros(len(self.lower), dtype=complex)
-            self.mass = (np.ones(len(self.diag), dtype=complex), zero, zero, 0j, 0j)
         self.norms = (_norm_inf(self.bands), _norm_inf(self.mass))
 
     @property
@@ -230,43 +229,6 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
         2.0 / grid.h ** 2 + b0 * Q[1:-1], off + b1 * Q[1:-2], off + b1 * Q[2:-1],
         complex(off + b1 * Q[0]), complex(off + b1 * Q[-1]), grid,
         (b0 * W[1:-1], b1 * W[1:-2], b1 * W[2:-1], complex(b1 * W[0]), complex(b1 * W[-1])))
-
-
-def build_three_point(evaluator, grid: Grid) -> DiscretizedHamiltonian:
-    """The second-order reference operator, M = I: -d^2/dxi^2 + V(xi) along
-    the grid's contour as one three-point stencil in midpoint metric form,
-    -(1/xi') d/dx ((1/xi') d/dx).
-
-    `grid.contour=None` means the real line. Where xi' = 1 (the real line,
-    a ShiftedLine) its entries are those of the flat stencil.
-    MetricVanishing when |xi'| falls below _METRIC_FLOOR at a node or a
-    half-step.
-    """
-    contour = grid.contour
-    x = grid.points()
-    h = grid.h
-    if contour is None:
-        xi = x.astype(complex)
-        xp_node = np.ones(len(x), dtype=complex)
-        xp_half = xp_node[1:]
-    else:
-        xi = contour.point(x)
-        xp_node = np.asarray(contour.derivative(x), dtype=complex)
-        xp_half = np.asarray(contour.derivative(x[:-1] + h / 2), dtype=complex)
-    V = np.asarray(evaluator(xi[1:-1]), dtype=complex)
-    small = min(float(np.min(np.abs(xp_node))), float(np.min(np.abs(xp_half))))
-    if small < _METRIC_FLOOR:
-        raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e} on the grid")
-    m_i = 1.0 / xp_node[1:-1]
-    m_minus = 1.0 / xp_half[:-1]     # xi' at i-1/2 for interior node i
-    m_plus = 1.0 / xp_half[1:]       # xi' at i+1/2
-    diag = m_i * (m_plus + m_minus) / h ** 2 + V
-    lower = -(m_i[1:] * m_minus[1:]) / h ** 2
-    upper = -(m_i[:-1] * m_plus[:-1]) / h ** 2
-    return DiscretizedHamiltonian(diag, lower, upper,
-                                  complex(-(m_i[0] * m_minus[0]) / h ** 2),
-                                  complex(-(m_i[-1] * m_plus[-1]) / h ** 2),
-                                  grid)
 
 
 def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
@@ -430,9 +392,11 @@ class Family:
     reach: Callable
 
 
-# tol_residual bounds the Numerov residual. The flat bound was sized for the
-# three-point residual of the sharpest canonical contour (eps=0.3), which is
-# far larger; order checks do the real work.
+# tol_residual bounds the stated-grid Numerov residual of the analytic wave
+# function, and `_rule_grid` sizes the step to it. The shifted-line 0.15 sits
+# between the canonical rule-grid residuals (at most 0.022) and those of a
+# wrong wave function (the printed Jacobi convention, tau-swapped rpt labels:
+# 9 and more); the h -> h/2 order does the fine work.
 FAMILIES = {f.name: f for f in (
     Family("eckart", EckartParams, EckartParams(3.0, 1.0, 0.5),
            spectrum=lambda p: _sp.eckart_spectrum(p),

@@ -36,7 +36,7 @@ from ptspectra import (
     rpt_wavefunction,
     verify_family,
 )
-from ptspectra.numeric import Grid, build_three_point, residual
+from ptspectra.numeric import Grid, build_hamiltonian, residual
 
 ECK = EckartParams(3.0, 1.0, 0.5)
 RPT = PoschlTellerParams(3.5, 1.5, 0.3)
@@ -164,7 +164,7 @@ def test_residual_convergence_order_and_convention(accept_log):
             res = []
             for n in steps:
                 grid = Grid(a, b, n, line)
-                H = build_three_point(lambda z: ev(params, z), grid)
+                H = build_hamiltonian(lambda z: ev(params, z), grid)
                 psi = wave(level, line.point(grid.points()))
                 res.append(residual(psi, level.energy, H))
             out.append((level.qn.N, math.log2(res[0] / res[1]), res))
@@ -176,14 +176,14 @@ def test_residual_convergence_order_and_convention(accept_log):
                  lambda l, z: rpt_wavefunction(RPT, l, z))
     wrong = orders(ECK, 0.5, -18, 18, (3601, 7201),
                    lambda l, z: eckart_wavefunction(ECK, l, z, convention="printed"))
-    good = all(1.8 <= o <= 2.2 for _, o, _ in eck + rpt)
+    good = all(3.8 <= o <= 4.2 for _, o, _ in eck + rpt)
     # degree-0 polynomials cannot distinguish the conventions; N >= 1 can
     distinguishing = [r for N, _, r in wrong if N >= 1]
     rejected = bool(distinguishing) and all(r[0] > 0.5 and r[1] > 0.5
                                             for r in distinguishing)
     ok = good and rejected
-    _verdict(accept_log, 6, "h -> h/2 residual order and convention arbitration", ok,
-             f"orders={[f'{o:.3f}' for _, o, _ in eck + rpt]} in [1.8,2.2], "
+    _verdict(accept_log, 6, "h -> h/2 Numerov residual order and convention arbitration", ok,
+             f"orders={[f'{o:.3f}' for _, o, _ in eck + rpt]} in [3.8,4.2], "
              f"flat-parameter residuals stay O(1): {rejected}")
 
 

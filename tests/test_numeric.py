@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, eigvals, eigvalsh_tridiagonal
+from scipy.linalg import eig, eigvals
 
 from ptspectra import (
     ArchContour,
@@ -19,7 +19,6 @@ from ptspectra import (
     ShiftSingular,
     Stretched,
     build_hamiltonian,
-    build_three_point,
     check_derivatives,
     eckart_spectrum,
     eckart_wavefunction,
@@ -45,7 +44,7 @@ def _ham(params, eps, a, b, n):
     line = ShiftedLine(eps)
     grid = Grid(a, b, n, line)
     ev = eval_eckart if isinstance(params, EckartParams) else eval_rpt
-    return build_three_point(lambda z: ev(params, z), grid), grid, line
+    return build_hamiltonian(lambda z: ev(params, z), grid), grid, line
 
 
 def test_grid_basics():
@@ -60,6 +59,10 @@ def test_grid_basics():
     for bounds in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="grid bounds must be finite"):
             Grid(*bounds, 5)
+    for n in (5.5, math.nan, 1001.0):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            Grid(-1.0, 1.0, n)
+    assert Grid(-1.0, 1.0, np.int64(5)).refined().n_points == 9
 
 
 def test_grid_point_cap():
@@ -79,44 +82,33 @@ def test_refined_even_nodes_are_the_grid_bitwise(grid):
     assert np.array_equal(g.refined().points()[::2], g.points())
 
 
-@pytest.mark.parametrize("contour", [None, ShiftedLine(0.5)], ids=["real_line", "shifted_line"])
-def test_laplacian_stencil_row(contour):
-    g = Grid(-0.5, 0.5, 11, contour)  # h = 0.1
-    H = build_three_point(lambda z: np.zeros_like(z), g)
-    mid = 4
-    # xi' = 1: the midpoint metric form gives the flat stencil's entries exactly;
-    # row mid holds lower[mid - 1], diag[mid] and upper[mid]
-    assert H.lower[mid - 1] == H.upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
-    assert H.diag[mid] == 2.0 / g.h ** 2 == pytest.approx(200.0)
-    assert np.array_equal(H.lower, H.upper)
-    assert H.bc_left == H.bc_right == -1.0 / g.h ** 2
-
-
 def test_harmonic_ground_state():
     g = Grid(-10.0, 10.0, 2001, None)
-    H = build_three_point(lambda z: z ** 2, g)
+    H = build_hamiltonian(lambda z: z ** 2, g)
     r = solve_targeted(H, 1.0)
     assert abs(r.eigenvalue - 1.0) <= 1e-4
 
 
 def test_complex_symmetric_discretization():
     H, _, _ = _ham(RPT, 0.3, -12, 12, 301)
-    # H = H^T, not Hermitian: the sub- and superdiagonal are equal bit for bit
-    assert np.array_equal(H.lower, H.upper)
+    _, m_lower, m_upper = H.mass[:3]
+    # M = B = M^T and A = L + B diag(V) with L, B symmetric, not Hermitian:
+    # M's sub- and superdiagonal, and the two off-diagonal entries of each
+    # column of A, are equal bit for bit
+    assert np.array_equal(m_lower, m_upper)
+    assert np.array_equal(H.lower[1:], H.upper[:-1])
     assert np.any(H.diag.imag)
 
 
 def test_metric_vanishing_guard():
     class _Pinched:
-        def point(self, x):
-            return np.asarray(x, dtype=complex)
-
-        def derivative(self, x):
-            return np.full(np.shape(x), 1e-12, dtype=complex)
+        def jet(self, x):
+            zero = np.zeros(np.shape(x), dtype=complex)
+            return np.asarray(x, dtype=complex), zero + 1e-12, zero, zero
 
     g = Grid(-1.0, 1.0, 11, _Pinched())
     with pytest.raises(MetricVanishing):
-        build_three_point(lambda z: np.zeros_like(z), g)
+        build_hamiltonian(lambda z: np.zeros_like(z), g)
 
 
 def test_targeted_eckart_raw_grid():
@@ -155,26 +147,45 @@ def test_targeted_never_confirms_perturbed_energy():
     assert abs(r.eigenvalue - (-3.25)) > 0.4
 
 
+def _dense(bands):
+    diag, lower, upper = bands[:3]
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
+def _real_pencil(H):
+    """Dense (A, M) of a pencil with real bands; M is symmetric."""
+    assert not any(np.any(np.imag(b)) for b in H.bands[:3] + H.mass[:3])
+    assert np.array_equal(H.mass[1], H.mass[2])
+    return _dense(H.bands).real, _dense(H.mass).real
+
+
 def test_targeted_shift_on_exact_eigenvalue():
     g = Grid(-4.0, 4.0, 41, None)
-    H = build_three_point(lambda z: z ** 2, g)
-    assert not np.any(H.diag.imag) and not np.any(H.lower.imag)
-    assert np.array_equal(H.lower, H.upper)
-    lam = eigvalsh_tridiagonal(H.diag.real, H.lower.real)[0]
+    H = build_hamiltonian(lambda z: z ** 2, g)
+    lams = eig(*_real_pencil(H), right=False)
+    lam = lams[np.argmin(lams.real)]
     r = solve_targeted(H, lam)
     assert abs(r.eigenvalue - lam) <= 1e-8
 
 
-def test_targeted_rejects_a_pseudo_eigenpair():
+def test_targeted_rejects_a_pseudo_eigenpair(monkeypatch):
     # A residual-only relative stop accepts the first sweep here: its residual
-    # is tiny while the Rayleigh quotient still sits on the shift (|dE| ~ 7e-11).
+    # is within the stop tolerance while the Rayleigh quotient still sits on
+    # the shift (|dE| ~ 4e-13); the settled eigenvalue is ~ 3e-6 away.
     params = PoschlTellerParams(2.482097341632171, 7.429994529557295, 0.43308273382987594)
     fam = FAMILIES["rpt"]
-    grid = Grid(-12.0, 12.0, 3001, fam.contour(params)).refined()
-    H = build_three_point(lambda z: eval_rpt(params, z), grid)
+    grid = Grid(-12.0, 12.0, 1001, fam.contour(params)).refined()
+    H = build_hamiltonian(lambda z: eval_rpt(params, z), grid)
     level = next(l for l in rpt_spectrum(params) if l.qn.label() == "(-,-,4)")
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "_MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergence) as info:
+            solve_targeted(H, level.energy)
+    tol = numeric._SWEEP_TOL * (H.norms[0] + abs(level.energy) * H.norms[1])
+    assert info.value.best_residual <= tol
     r = solve_targeted(H, level.energy)
-    assert abs(r.eigenvalue - level.energy) >= 1e-4
+    assert r.iterations >= 2
+    assert abs(r.eigenvalue - level.energy) >= 1e-6
 
 
 def test_targeted_unsettled_solve_is_no_convergence():
@@ -216,7 +227,8 @@ def test_failed_fine_solve_keeps_the_coarse_sweeps(monkeypatch):
 def _diagonal(d):
     d = np.asarray(d, dtype=complex)
     z = np.zeros(len(d) - 1, dtype=complex)
-    return DiscretizedHamiltonian(d, z, z.copy(), 0j, 0j, Grid(-1.0, 1.0, len(d) + 2))
+    identity = (np.ones(len(d), dtype=complex), z, z, 0j, 0j)
+    return DiscretizedHamiltonian(d, z, z.copy(), 0j, 0j, Grid(-1.0, 1.0, len(d) + 2), identity)
 
 
 def test_targeted_singular_shift_is_nudged_once():
@@ -235,20 +247,18 @@ def test_targeted_needs_three_interior_nodes():
 
 def test_dense_rpt_coarse_spectrum():
     line = ShiftedLine(0.3)
-    g = Grid(-6.0, 6.0, 801, line)
-    H = build_three_point(lambda z: eval_rpt(RPT, z), g)
-    # blind: every eigenvalue of the assembled tridiagonal, no target
-    A = np.diag(H.diag) + np.diag(H.lower, -1) + np.diag(H.upper, 1)
-    evs = eigvals(A)
+    g = Grid(-6.0, 6.0, 201, line)
+    H = build_hamiltonian(lambda z: eval_rpt(RPT, z), g)
+    # blind: every eigenvalue of the assembled pencil, no target
+    evs = eigvals(_dense(H.bands), _dense(H.mass))
     for E in (-16.0, -4.0, -1.0):
         assert np.min(np.abs(evs - E)) <= 2e-3
 
 
 def test_residual_of_exact_eigenvector():
     g = Grid(-8.0, 8.0, 161, None)
-    H = build_three_point(lambda z: z ** 2, g)
-    assert not np.any(H.diag.imag) and np.array_equal(H.lower, H.upper)
-    lams, vecs = eigh_tridiagonal(H.diag.real, H.lower.real)
+    H = build_hamiltonian(lambda z: z ** 2, g)
+    lams, vecs = eig(*_real_pencil(H))
     k = np.argmin(np.abs(lams - 1.0))
     assert residual(np.pad(vecs[:, k], 1), lams[k], H) <= 1e-12
 
@@ -274,7 +284,7 @@ def test_residual_second_order_ratio():
         psi = rpt_wavefunction(RPT, level, line.point(g.points()))
         vals.append(residual(psi, level.energy, H))
     assert vals[1] <= 1e-2
-    assert 3.5 <= vals[0] / vals[1] <= 4.5
+    assert 14.0 <= vals[0] / vals[1] <= 18.0  # h^4
 
 
 def test_residual_arbitrates_jacobi_convention():
@@ -288,7 +298,7 @@ def test_residual_arbitrates_jacobi_convention():
             pair.append(residual(psi, level.energy, H))
         out[conv] = pair
     assert out["reduction"][1] <= 1e-2
-    assert 3.5 <= out["reduction"][0] / out["reduction"][1] <= 4.5
+    assert 14.0 <= out["reduction"][0] / out["reduction"][1] <= 18.0  # h^4
     # the printed parameters do not solve the equation at all
     assert out["printed"][0] > 0.5
     assert out["printed"][1] > 0.5
@@ -377,14 +387,17 @@ def test_verify_family_runs_on_the_grid_contour():
         verify_family(EckartParams(3.0, 1.0, 0.6), Grid(*window)))
 
 
-def test_numerov_stencil_row():
-    g = Grid(-0.5, 0.5, 11, ShiftedLine(0.5))  # h = 0.1
+@pytest.mark.parametrize("contour", [None, ShiftedLine(0.5)], ids=["real_line", "shifted_line"])
+def test_numerov_stencil_row(contour):
+    g = Grid(-0.5, 0.5, 11, contour)  # h = 0.1
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
     m_diag, m_lower, m_upper, m_left, m_right = H.mass
     mid = 4
     # V = 0, xi' = 1: A = L = tridiag(-1, 2, -1)/h^2 and M = B = tridiag(1, 10, 1)/12
+    # exactly; row mid holds lower[mid - 1], diag[mid] and upper[mid]
     assert H.lower[mid - 1] == H.upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
-    assert H.diag[mid] == 2.0 / g.h ** 2
+    assert H.diag[mid] == 2.0 / g.h ** 2 == pytest.approx(200.0)
+    assert np.array_equal(H.lower, H.upper)
     assert H.bc_left == H.bc_right == -1.0 / g.h ** 2
     assert m_lower[mid - 1] == m_upper[mid] == m_left == m_right == 1 / 12
     assert m_diag[mid] == 10 / 12
