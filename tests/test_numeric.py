@@ -388,16 +388,26 @@ def test_verify_family_runs_on_the_grid_contour():
 
 
 @pytest.mark.parametrize("contour", [None, ShiftedLine(0.5)], ids=["real_line", "shifted_line"])
-def test_numerov_stencil_row(contour):
+def test_laplacian_stencil_row(contour):
     g = Grid(-0.5, 0.5, 11, contour)  # h = 0.1
+    H = build_hamiltonian(lambda z: np.zeros_like(z), g)
+    mid = 4
+    # V = 0, xi' = 1: the pencil's A is the flat stencil tridiag(-1, 2, -1)/h^2 exactly;
+    # row mid holds lower[mid - 1], diag[mid] and upper[mid]
+    assert H.lower[mid - 1] == H.upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
+    assert H.diag[mid] == 2.0 / g.h ** 2 == pytest.approx(200.0)
+    assert np.array_equal(H.lower, H.upper)
+    assert H.bc_left == H.bc_right == -1.0 / g.h ** 2
+
+
+def test_numerov_stencil_row():
+    g = Grid(-0.5, 0.5, 11, ShiftedLine(0.5))  # h = 0.1
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
     m_diag, m_lower, m_upper, m_left, m_right = H.mass
     mid = 4
     # V = 0, xi' = 1: A = L = tridiag(-1, 2, -1)/h^2 and M = B = tridiag(1, 10, 1)/12
-    # exactly; row mid holds lower[mid - 1], diag[mid] and upper[mid]
     assert H.lower[mid - 1] == H.upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
-    assert H.diag[mid] == 2.0 / g.h ** 2 == pytest.approx(200.0)
-    assert np.array_equal(H.lower, H.upper)
+    assert H.diag[mid] == 2.0 / g.h ** 2
     assert H.bc_left == H.bc_right == -1.0 / g.h ** 2
     assert m_lower[mid - 1] == m_upper[mid] == m_left == m_right == 1 / 12
     assert m_diag[mid] == 10 / 12
