@@ -58,7 +58,7 @@ from .spectra import (  # noqa: F401
 # --A, --beta, --alpha, --C: every parameter-record field except epsilon,
 # which is a flag of its own (an angle literal, the arch angle for Hulthen).
 _PARAM_FLAGS = tuple(dict.fromkeys(
-    f.name for fam in FAMILIES.values() for f in dataclasses.fields(fam.params)
+    f.name for fam in FAMILIES.values() for f in dataclasses.fields(fam.canonical)
     if f.name != "epsilon"))
 
 # transform's own sampling window; it does not use the family's verify grid
@@ -187,7 +187,7 @@ def _setup(args):
     """(family record, parameters, contour): the flags given, over the
     family's canonical setup."""
     fam = FAMILIES[args.family]
-    fields = [f.name for f in dataclasses.fields(fam.params)]
+    fields = [f.name for f in dataclasses.fields(fam.canonical)]
     given = {name: getattr(args, name) for name in _PARAM_FLAGS
              if getattr(args, name) is not None}
     stray = [name for name in given if name not in fields]

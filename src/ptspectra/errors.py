@@ -58,12 +58,12 @@ class NoConvergence(SpectraError):
 
 
 class ResolutionLimit(SpectraError):
-    """The verify grid cannot resolve a level: the level needs more grid
-    points than the point cap, or a longer range than the one on which its
-    far field stays finite; its eigenvalue or residual moves across its
-    tolerance when the step is halved; or its inverse iteration does not
-    settle on the rule grid. `verify_family` still solves the level on the
-    capped grid and reports it with this note, never as a pass."""
+    """The verify grid cannot resolve a level: on the grid `verify_family`
+    sizes, the level needs more grid points than the point cap, or a longer
+    range than the one on which its far field stays finite; on any grid,
+    its eigenvalue or residual moves across its tolerance when the step is
+    halved, or its inverse iteration does not settle. `verify_family` still
+    solves the level and reports it with this note, never as a pass."""
 
 
 class ShiftSingular(SpectraError):

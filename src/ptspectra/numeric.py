@@ -1,7 +1,8 @@
 """Finite-difference verification engine for the closed forms.
 
 The one discrete operator is a complex tridiagonal pencil A u = lambda M u
-on the grid's interior nodes, with Dirichlet truncation at the ends. The
+on the grid's interior nodes, with Dirichlet truncation at the ends;
+`DiscretizedHamiltonian` stores A and M alike, as band tuples. The
 contour is part of the `Grid` (None is the real line).
 
 `build_hamiltonian(evaluator, grid)` is the fourth-order Numerov pencil
@@ -32,10 +33,11 @@ past the range on which every level decays to tol_energy, a sets the
 core step a ds from the shortest local wavelength and the singularity
 distance eps, and n is the fewest points that meet the step and the
 Numerov residual estimates, capped at 1001. A level the capped grid
-cannot resolve (too many points, a range past where its far field stays
-finite, or an eigenvalue or residual that moves across its tolerance when
-the step is halved) is still solved, but its entry is typed
-ResolutionLimit and never passes.
+cannot resolve (too many points, or a range past where its far field
+stays finite) is still solved, but its entry is typed ResolutionLimit and
+never passes. On every grid, given or sized, a failing level whose
+eigenvalue or residual moves across its tolerance when the step is
+halved, or whose inverse iteration does not settle, is typed the same way.
 
 `FAMILIES` holds one `Family` record per parameter type; `verify_family`
 and the CLI dispatch through it.
@@ -154,45 +156,19 @@ def _norm_inf(bands) -> float:
 class DiscretizedHamiltonian:
     """Complex tridiagonal pencil A u = lambda M u on the grid's interior nodes.
 
-    `diag`/`lower`/`upper` hold A. `bc_left`/`bc_right` are the couplings
-    of A's first/last interior row to the (Dirichlet-zero) boundary nodes;
-    residual evaluation of analytic wave functions needs them to apply the
-    full stencil. `mass` holds M in the same layout,
-    (diag, lower, upper, bc_left, bc_right). `norms` holds
-    (||A||_inf, ||M||_inf), taken once when the pencil is built.
+    `A` and `M` each hold (diag, lower, upper, bc_left, bc_right): the three
+    bands and the couplings of the first/last interior row to the
+    (Dirichlet-zero) boundary nodes, which the residual of a whole-grid
+    sample needs. `norms` holds (||A||_inf, ||M||_inf), taken once when the
+    pencil is built.
     """
 
-    diag: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    bc_left: complex
-    bc_right: complex
+    A: tuple
+    M: tuple
     grid: Grid
-    mass: tuple
 
     def __post_init__(self):
-        self.norms = (_norm_inf(self.bands), _norm_inf(self.mass))
-
-    @property
-    def n_interior(self) -> int:
-        return len(self.diag)
-
-    @property
-    def bands(self) -> tuple:
-        """A as (diag, lower, upper, bc_left, bc_right)."""
-        return self.diag, self.lower, self.upper, self.bc_left, self.bc_right
-
-    def apply(self, v: np.ndarray):
-        """(A v, M v) for an interior-node vector (boundary values taken as 0)."""
-        return _band_product(self.bands, v), _band_product(self.mass, v)
-
-    def apply_full(self, psi: np.ndarray):
-        """(A psi, M psi) for a whole-grid sample, returned on the interior
-        nodes; uses the actual boundary samples of psi."""
-        if len(psi) != self.grid.n_points:
-            raise ValueError("psi must be sampled on the full grid")
-        v, ends = np.asarray(psi[1:-1], dtype=complex), (psi[0], psi[-1])
-        return _band_product(self.bands, v, ends), _band_product(self.mass, v, ends)
+        self.norms = (_norm_inf(self.A), _norm_inf(self.M))
 
 
 @dataclass
@@ -223,12 +199,14 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
     if small < _METRIC_FLOOR:
         raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e} on the grid")
     Q = add_curvature(xp ** 2 * np.asarray(evaluator(xi), dtype=complex), xp, xp2, xp3)
-    W = xp ** 2
     off, b0, b1 = -1.0 / grid.h ** 2, 10.0 / 12.0, 1.0 / 12.0
+
+    def weighted(F):  # the rows of B diag(F)
+        return b0 * F[1:-1], b1 * F[1:-2], b1 * F[2:-1], complex(b1 * F[0]), complex(b1 * F[-1])
+
+    laplacian = (2.0 / grid.h ** 2, off, off, off, off)
     return DiscretizedHamiltonian(
-        2.0 / grid.h ** 2 + b0 * Q[1:-1], off + b1 * Q[1:-2], off + b1 * Q[2:-1],
-        complex(off + b1 * Q[0]), complex(off + b1 * Q[-1]), grid,
-        (b0 * W[1:-1], b1 * W[1:-2], b1 * W[2:-1], complex(b1 * W[0]), complex(b1 * W[-1])))
+        tuple(l + b for l, b in zip(laplacian, weighted(Q))), weighted(xp ** 2), grid)
 
 
 def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
@@ -248,19 +226,20 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
     restarts once at the shift nudged by _SHIFT_NUDGE before ShiftSingular
     is raised. Fewer than 3 interior nodes raise InvalidParameters.
     """
-    n = H.n_interior
+    a_diag, a_lower, a_upper = H.A[:3]
+    m_diag, m_lower, m_upper = H.M[:3]
+    n = len(a_diag)
     if n < 3:
         raise InvalidParameters(f"{n} interior nodes; inverse iteration needs at least 3")
     tol = _SWEEP_TOL * (H.norms[0] + abs(target) * H.norms[1])
-    m_diag, m_lower, m_upper = H.mass[:3]
     rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    Mv = H.apply(v)[1]
+    Mv = _band_product(H.M, v)
     lam_prev, best_residual, it = None, math.inf, 0
     for shift in (complex(target), complex(target) + _SHIFT_NUDGE):
-        *lu, info = zgttrf(H.lower - shift * m_lower, H.diag - shift * m_diag,
-                           H.upper - shift * m_upper)
+        *lu, info = zgttrf(a_lower - shift * m_lower, a_diag - shift * m_diag,
+                           a_upper - shift * m_upper)
         failure = "shifted system singular" if info > 0 else None
         while failure is None and it < _MAX_SWEEPS:
             w, _ = zgttrs(*lu, Mv)
@@ -270,7 +249,7 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
                 break
             it += 1
             v = w / nw
-            Av, Mv = H.apply(v)
+            Av, Mv = _band_product(H.A, v), _band_product(H.M, v)
             lam = complex(np.vdot(v, Av) / np.vdot(v, Mv))
             res = float(np.max(np.abs(Av - lam * Mv)) / np.max(np.abs(v)))
             best_residual = min(best_residual, res)
@@ -289,14 +268,17 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
 def residual(psi, E, H: DiscretizedHamiltonian) -> float:
     """max |A psi - E M psi| over interior nodes, ends buffered, / max|psi|.
 
-    psi is sampled on the full grid; for the Numerov pencil it is the
-    Liouville unknown u = psi / sqrt(xi'). A _RESIDUAL_BUFFER share of
-    interior nodes at each end is excluded to keep boundary-truncation
-    artifacts out of the norm. InvalidParameters when that leaves no node.
+    psi is sampled on the full grid (ValueError otherwise); for the Numerov
+    pencil it is the Liouville unknown u = psi / sqrt(xi'). A
+    _RESIDUAL_BUFFER share of interior nodes at each end is excluded to keep
+    boundary-truncation artifacts out of the norm. InvalidParameters when
+    that leaves no node.
     """
     psi = np.asarray(psi, dtype=complex)
-    Apsi, Mpsi = H.apply_full(psi)
-    r = Apsi - complex(E) * Mpsi
+    if len(psi) != H.grid.n_points:
+        raise ValueError("psi must be sampled on the full grid")
+    v, ends = psi[1:-1], (psi[0], psi[-1])
+    r = _band_product(H.A, v, ends) - complex(E) * _band_product(H.M, v, ends)
     nb = int(math.ceil(_RESIDUAL_BUFFER * len(r)))
     core = r[nb:len(r) - nb] if nb else r
     if not core.size:
@@ -363,8 +345,9 @@ class Family:
     attribute sees every call. `contour(params)` builds the path of the
     record's `epsilon`: the shift of a ShiftedLine, the angle of
     Hulthen's ArchContour.
-    `canonical` is the README setup and the CLI's parameter defaults,
-    `grid` the uniform window (x_min, x_max, n_points) that `sample`
+    `canonical` is the README setup and the CLI's parameter defaults; its
+    type is the family's parameter record.
+    `grid` is the uniform window (x_min, x_max, n_points) that `sample`
     tabulates and that `verify`'s window flags fall back on, and
     `aux_columns` the level aux entries the spectrum table prints after
     kappa (a `_re`/`_im` suffix takes that part of a complex entry).
@@ -378,7 +361,6 @@ class Family:
     """
 
     name: str
-    params: type
     canonical: object
     spectrum: Callable
     potential: Callable
@@ -398,7 +380,7 @@ class Family:
 # wrong wave function (the printed Jacobi convention, tau-swapped rpt labels:
 # 9 and more); the h -> h/2 order does the fine work.
 FAMILIES = {f.name: f for f in (
-    Family("eckart", EckartParams, EckartParams(3.0, 1.0, 0.5),
+    Family("eckart", EckartParams(3.0, 1.0, 0.5),
            spectrum=lambda p: _sp.eckart_spectrum(p),
            potential=lambda p, xi: eval_eckart(p, xi),
            wavefunction=lambda p, level, contour, x:
@@ -408,7 +390,7 @@ FAMILIES = {f.name: f for f in (
            aux_columns=("u_re", "u_im", "v_re", "v_im"),
            decay=lambda level: level.aux["D"],
            reach=lambda level: 700.0),
-    Family("rpt", PoschlTellerParams, PoschlTellerParams(3.5, 1.5, 0.3),
+    Family("rpt", PoschlTellerParams(3.5, 1.5, 0.3),
            spectrum=lambda p: _sp.rpt_spectrum(p),
            potential=lambda p, xi: eval_rpt(p, xi),
            wavefunction=lambda p, level, contour, x:
@@ -418,7 +400,7 @@ FAMILIES = {f.name: f for f in (
            aux_columns=(),
            decay=lambda level: level.aux["kappa"],
            reach=lambda level: 700.0 / (1 + 2 * level.qn.N)),
-    Family("hulthen", HulthenParams, HulthenParams(2.0, 2.0),
+    Family("hulthen", HulthenParams(2.0, 2.0),
            spectrum=lambda p: _sp.hulthen_spectrum(p),
            potential=lambda p, xi: eval_hulthen(p, xi),
            wavefunction=lambda p, level, contour, x:
@@ -512,18 +494,21 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     u = psi exp(-log(xi')/2) with the branch-continuous log (exactly psi
     where xi' = 1); the stated-grid residual reads its even nodes. A
     missing grid is the stretched grid `_rule_grid` sizes from the closed
-    forms, on the canonical contour; there a level the grid cannot resolve
-    is still solved, but its entry is not converged and its note starts
-    with ResolutionLimit. A given grid is used as it is, and one without a
-    contour gets the family's canonical contour. The PT defect is sampled
-    on 201 points of the grid's range. An eigenvalue must match its
-    energy within `tol_energy` and have |Im| within 10 * `tol_energy`, and
-    the stated-grid residual must be within `tol_residual`; both
-    tolerances must be finite and > 0 (InvalidParameters). Constituent
-    errors become failed report entries, not exceptions; such an entry
-    counts the sweeps already run.
+    forms, on the canonical contour; a level that grid cannot resolve is
+    still solved, but its entry is not converged and its note starts with
+    ResolutionLimit. A given grid is used as it is, and one without a
+    contour gets the family's canonical contour. On either grid, a failing
+    level whose eigenvalue moves by more than `tol_energy`, or whose
+    residual crosses `tol_residual`, when the step is halved, and a level
+    whose inverse iteration does not settle, is typed ResolutionLimit too.
+    The PT defect is sampled on 201 points of the grid's range. An
+    eigenvalue must match its energy within `tol_energy` and have |Im|
+    within 10 * `tol_energy`, and the stated-grid residual must be within
+    `tol_residual`; both tolerances must be finite and > 0
+    (InvalidParameters). Constituent errors become failed report entries,
+    not exceptions; such an entry counts the sweeps already run.
     """
-    fam = next((f for f in FAMILIES.values() if isinstance(params, f.params)), None)
+    fam = next((f for f in FAMILIES.values() if isinstance(params, type(f.canonical))), None)
     if fam is None:
         raise TypeError(f"unknown parameter record {type(params).__name__}")
     if tol_energy is None:
@@ -535,8 +520,7 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
                                 f"tol_energy={tol_energy}, tol_residual={tol_residual}")
     tol_imag = 10 * tol_energy
     levels = fam.spectrum(params)
-    rule = grid is None
-    if rule:
+    if grid is None:
         grid, limits = _rule_grid(fam, params, levels, tol_energy, tol_residual)
     else:
         limits = [""] * len(levels)
@@ -572,7 +556,7 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E, lam, abs_err,
                                  abs(lam.imag), res_c, res_f, order, iters, ok)
             step = abs(fine_res.eigenvalue - coarse.eigenvalue)
-            if rule and not ok and (step > tol_energy or res_f <= tol_residual < res_c):
+            if not ok and (step > tol_energy or res_f <= tol_residual < res_c):
                 # halving the step moves the verdict's quantities across a
                 # tolerance: the stated grid does not resolve them
                 limit = limit or (f"halving the step moves the eigenvalue by {step:.3g} "
@@ -583,9 +567,9 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
                                  float("inf"), float("inf"), float("nan"),
                                  iters + getattr(exc, "iterations", 0),
                                  False, f"{type(exc).__name__}: {exc}")
-        if rule and record.note.startswith(NoConvergence.__name__):
-            # the rule grid already meets the step estimates: an eigenpair
-            # that does not settle on it is below its floating-point resolution
+        if record.note.startswith(NoConvergence.__name__):
+            # an eigenpair that does not settle on the grid is below what
+            # the grid resolves in floating point
             limit = limit or f"no settled eigenpair on {grid.n_points} points ({record.note})"
         if limit:
             record.converged, record.note = False, f"{ResolutionLimit.__name__}: {limit}"

@@ -5,7 +5,8 @@ quantum numbers, applies the closed-form energy, and stores the derived
 auxiliary parameters needed by the wave functions. Range boundaries are
 strict; a level sitting within 1e-12 of its admissibility boundary is
 excluded and reported through BoundaryLevelWarning (the normalizability
-argument degenerates exactly there).
+argument degenerates exactly there). A walk past 10^4 quantum numbers
+(couplings too large to enumerate) raises InvalidParameters.
 
 Energies are kept as floats. If a closed form develops an imaginary part
 above 1e-12 under nominally real couplings, that is a bug in this module,
@@ -31,7 +32,7 @@ from .potentials import EckartParams, HulthenParams, PoschlTellerParams
 from .special import HypergeometricReduction, jacobi_p_hyp
 
 BOUNDARY_TOL = 1e-12
-_MAX_HULTHEN_SLOTS = 10000
+_MAX_SLOTS = 10000
 
 _SIGN_NAMES = {1: "+", -1: "-"}
 
@@ -60,6 +61,15 @@ class Level:
     aux: dict = field(default_factory=dict)
 
 
+def _check_slot(family, N):
+    """InvalidParameters past slot _MAX_SLOTS of an enumeration: above about
+    2^53 a coupling minus N rounds back to the coupling, and the walk would
+    not end."""
+    if N > _MAX_SLOTS:
+        raise InvalidParameters(f"{family} enumeration passes {_MAX_SLOTS} slots; "
+                                f"the couplings are too large")
+
+
 def eckart_spectrum(p: EckartParams) -> list:
     """All bound levels E_N = -D^2 + beta^2/D^2, D = A-N-1 > 0 strictly.
 
@@ -69,6 +79,7 @@ def eckart_spectrum(p: EckartParams) -> list:
     levels = []
     N = 0
     while True:
+        _check_slot("eckart", N)
         D = p.A - N - 1
         if D <= BOUNDARY_TOL:
             if 0.0 < D:
@@ -130,6 +141,7 @@ def rpt_spectrum(p: PoschlTellerParams) -> list:
         limit = -sigma * p.alpha - tau * p.beta
         N = 0
         while True:
+            _check_slot("rpt", N)
             margin = limit - (2 * N + 1)
             if margin <= BOUNDARY_TOL:
                 if margin > 0.0:
@@ -141,8 +153,7 @@ def rpt_spectrum(p: PoschlTellerParams) -> list:
                 break
             kappa = margin
             E = -((2 * N + 1 + sigma * p.alpha + tau * p.beta) ** 2)
-            aux = {"kappa": kappa, "two_mu": tau * p.beta + 0.5, "two_nu": sigma * p.alpha + 0.5}
-            levels.append(Level(QuantumNumbers("rpt", N, sigma, tau), E, aux))
+            levels.append(Level(QuantumNumbers("rpt", N, sigma, tau), E, {"kappa": kappa}))
             N += 1
     return levels
 
@@ -187,8 +198,7 @@ def hulthen_spectrum(p: HulthenParams) -> list:
     for sigma in (-1, 1):
         n = 0
         while True:
-            if n > _MAX_HULTHEN_SLOTS:
-                raise InternalConsistencyError("hulthen enumeration failed to terminate")
+            _check_slot("hulthen", n)
             s = sigma * p.alpha + 2 * n + 1
             if abs(s) <= BOUNDARY_TOL:
                 warnings.warn(f"hulthen (sigma={sigma}, n={n}): s = 0, slot skipped", DegenerateSWarning)
@@ -210,7 +220,7 @@ def hulthen_spectrum(p: HulthenParams) -> list:
                     if abs(E - kappa * kappa) > 1e-12 * max(1.0, kappa * kappa):
                         raise InternalConsistencyError("E and kappa^2 closed forms disagree")
                     tau = 1 if tau_beta > 0 else -1
-                    aux = {"s": s, "tau_beta": tau_beta, "kappa": kappa, "beta": abs(tau_beta)}
+                    aux = {"s": s, "tau_beta": tau_beta, "kappa": kappa}
                     levels.append(Level(QuantumNumbers("hulthen", n, sigma, tau), E, aux))
             n += 1
     return levels

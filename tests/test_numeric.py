@@ -91,13 +91,14 @@ def test_harmonic_ground_state():
 
 def test_complex_symmetric_discretization():
     H, _, _ = _ham(RPT, 0.3, -12, 12, 301)
-    _, m_lower, m_upper = H.mass[:3]
+    a_diag, a_lower, a_upper = H.A[:3]
+    _, m_lower, m_upper = H.M[:3]
     # M = B = M^T and A = L + B diag(V) with L, B symmetric, not Hermitian:
     # M's sub- and superdiagonal, and the two off-diagonal entries of each
     # column of A, are equal bit for bit
     assert np.array_equal(m_lower, m_upper)
-    assert np.array_equal(H.lower[1:], H.upper[:-1])
-    assert np.any(H.diag.imag)
+    assert np.array_equal(a_lower[1:], a_upper[:-1])
+    assert np.any(a_diag.imag)
 
 
 def test_metric_vanishing_guard():
@@ -154,9 +155,9 @@ def _dense(bands):
 
 def _real_pencil(H):
     """Dense (A, M) of a pencil with real bands; M is symmetric."""
-    assert not any(np.any(np.imag(b)) for b in H.bands[:3] + H.mass[:3])
-    assert np.array_equal(H.mass[1], H.mass[2])
-    return _dense(H.bands).real, _dense(H.mass).real
+    assert not any(np.any(np.imag(b)) for b in H.A[:3] + H.M[:3])
+    assert np.array_equal(H.M[1], H.M[2])
+    return _dense(H.A).real, _dense(H.M).real
 
 
 def test_targeted_shift_on_exact_eigenvalue():
@@ -220,7 +221,8 @@ def test_failed_fine_solve_keeps_the_coarse_sweeps(monkeypatch):
     entries = verify_family(ECK, grid).entries
     assert entries
     for e in entries:
-        assert e.note == "NoConvergence: stalled"
+        assert e.note.startswith("ResolutionLimit: no settled eigenpair on")
+        assert e.note.endswith("(NoConvergence: stalled)")
         assert e.iterations == solve(H, e.E_analytic).iterations + 7
 
 
@@ -228,7 +230,7 @@ def _diagonal(d):
     d = np.asarray(d, dtype=complex)
     z = np.zeros(len(d) - 1, dtype=complex)
     identity = (np.ones(len(d), dtype=complex), z, z, 0j, 0j)
-    return DiscretizedHamiltonian(d, z, z.copy(), 0j, 0j, Grid(-1.0, 1.0, len(d) + 2), identity)
+    return DiscretizedHamiltonian((d, z, z.copy(), 0j, 0j), identity, Grid(-1.0, 1.0, len(d) + 2))
 
 
 def test_targeted_singular_shift_is_nudged_once():
@@ -250,7 +252,7 @@ def test_dense_rpt_coarse_spectrum():
     g = Grid(-6.0, 6.0, 201, line)
     H = build_hamiltonian(lambda z: eval_rpt(RPT, z), g)
     # blind: every eigenvalue of the assembled pencil, no target
-    evs = eigvals(_dense(H.bands), _dense(H.mass))
+    evs = eigvals(_dense(H.A), _dense(H.M))
     for E in (-16.0, -4.0, -1.0):
         assert np.min(np.abs(evs - E)) <= 2e-3
 
@@ -268,6 +270,14 @@ def test_residual_without_a_core_node_is_a_typed_error():
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
     with pytest.raises(InvalidParameters):
         residual(np.ones(4), 0.0, H)
+
+
+def test_residual_needs_a_sample_on_the_full_grid():
+    g = Grid(-1.0, 1.0, 11, None)
+    H = build_hamiltonian(lambda z: np.zeros_like(z), g)
+    for n in (9, 10, 12):
+        with pytest.raises(ValueError, match="psi must be sampled on the full grid"):
+            residual(np.ones(n), 0.0, H)
 
 
 def test_verify_family_too_few_nodes_gives_failed_entries():
@@ -387,28 +397,44 @@ def test_verify_family_runs_on_the_grid_contour():
         verify_family(EckartParams(3.0, 1.0, 0.6), Grid(*window)))
 
 
+def test_unresolved_levels_on_a_given_grid_are_resolution_limits():
+    # 201 points on the rpt window do not resolve the (-,-) levels: halving
+    # the step moves their eigenvalues and residuals across the tolerances
+    rep = verify_family(RPT, Grid(-12.0, 12.0, 201))
+    by_label = {e.label: e for e in rep.entries}
+    assert by_label["(-,+,0)"].converged and not by_label["(-,+,0)"].note
+    for label in ("(-,-,0)", "(-,-,1)"):
+        e = by_label[label]
+        assert not e.converged
+        assert e.note.startswith("ResolutionLimit: halving the step moves the eigenvalue by")
+    # the same window at 301 points resolves every level
+    assert verify_family(RPT, Grid(-12.0, 12.0, 301)).passed
+
+
 @pytest.mark.parametrize("contour", [None, ShiftedLine(0.5)], ids=["real_line", "shifted_line"])
 def test_laplacian_stencil_row(contour):
     g = Grid(-0.5, 0.5, 11, contour)  # h = 0.1
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
+    a_diag, a_lower, a_upper, a_left, a_right = H.A
     mid = 4
     # V = 0, xi' = 1: the pencil's A is the flat stencil tridiag(-1, 2, -1)/h^2 exactly;
     # row mid holds lower[mid - 1], diag[mid] and upper[mid]
-    assert H.lower[mid - 1] == H.upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
-    assert H.diag[mid] == 2.0 / g.h ** 2 == pytest.approx(200.0)
-    assert np.array_equal(H.lower, H.upper)
-    assert H.bc_left == H.bc_right == -1.0 / g.h ** 2
+    assert a_lower[mid - 1] == a_upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
+    assert a_diag[mid] == 2.0 / g.h ** 2 == pytest.approx(200.0)
+    assert np.array_equal(a_lower, a_upper)
+    assert a_left == a_right == -1.0 / g.h ** 2
 
 
 def test_numerov_stencil_row():
     g = Grid(-0.5, 0.5, 11, ShiftedLine(0.5))  # h = 0.1
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
-    m_diag, m_lower, m_upper, m_left, m_right = H.mass
+    a_diag, a_lower, a_upper, a_left, a_right = H.A
+    m_diag, m_lower, m_upper, m_left, m_right = H.M
     mid = 4
     # V = 0, xi' = 1: A = L = tridiag(-1, 2, -1)/h^2 and M = B = tridiag(1, 10, 1)/12
-    assert H.lower[mid - 1] == H.upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
-    assert H.diag[mid] == 2.0 / g.h ** 2
-    assert H.bc_left == H.bc_right == -1.0 / g.h ** 2
+    assert a_lower[mid - 1] == a_upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
+    assert a_diag[mid] == 2.0 / g.h ** 2
+    assert a_left == a_right == -1.0 / g.h ** 2
     assert m_lower[mid - 1] == m_upper[mid] == m_left == m_right == 1 / 12
     assert m_diag[mid] == 10 / 12
 
@@ -422,11 +448,12 @@ def test_numerov_pencil_carries_the_potential_on_the_neighbours():
     L = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / g.h ** 2
     B = (10 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 12
     A = L + B @ np.diag(V)
-    assert np.allclose(H.diag, np.diag(A)[1:-1], rtol=1e-14, atol=0)
-    assert np.allclose(H.lower, np.diag(A, -1)[1:-1], rtol=1e-14, atol=0)
-    assert np.allclose(H.upper, np.diag(A, 1)[1:-1], rtol=1e-14, atol=0)
-    assert H.bc_left == pytest.approx(A[1, 0], rel=1e-14)
-    assert H.bc_right == pytest.approx(A[-2, -1], rel=1e-14)
+    a_diag, a_lower, a_upper, a_left, a_right = H.A
+    assert np.allclose(a_diag, np.diag(A)[1:-1], rtol=1e-14, atol=0)
+    assert np.allclose(a_lower, np.diag(A, -1)[1:-1], rtol=1e-14, atol=0)
+    assert np.allclose(a_upper, np.diag(A, 1)[1:-1], rtol=1e-14, atol=0)
+    assert a_left == pytest.approx(A[1, 0], rel=1e-14)
+    assert a_right == pytest.approx(A[-2, -1], rel=1e-14)
 
 
 @pytest.mark.parametrize("contour", [
@@ -553,7 +580,7 @@ def test_random_admissible_draws_pass_or_are_typed(name):
     rng = np.random.default_rng(2024)
     entries = []
     for _ in range(30):
-        params = fam.params(*(rng.uniform(lo, hi) for lo, hi in _DRAW_BOXES[name]))
+        params = type(fam.canonical)(*(rng.uniform(lo, hi) for lo, hi in _DRAW_BOXES[name]))
         rep = verify_family(params)
         assert rep.passed == all(e.converged for e in rep.entries)
         entries += rep.entries

@@ -14,7 +14,10 @@ from ptspectra import (
     eval_eckart,
     eval_hulthen,
     eval_rpt,
+    eckart_spectrum,
+    hulthen_spectrum,
     pt_defect,
+    rpt_spectrum,
 )
 
 
@@ -43,6 +46,15 @@ def test_param_validation():
     # the arch angle is held to its ArchContour's range the same way
     with pytest.raises(InvalidParameters):
         HulthenParams(2.0, 2.0, epsilon=math.pi / 2)
+    # couplings too large to enumerate: past about 2^53, A - N - 1 rounds
+    # back to A, and 10^5 Eckart levels pass the 10^4 slot cap
+    for spectrum, params in (
+        (eckart_spectrum, EckartParams(1e17, 1.0)), (eckart_spectrum, EckartParams(1e5, 1.0)),
+        (rpt_spectrum, PoschlTellerParams(1e17, 1.0)),
+        (hulthen_spectrum, HulthenParams(2.0, -1e12)), (hulthen_spectrum, HulthenParams(1e17, 2.0)),
+    ):
+        with pytest.raises(InvalidParameters, match="enumeration passes 10000 slots"):
+            spectrum(params)
 
 
 def test_hulthen_derived_couplings():

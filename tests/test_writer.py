@@ -70,7 +70,7 @@ def _bench_argv(command, name, points):
     the first level's N, sigma and tau."""
     fam = FAMILIES[name]
     argv = [command, "--family", name]
-    for field in dataclasses.fields(fam.params):
+    for field in dataclasses.fields(fam.canonical):
         argv += [f"--{field.name}", repr(float(getattr(fam.canonical, field.name)))]
     qn = fam.spectrum(fam.canonical)[0].qn
     return argv + ["--n", str(points), "--N", str(qn.N), "--sigma", str(qn.sigma),
