@@ -22,9 +22,12 @@ refined grid (same endpoints, halved step) for every family. The reported
 eigenvalue is the Richardson combination (16*lambda_fine - lambda_coarse)/15,
 which removes the O(h^4) truncation term of the stencil, and the refined
 pass also yields the convergence-order table of the Numerov residuals.
-Each analytic wave function is sampled once, on the refined grid, and
-scaled to the Liouville unknown; its even nodes are the stated grid's
-nodes, bit for bit.
+The refined grid's even nodes are the stated grid's nodes, bit for bit.
+So each report samples the path, the potential and the Liouville scale
+exp(-log(xi')/2) once, on the refined grid, and the stated-grid pencil
+reads their even nodes. Each analytic wave function is sampled once, on
+the refined grid, and scaled to the Liouville unknown, and the stated-grid
+residual reads its even nodes too.
 
 Without a given grid, `verify_family` sizes a stretched grid from the
 closed forms (`_rule_grid`): the canonical contour re-parametrised by
@@ -43,6 +46,7 @@ halved, or whose inverse iteration does not settle, is typed the same way.
 and the CLI dispatch through it.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -80,6 +84,7 @@ from . import spectra as _sp
 
 _METRIC_FLOOR = 1e-10
 _START_SEED = 42
+_START_VECTORS = 8
 _SWEEP_TOL = 1e-14
 _MAX_SWEEPS = 200
 _SHIFT_NUDGE = 1e-8 * (1 + 1j)
@@ -97,6 +102,7 @@ _RESIDUAL_SAFETY = 100.0
 _RANGE_FACTOR = 1.5
 _PROBE_POINTS = 200
 _STRETCHES = 2.0 ** -np.arange(14)
+_LEVEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -159,13 +165,15 @@ class DiscretizedHamiltonian:
     `A` and `M` each hold (diag, lower, upper, bc_left, bc_right): the three
     bands and the couplings of the first/last interior row to the
     (Dirichlet-zero) boundary nodes, which the residual of a whole-grid
-    sample needs. `norms` holds (||A||_inf, ||M||_inf), taken once when the
-    pencil is built.
+    sample needs. `samples` holds the node samples (Q, xi') a Numerov
+    pencil was built from, on every node of the grid. `norms` holds
+    (||A||_inf, ||M||_inf), taken once when the pencil is built.
     """
 
     A: tuple
     M: tuple
     grid: Grid
+    samples: tuple = ()
 
     def __post_init__(self):
         self.norms = (_norm_inf(self.A), _norm_inf(self.M))
@@ -199,6 +207,12 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
     if small < _METRIC_FLOOR:
         raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e} on the grid")
     Q = add_curvature(xp ** 2 * np.asarray(evaluator(xi), dtype=complex), xp, xp2, xp3)
+    return _numerov_pencil(Q, xp, grid)
+
+
+def _numerov_pencil(Q, xp, grid: Grid) -> DiscretizedHamiltonian:
+    """A = L + B diag(Q) and M = B diag(xp^2) from the node samples Q and
+    xi' on every node of `grid`."""
     off, b0, b1 = -1.0 / grid.h ** 2, 10.0 / 12.0, 1.0 / 12.0
 
     def weighted(F):  # the rows of B diag(F)
@@ -206,21 +220,39 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
 
     laplacian = (2.0 / grid.h ** 2, off, off, off, off)
     return DiscretizedHamiltonian(
-        tuple(l + b for l, b in zip(laplacian, weighted(Q))), weighted(xp ** 2), grid)
+        tuple(l + b for l, b in zip(laplacian, weighted(Q))), weighted(xp ** 2), grid, (Q, xp))
+
+
+def _stated_pencil(Hf: DiscretizedHamiltonian, grid: Grid) -> DiscretizedHamiltonian:
+    """The pencil on `grid` read from the even nodes of `Hf`, the pencil on
+    `grid.refined()`: those nodes are `grid`'s nodes bit for bit, so the
+    bands equal those of `build_hamiltonian` on `grid`."""
+    return _numerov_pencil(*(sample[::2] for sample in Hf.samples), grid)
+
+
+@functools.lru_cache(maxsize=_START_VECTORS)
+def _start_vector(n: int) -> np.ndarray:
+    """The unit start vector of inverse iteration on n nodes, seeded with
+    _START_SEED; read-only, since every solve on n nodes shares it."""
+    rng = np.random.default_rng(_START_SEED)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
     """Shifted inverse iteration for the eigenpair of A u = lambda M u
     nearest `target`.
 
-    Starts from a seeded random vector; A - shift M is factored once
-    (LAPACK gttrf) and each sweep is one gttrs solve of
-    (A - shift M) w = M v. The eigenvalue is the Rayleigh quotient
-    v^H A v / v^H M v and the residual max|A v - lambda M v| / max|v|. A
-    sweep stops when the residual and the change of the Rayleigh quotient
-    since the previous sweep are both within
-    _SWEEP_TOL * (||A||_inf + |target| ||M||_inf): a small residual alone
-    can be a pseudo-eigenpair of this non-normal pencil whose Rayleigh
+    Starts from a seeded random unit vector, drawn once per size for the
+    last _START_VECTORS sizes; A - shift M is factored once (LAPACK gttrf)
+    and each sweep is one gttrs solve of (A - shift M) w = M v. The
+    eigenvalue is the Rayleigh quotient v^H A v / v^H M v and the residual
+    max|A v - lambda M v| / max|v|. A sweep stops when the residual and the
+    change of the Rayleigh quotient since the previous sweep are both
+    within _SWEEP_TOL * (||A||_inf + |target| ||M||_inf): a small residual
+    alone can be a pseudo-eigenpair of this non-normal pencil whose Rayleigh
     quotient still sits on the shift. No settled pair within _MAX_SWEEPS
     sweeps raises NoConvergence. A singular factor or an overflowing solve
     restarts once at the shift nudged by _SHIFT_NUDGE before ShiftSingular
@@ -232,10 +264,9 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
     if n < 3:
         raise InvalidParameters(f"{n} interior nodes; inverse iteration needs at least 3")
     tol = _SWEEP_TOL * (H.norms[0] + abs(target) * H.norms[1])
-    rng = np.random.default_rng(_START_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    Mv = _band_product(H.M, v)
+    Mv = _band_product(H.M, _start_vector(n))
+    u = np.zeros(n + 2, dtype=complex)  # the iterate with its Dirichlet ends
+    v = u[1:-1]
     lam_prev, best_residual, it = None, math.inf, 0
     for shift in (complex(target), complex(target) + _SHIFT_NUDGE):
         *lu, info = zgttrf(a_lower - shift * m_lower, a_diag - shift * m_diag,
@@ -248,13 +279,13 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
                 failure = "shifted solve overflowed"
                 break
             it += 1
-            v = w / nw
+            np.divide(w, nw, out=v)
             Av, Mv = _band_product(H.A, v), _band_product(H.M, v)
             lam = complex(np.vdot(v, Av) / np.vdot(v, Mv))
             res = float(np.max(np.abs(Av - lam * Mv)) / np.max(np.abs(v)))
             best_residual = min(best_residual, res)
             if res <= tol and lam_prev is not None and abs(lam - lam_prev) <= tol:
-                return EigenResult(lam, np.pad(v, 1), res, it)
+                return EigenResult(lam, u, res, it)
             lam_prev = lam
         if failure is None:
             raise NoConvergence(
@@ -413,6 +444,23 @@ FAMILIES = {f.name: f for f in (
 )}
 
 
+def _step_limits(k2, envelope, ranges, x, w, tol_residual):
+    """(level, stretch) array of the largest step in s each stretch allows
+    each level: the minimum of `_rule_grid`'s two Numerov bounds over the
+    probe points x within the level's range. k2 and envelope are
+    (level, probe) and w = a^2 + x^2 is (stretch, probe). The levels are
+    taken _LEVEL_BLOCK at a time, which bounds the (level, stretch, probe)
+    arrays on a long spectrum."""
+    w34 = w ** 0.75
+    bound = (240 * tol_residual / (_RESIDUAL_SAFETY * envelope * k2 ** 3)) ** 0.25
+    ds = np.empty((len(k2), len(w)))
+    for i in range(0, len(k2), _LEVEL_BLOCK):
+        b = slice(i, i + _LEVEL_BLOCK)
+        allowed = np.minimum(_STEP_THETA / np.sqrt(k2[b, None] * w), bound[b, None] / w34)
+        ds[b] = np.min(np.where(x <= ranges[b, None, None], allowed, np.inf), axis=2)
+    return ds
+
+
 def _rule_grid(fam, params, levels, tol_energy, tol_residual):
     """(grid, notes): the stretched verify grid for `levels`, sized from the
     closed forms, and per level a ResolutionLimit note ("" when resolved).
@@ -439,7 +487,8 @@ def _rule_grid(fam, params, levels, tol_energy, tol_residual):
     if not levels:
         return Grid(*fam.grid, contour), []
     d = min(contour.epsilon, math.pi / 2 - contour.epsilon)
-    ranges = np.array([math.log(1 / tol_energy) / fam.decay(l) for l in levels])
+    decay = np.array([fam.decay(l) for l in levels])
+    ranges = math.log(1 / tol_energy) / decay
     reach = min(fam.reach(l) for l in levels)
     far = min(_RANGE_FACTOR * ranges.max(), reach)
     x = d * np.sinh(np.linspace(0.0, math.asinh(far / d), _PROBE_POINTS))
@@ -447,15 +496,10 @@ def _rule_grid(fam, params, levels, tol_energy, tol_residual):
     qv = xp ** 2 * fam.potential(params, xi)
     stretch = far * _STRETCHES[:, None]
     w = stretch ** 2 + x ** 2
-    ds = []  # per level: the step in s each stretch allows
-    for level, L in zip(levels, ranges):
-        k2 = np.abs(add_curvature(qv - level.energy * xp ** 2, xp, xp2, xp3)) + 1 / (x * x + d * d)
-        envelope = np.exp(-np.minimum(fam.decay(level) * x, 700.0))
-        allowed = np.minimum(
-            _STEP_THETA / np.sqrt(k2 * w),
-            (240 * tol_residual / (_RESIDUAL_SAFETY * envelope * k2 ** 3)) ** 0.25 / w ** 0.75)
-        ds.append(np.min(np.where(x <= L, allowed, np.inf), axis=1))
-    ds = np.array(ds)
+    energy = np.array([l.energy for l in levels])[:, None]
+    k2 = np.abs(add_curvature(qv - energy * xp ** 2, xp, xp2, xp3)) + 1 / (x * x + d * d)
+    envelope = np.exp(-np.minimum(decay[:, None] * x, 700.0))
+    ds = _step_limits(k2, envelope, ranges, x, w, tol_residual)
 
     def points(X):  # points each level needs, per stretch, to reach X
         return 2 * np.ceil(np.arcsinh(X / stretch[:, 0]) / ds) + 1
@@ -489,15 +533,18 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     fourth-order Richardson-extrapolated eigenvalues
     (16 lambda_fine - lambda_coarse)/15, Numerov residuals of the analytic
     wave function at both steps with the observed convergence order, and
-    the PT defect. Each analytic wave function is sampled once, on the
-    refined grid, and scaled to the Liouville unknown
-    u = psi exp(-log(xi')/2) with the branch-continuous log (exactly psi
-    where xi' = 1); the stated-grid residual reads its even nodes. A
-    missing grid is the stretched grid `_rule_grid` sizes from the closed
-    forms, on the canonical contour; a level that grid cannot resolve is
-    still solved, but its entry is not converged and its note starts with
-    ResolutionLimit. A given grid is used as it is, and one without a
-    contour gets the family's canonical contour. On either grid, a failing
+    the PT defect. The path, the potential and the Liouville scale
+    exp(-log(xi')/2), with the branch-continuous log, are sampled once per
+    report, on the refined grid (one `build_hamiltonian`), and the
+    stated-grid pencil reads their even nodes, the stated grid's nodes bit
+    for bit. Each analytic wave function is sampled once, on the refined
+    grid, and scaled to the Liouville unknown u = psi exp(-log(xi')/2)
+    (exactly psi where xi' = 1); the stated-grid residual reads its even
+    nodes. A missing grid is the stretched grid `_rule_grid` sizes from the
+    closed forms, on the canonical contour; a level that grid cannot
+    resolve is still solved, but its entry is not converged and its note
+    starts with ResolutionLimit. A given grid is used as it is, and one
+    without a contour gets the family's canonical contour. On either grid, a failing
     level whose eigenvalue moves by more than `tol_energy`, or whose
     residual crosses `tol_residual`, when the step is halved, and a level
     whose inverse iteration does not settle, is typed ResolutionLimit too.
@@ -529,11 +576,10 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     contour = grid.contour
 
     evaluator = lambda xi: fam.potential(params, xi)
-    fine = grid.refined()
-    x_fine = fine.points()
-    xp_fine = contour.derivative(x_fine)
-    H = build_hamiltonian(evaluator, grid)
-    Hf = build_hamiltonian(evaluator, fine)
+    Hf = build_hamiltonian(evaluator, grid.refined())
+    H = _stated_pencil(Hf, grid)
+    x_fine = Hf.grid.points()
+    scale = None  # the Liouville scale exp(-log(xi')/2) on the refined grid
 
     entries = []
     for level, limit in zip(levels, limits):
@@ -546,8 +592,10 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             fine_res = solve_targeted(Hf, E)
             iters += fine_res.iterations
             lam = (16 * fine_res.eigenvalue - coarse.eigenvalue) / 15
-            u_f = (fam.wavefunction(params, level, contour, x_fine)
-                   * np.exp(-0.5 * continuous_log(xp_fine)))
+            psi = fam.wavefunction(params, level, contour, x_fine)
+            if scale is None:
+                scale = np.exp(-0.5 * continuous_log(Hf.samples[1]))
+            u_f = psi * scale
             res_c = residual(u_f[::2], E, H)
             res_f = residual(u_f, E, Hf)
             order = math.log2(res_c / res_f) if res_f > 0 else float("nan")

@@ -216,8 +216,11 @@ def hulthen_spectrum(p: HulthenParams) -> list:
                         DegenerateSWarning,
                     )
                 else:
-                    E = p.C + 0.25 * (s - p.C / s) ** 2
-                    if abs(E - kappa * kappa) > 1e-12 * max(1.0, kappa * kappa):
+                    drift = 0.25 * (s - p.C / s) ** 2
+                    E = p.C + drift
+                    # E cancels C against the drift term, so it is only as
+                    # accurate as their size, not as that of E = kappa^2
+                    if abs(E - kappa * kappa) > 1e-12 * (abs(p.C) + drift):
                         raise InternalConsistencyError("E and kappa^2 closed forms disagree")
                     tau = 1 if tau_beta > 0 else -1
                     aux = {"s": s, "tau_beta": tau_beta, "kappa": kappa}

@@ -7,6 +7,7 @@ from scipy.linalg import eig, eigvals
 
 from ptspectra import (
     ArchContour,
+    BranchDiscontinuity,
     DiscretizedHamiltonian,
     EckartParams,
     Grid,
@@ -80,6 +81,22 @@ def test_grid_point_cap():
 def test_refined_even_nodes_are_the_grid_bitwise(grid):
     g = Grid(*grid)
     assert np.array_equal(g.refined().points()[::2], g.points())
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_stated_pencil_from_the_refined_samples_is_build_hamiltonian(name):
+    # verify_family samples the path and the potential only on the refined
+    # grid and reads the stated-grid pencil off its even nodes: exact only
+    # while every sample there is the stated grid's, bit for bit
+    fam = FAMILIES[name]
+    params = fam.canonical
+    evaluator = lambda xi: fam.potential(params, xi)
+    for grid in (verify_family(params).grid, Grid(*fam.grid, fam.contour(params))):
+        H = build_hamiltonian(evaluator, grid)
+        stated = numeric._stated_pencil(build_hamiltonian(evaluator, grid.refined()), grid)
+        assert stated.grid == grid
+        for ours, direct in zip(stated.A + stated.M + stated.samples, H.A + H.M + H.samples):
+            assert np.array_equal(ours, direct)
 
 
 def test_harmonic_ground_state():
@@ -231,6 +248,45 @@ def _diagonal(d):
     z = np.zeros(len(d) - 1, dtype=complex)
     identity = (np.ones(len(d), dtype=complex), z, z, 0j, 0j)
     return DiscretizedHamiltonian((d, z, z.copy(), 0j, 0j), identity, Grid(-1.0, 1.0, len(d) + 2))
+
+
+def test_start_vector_memo_is_shared_read_only_and_bounded():
+    H, _, _ = _ham(ECK, 0.5, -18.0, 18.0, 401)
+    E = eckart_spectrum(ECK)[0].energy
+    first = solve_targeted(H, E)
+    kept = first.eigenvector.copy()
+    first.eigenvector[:] = 7.0  # a caller's write must not reach the next solve
+    second = solve_targeted(H, E)
+    assert (second.eigenvalue, second.residual, second.iterations) == (
+        first.eigenvalue, first.residual, first.iterations)
+    assert np.array_equal(second.eigenvector, kept)
+    assert not numeric._start_vector(len(H.A[0])).flags.writeable
+    maxsize = numeric._start_vector.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+    for n in range(3, 3 + 2 * maxsize):
+        numeric._start_vector(n)
+    assert numeric._start_vector.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("patched", ["wavefunction", "liouville_scale"])
+def test_a_failed_sample_is_a_failed_entry_per_level(monkeypatch, patched):
+    # the wave function and the report's one Liouville scale are sampled
+    # inside each level's error handling, after both solves
+    good = verify_family(ECK)
+
+    def broken(*args, **kwargs):
+        raise BranchDiscontinuity("patched")
+
+    if patched == "wavefunction":
+        monkeypatch.setattr(spectra, "eckart_wavefunction", broken)
+    else:
+        monkeypatch.setattr(numeric, "continuous_log", broken)
+    rep = verify_family(ECK)
+    assert not rep.passed and len(rep.entries) == len(good.entries) > 1
+    for e, g in zip(rep.entries, good.entries):
+        assert not e.converged
+        assert e.note == "BranchDiscontinuity: patched"
+        assert e.iterations == g.iterations  # the sweeps of both solves
 
 
 def test_targeted_singular_shift_is_nudged_once():
@@ -544,6 +600,25 @@ def test_canonical_accuracy_no_worse_than_the_second_order_verifier(name):
     assert [e.label for e in rep.entries] == list(bounds)
     for e in rep.entries:
         assert e.abs_err <= bounds[e.label]
+
+
+def test_step_limits_equal_the_per_level_loop():
+    # the same element-wise arithmetic as one level at a time, so equal
+    # bit for bit, across a block boundary of the level axis
+    rng = np.random.default_rng(7)
+    levels, probes = 2 * numeric._LEVEL_BLOCK + 5, 200
+    x = np.sort(rng.uniform(0.0, 30.0, probes))
+    w = (30.0 * numeric._STRETCHES[:, None]) ** 2 + x ** 2
+    k2 = rng.uniform(1e-3, 1e3, (levels, probes))
+    envelope = np.exp(-rng.uniform(0.0, 5.0, (levels, 1)) * x)
+    ranges = rng.uniform(1.0, 40.0, levels)
+    tol = 1e-4
+    loop = [np.min(np.where(x <= L, np.minimum(
+                numeric._STEP_THETA / np.sqrt(k * w),
+                (240 * tol / (numeric._RESIDUAL_SAFETY * e * k ** 3)) ** 0.25 / w ** 0.75),
+                np.inf), axis=1)
+            for k, e, L in zip(k2, envelope, ranges)]
+    assert np.array_equal(numeric._step_limits(k2, envelope, ranges, x, w, tol), np.array(loop))
 
 
 def test_rule_grids_are_stretched_and_small_on_the_canonical_setups():

@@ -180,6 +180,20 @@ def test_hulthen_energy_identities():
             seen += 1
 
 
+@pytest.mark.parametrize("C", [-1e5, -1e8])
+def test_hulthen_large_negative_C_enumerates(C):
+    # E = C + (s - C/s)^2/4 cancels two terms of size about |C|, so near
+    # the threshold (small kappa) it carries a rounding error of about
+    # 1e-16 |C|; the closed-form cross-check must allow for that, not
+    # report a library bug
+    levels = hulthen_spectrum(HulthenParams(2.0, C))
+    assert len(levels) == {-1e5: 315, -1e8: 9999}[C]
+    for l in levels:
+        drift = l.energy - C
+        assert abs(l.energy - l.aux["kappa"] ** 2) <= 1e-14 * (abs(C) + drift)
+        assert l.energy > 0
+
+
 def test_hulthen_degenerate_s_slot():
     # alpha = 1 puts sigma=-1, n=0 exactly at s = 0
     with pytest.warns(DegenerateSWarning):
