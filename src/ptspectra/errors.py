@@ -63,7 +63,7 @@ class ResolutionLimit(SpectraError):
     range than the one on which its far field stays finite; on any grid,
     its eigenvalue or residual moves across its tolerance when the step is
     halved, or its inverse iteration does not settle. `verify_family` still
-    solves the level and reports it with this note, never as a pass."""
+    solves the level and reports it with this diagnostic, never as a pass."""
 
 
 class ShiftSingular(SpectraError):

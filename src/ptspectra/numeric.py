@@ -30,17 +30,9 @@ the refined grid, and scaled to the Liouville unknown, and the stated-grid
 residual reads its even nodes too.
 
 Without a given grid, `verify_family` sizes a stretched grid from the
-closed forms (`_rule_grid`): the canonical contour re-parametrised by
-x = a sinh(s) (`Stretched`), uniform in s on [-S, S]. a sinh(S) reaches
-past the range on which every level decays to tol_energy, a sets the
-core step a ds from the shortest local wavelength and the singularity
-distance eps, and n is the fewest points that meet the step and the
-Numerov residual estimates, capped at 1001. A level the capped grid
-cannot resolve (too many points, or a range past where its far field
-stays finite) is still solved, but its entry is typed ResolutionLimit and
-never passes. On every grid, given or sized, a failing level whose
-eigenvalue or residual moves across its tolerance when the step is
-halved, or whose inverse iteration does not settle, is typed the same way.
+closed forms (`_rule_grid`). On every grid, given or sized, a level the
+grid does not resolve is still solved, but its entry's diagnostic is
+ResolutionLimit and it never passes (see `verify_family`).
 
 `FAMILIES` holds one `Family` record per parameter type; `verify_family`
 and the CLI dispatch through it.
@@ -330,20 +322,39 @@ def pt_norm(psi, grid: Grid):
 
 @dataclass
 class LevelRecord:
+    """One level's verdict in a `VerificationReport`.
+
+    `label`, `N`, `sigma`, `tau` name the level and `E_analytic` is its
+    closed-form energy; `eigenvalue` is the Richardson eigenvalue, `abs_err`
+    its distance from `E_analytic` and `im_abs` its |Im|; `residual` and
+    `residual_fine` are the Numerov residuals of the analytic wave function
+    on the stated and the refined grid, `order` their log2 ratio, and
+    `iterations` the sweeps run. A level whose solve or sample raised keeps
+    the failure defaults nan+nanj, inf, inf, inf, inf, nan, and the sweeps
+    run before the error. `converged` means "passed the verdict" (default
+    False); the name stays for the verify CSV header and report readers.
+    `note` is the human text of a failure ("" on a pass), and `diagnostic`
+    the `SpectraError` subclass that typed it: the error's type, or
+    ResolutionLimit where the grid does not resolve the level. It is None
+    on a pass and on a plain failure, which misses a tolerance on a grid
+    that resolves the level.
+    """
+
     label: str
     N: int
     sigma: int
     tau: int
     E_analytic: float
-    eigenvalue: complex
-    abs_err: float
-    im_abs: float
-    residual: float
-    residual_fine: float
-    order: float
-    iterations: int
-    converged: bool
+    eigenvalue: complex = complex("nan+nanj")
+    abs_err: float = math.inf
+    im_abs: float = math.inf
+    residual: float = math.inf
+    residual_fine: float = math.inf
+    order: float = math.nan
+    iterations: int = 0
+    converged: bool = False
     note: str = ""
+    diagnostic: type = None
 
 
 @dataclass
@@ -463,7 +474,7 @@ def _step_limits(k2, envelope, ranges, x, w, tol_residual):
 
 def _rule_grid(fam, params, levels, tol_energy, tol_residual):
     """(grid, notes): the stretched verify grid for `levels`, sized from the
-    closed forms, and per level a ResolutionLimit note ("" when resolved).
+    closed forms, and per level why it is a ResolutionLimit ("" if not).
 
     The grid is Grid(-S, S, n, Stretched(contour, a)) on the canonical
     contour, so the local step in x is h(x) = sqrt(a^2 + x^2) ds.
@@ -529,22 +540,19 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     """End-to-end check of a family's closed forms on the grid's contour.
 
     Enumerates the analytic spectrum, inverse-iterates the Numerov pencil
-    at each analytic energy on the grid and its refinement, reports the
-    fourth-order Richardson-extrapolated eigenvalues
-    (16 lambda_fine - lambda_coarse)/15, Numerov residuals of the analytic
-    wave function at both steps with the observed convergence order, and
-    the PT defect. The path, the potential and the Liouville scale
-    exp(-log(xi')/2), with the branch-continuous log, are sampled once per
-    report, on the refined grid (one `build_hamiltonian`), and the
-    stated-grid pencil reads their even nodes, the stated grid's nodes bit
-    for bit. Each analytic wave function is sampled once, on the refined
-    grid, and scaled to the Liouville unknown u = psi exp(-log(xi')/2)
-    (exactly psi where xi' = 1); the stated-grid residual reads its even
-    nodes. A missing grid is the stretched grid `_rule_grid` sizes from the
-    closed forms, on the canonical contour; a level that grid cannot
-    resolve is still solved, but its entry is not converged and its note
-    starts with ResolutionLimit. A given grid is used as it is, and one
-    without a contour gets the family's canonical contour. On either grid, a failing
+    at each analytic energy on the grid and its refinement, and reports the
+    PT defect and a `LevelRecord` per level: the fourth-order
+    Richardson-extrapolated eigenvalue (16 lambda_fine - lambda_coarse)/15,
+    and the Numerov residuals of the analytic wave function at both steps
+    with the observed convergence order. Each report samples its grid, and
+    each wave function, once, on the refined grid (see the module
+    docstring). A missing grid is the stretched grid `_rule_grid` sizes
+    from the closed forms, on the canonical contour, for the tighter of
+    each tolerance and the family's default, so a looser tolerance
+    verifies on the default's grid; a level that grid cannot resolve is
+    still solved, but it is not converged and its diagnostic is
+    ResolutionLimit. A given grid is used as it is, and one without a
+    contour gets the family's canonical contour. On either grid, a failing
     level whose eigenvalue moves by more than `tol_energy`, or whose
     residual crosses `tol_residual`, when the step is halved, and a level
     whose inverse iteration does not settle, is typed ResolutionLimit too.
@@ -552,8 +560,8 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     eigenvalue must match its energy within `tol_energy` and have |Im|
     within 10 * `tol_energy`, and the stated-grid residual must be within
     `tol_residual`; both tolerances must be finite and > 0
-    (InvalidParameters). Constituent errors become failed report entries,
-    not exceptions; such an entry counts the sweeps already run.
+    (InvalidParameters). Constituent errors become failed entries, not
+    exceptions, typed by their diagnostic and counting the sweeps run.
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, type(f.canonical))), None)
     if fam is None:
@@ -568,7 +576,8 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     tol_imag = 10 * tol_energy
     levels = fam.spectrum(params)
     if grid is None:
-        grid, limits = _rule_grid(fam, params, levels, tol_energy, tol_residual)
+        grid, limits = _rule_grid(fam, params, levels, min(tol_energy, fam.tol_energy),
+                                  min(tol_residual, fam.tol_residual))
     else:
         limits = [""] * len(levels)
     if grid.contour is None:
@@ -611,16 +620,15 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
                                   f"and the residual from {res_c:.3g} to {res_f:.3g}")
         except SpectraError as exc:
             record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E,
-                                 complex("nan+nanj"), float("inf"), float("inf"),
-                                 float("inf"), float("inf"), float("nan"),
-                                 iters + getattr(exc, "iterations", 0),
-                                 False, f"{type(exc).__name__}: {exc}")
-        if record.note.startswith(NoConvergence.__name__):
-            # an eigenpair that does not settle on the grid is below what
-            # the grid resolves in floating point
-            limit = limit or f"no settled eigenpair on {grid.n_points} points ({record.note})"
+                                 iterations=iters + getattr(exc, "iterations", 0),
+                                 note=f"{type(exc).__name__}: {exc}", diagnostic=type(exc))
+            if isinstance(exc, NoConvergence):
+                # an eigenpair that does not settle on the grid is below what
+                # the grid resolves in floating point
+                limit = limit or f"no settled eigenpair on {grid.n_points} points ({record.note})"
         if limit:
-            record.converged, record.note = False, f"{ResolutionLimit.__name__}: {limit}"
+            record.converged, record.diagnostic = False, ResolutionLimit
+            record.note = f"{ResolutionLimit.__name__}: {limit}"
         entries.append(record)
 
     xs = np.linspace(grid.x_min, grid.x_max, 201)

@@ -29,7 +29,7 @@ from .errors import (
     SingularPoint,
 )
 from .potentials import EckartParams, HulthenParams, PoschlTellerParams
-from .special import HypergeometricReduction, jacobi_p_hyp
+from .special import jacobi_p_hyp
 
 BOUNDARY_TOL = 1e-12
 _MAX_SLOTS = 10000
@@ -73,8 +73,7 @@ def _check_slot(family, N):
 def eckart_spectrum(p: EckartParams) -> list:
     """All bound levels E_N = -D^2 + beta^2/D^2, D = A-N-1 > 0 strictly.
 
-    aux carries u = D/2 - i beta/(2D), v = D/2 + i beta/(2D) (so u+v = D)
-    and the record of the reduction to the terminating Gauss series.
+    aux carries u = D/2 - i beta/(2D), v = D/2 + i beta/(2D) (so u+v = D).
     """
     levels = []
     N = 0
@@ -94,15 +93,7 @@ def eckart_spectrum(p: EckartParams) -> list:
         check = -2 * (u * u + v * v)
         if abs(check - E) > 1e-12 * max(1.0, abs(E)):
             raise InternalConsistencyError("aux (u,v) disagree with the closed-form energy")
-        aux = {
-            "D": D,
-            "u": u,
-            "v": v,
-            "a": 2 * p.A - N - 1,
-            "reduction": HypergeometricReduction(
-                a=2 * p.A - N - 1, b=-N, c=1 + 2 * u, z_map="z = (1 - coth r)/2"
-            ),
-        }
+        aux = {"D": D, "u": u, "v": v, "a": 2 * p.A - N - 1}
         levels.append(Level(QuantumNumbers("eckart", N), E, aux))
         N += 1
     return levels

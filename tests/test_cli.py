@@ -328,6 +328,13 @@ def test_verify_bad_tolerance_is_an_input_error(capsys, flags):
     assert err.startswith("ptspectra: InvalidParameters: tolerances must be finite and > 0")
 
 
+def test_verify_looser_tolerance_passes(capsys):
+    code, out, err = _run(capsys, ["verify", "--family", "rpt", "--tol-energy", "2"])
+    assert code == 0 and err == ""
+    _, rows = _rows(out)
+    assert rows and all(r[-1] == "1" for r in rows)
+
+
 def test_verify_failed_levels_print_nan_and_inf(capsys):
     code, out, _ = _run(capsys, ["verify", "--family", "rpt", "--n", "3"])
     assert code == 1

@@ -16,6 +16,7 @@ from ptspectra import (
     MetricVanishing,
     NoConvergence,
     PoschlTellerParams,
+    ResolutionLimit,
     ShiftedLine,
     ShiftSingular,
     Stretched,
@@ -218,9 +219,10 @@ def test_targeted_unsettled_solve_is_no_convergence():
     (entry,) = verify_family(params).entries
     assert hulthen_spectrum(params)[0].energy == pytest.approx(728.19, abs=1e-2)
     # on the rule grid the level passes or is typed, never a plain failure
-    assert entry.converged or entry.note.startswith("ResolutionLimit")
+    assert entry.converged or entry.diagnostic is ResolutionLimit
     if not entry.converged:
-        assert "NoConvergence" in entry.note
+        assert entry.note.startswith("ResolutionLimit: no settled eigenpair on")
+        assert "(NoConvergence: inverse iteration at shift" in entry.note
         assert entry.iterations == 200  # the coarse solve's whole sweep budget
 
 
@@ -238,6 +240,7 @@ def test_failed_fine_solve_keeps_the_coarse_sweeps(monkeypatch):
     entries = verify_family(ECK, grid).entries
     assert entries
     for e in entries:
+        assert e.diagnostic is ResolutionLimit and not e.converged
         assert e.note.startswith("ResolutionLimit: no settled eigenpair on")
         assert e.note.endswith("(NoConvergence: stalled)")
         assert e.iterations == solve(H, e.E_analytic).iterations + 7
@@ -284,7 +287,7 @@ def test_a_failed_sample_is_a_failed_entry_per_level(monkeypatch, patched):
     rep = verify_family(ECK)
     assert not rep.passed and len(rep.entries) == len(good.entries) > 1
     for e, g in zip(rep.entries, good.entries):
-        assert not e.converged
+        assert not e.converged and e.diagnostic is BranchDiscontinuity
         assert e.note == "BranchDiscontinuity: patched"
         assert e.iterations == g.iterations  # the sweeps of both solves
 
@@ -339,7 +342,7 @@ def test_residual_needs_a_sample_on_the_full_grid():
 def test_verify_family_too_few_nodes_gives_failed_entries():
     rep = verify_family(HulthenParams(2.0, 2.0), Grid(-1.0, 1.0, 3))
     assert not rep.passed
-    assert [e.note.split(":")[0] for e in rep.entries] == ["InvalidParameters"]
+    assert [e.diagnostic for e in rep.entries] == [InvalidParameters]
 
 
 def test_residual_second_order_ratio():
@@ -458,10 +461,11 @@ def test_unresolved_levels_on_a_given_grid_are_resolution_limits():
     # the step moves their eigenvalues and residuals across the tolerances
     rep = verify_family(RPT, Grid(-12.0, 12.0, 201))
     by_label = {e.label: e for e in rep.entries}
-    assert by_label["(-,+,0)"].converged and not by_label["(-,+,0)"].note
+    passing = by_label["(-,+,0)"]
+    assert passing.converged and not passing.note and passing.diagnostic is None
     for label in ("(-,-,0)", "(-,-,1)"):
         e = by_label[label]
-        assert not e.converged
+        assert not e.converged and e.diagnostic is ResolutionLimit
         assert e.note.startswith("ResolutionLimit: halving the step moves the eigenvalue by")
     # the same window at 301 points resolves every level
     assert verify_family(RPT, Grid(-12.0, 12.0, 301)).passed
@@ -621,6 +625,28 @@ def test_step_limits_equal_the_per_level_loop():
     assert np.array_equal(numeric._step_limits(k2, envelope, ranges, x, w, tol), np.array(loop))
 
 
+def test_level_record_defaults_are_the_failure_values():
+    record = numeric.LevelRecord("(-,-,0)", 0, -1, -1, -2.0)
+    values = dataclasses.astuple(record)[5:]
+    assert repr(values) == repr((complex("nan+nanj"), math.inf, math.inf, math.inf,
+                                 math.inf, math.nan, 0, False, "", None))
+    assert [f.name for f in dataclasses.fields(record)][-1] == "diagnostic"
+
+
+@pytest.mark.parametrize("tolerance", [{"tol_energy": 0.5}, {"tol_energy": 1.0},
+                                       {"tol_energy": 2.0}, {"tol_residual": 1e300}],
+                         ids=["energy_0.5", "energy_1", "energy_2", "residual_1e300"])
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_a_looser_tolerance_verifies_on_the_default_rule_grid(name, tolerance):
+    # the rule grid is sized for the tighter of each tolerance and the
+    # family default, so loosening a bound never coarsens the grid
+    fam = FAMILIES[name]
+    rep = verify_family(fam.canonical, **tolerance)
+    assert rep.grid == verify_family(fam.canonical).grid
+    assert rep.passed
+    assert all(e.diagnostic is None and not e.note for e in rep.entries)
+
+
 def test_rule_grids_are_stretched_and_small_on_the_canonical_setups():
     for fam in FAMILIES.values():
         rep = verify_family(fam.canonical)
@@ -629,6 +655,7 @@ def test_rule_grids_are_stretched_and_small_on_the_canonical_setups():
         assert -rep.grid.x_min == rep.grid.x_max
         assert rep.grid.n_points <= 401
         assert not any(e.note for e in rep.entries)
+        assert all(e.diagnostic is None for e in rep.entries)
 
 
 def test_slowly_decaying_level_is_a_resolution_limit():
@@ -640,6 +667,7 @@ def test_slowly_decaying_level_is_a_resolution_limit():
     limited = by_label["(-,-,3)"]
     assert -1e-5 < limited.E_analytic < 0
     assert not limited.converged and not rep.passed
+    assert limited.diagnostic is ResolutionLimit
     assert limited.note.startswith("ResolutionLimit: needs |x| up to")
     assert all(e.converged for label, e in by_label.items() if label != "(-,-,3)")
 
@@ -661,8 +689,10 @@ def test_random_admissible_draws_pass_or_are_typed(name):
         entries += rep.entries
     assert entries
     for e in entries:
-        assert e.converged or e.note, (name, e)
+        # on the rule grid a failure is always typed, and a pass never is
+        assert e.converged or e.diagnostic is not None, (name, e)
+        assert not e.converged or e.diagnostic is None, (name, e)
         if not (math.isfinite(e.residual) and math.isfinite(e.abs_err)):
-            assert e.note, (name, e)
+            assert e.diagnostic is not None, (name, e)
         if e.converged:
             assert e.abs_err <= fam.tol_energy and e.residual <= fam.tol_residual
