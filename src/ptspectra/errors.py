@@ -58,12 +58,11 @@ class NoConvergence(SpectraError):
 
 
 class ResolutionLimit(SpectraError):
-    """The verify grid cannot resolve a level: on the grid `verify_family`
-    sizes, the level needs more grid points than the point cap, or a longer
-    range than the one on which its far field stays finite; on any grid,
-    its eigenvalue or residual moves across its tolerance when the step is
-    halved, or its inverse iteration does not settle. `verify_family` still
-    solves the level and reports it with this diagnostic, never as a pass."""
+    """The verify grid cannot resolve a failing level: the level needs a
+    longer range than the grid reaches, its Richardson correction exceeds
+    the energy tolerance, its residual misses its tolerance while falling
+    at Numerov's order, or its inverse iteration does not settle.
+    `verify_family` reports the level with this diagnostic on any grid."""
 
 
 class ShiftSingular(SpectraError):

@@ -30,9 +30,8 @@ the refined grid, and scaled to the Liouville unknown, and the stated-grid
 residual reads its even nodes too.
 
 Without a given grid, `verify_family` sizes a stretched grid from the
-closed forms (`_rule_grid`). On every grid, given or sized, a level the
-grid does not resolve is still solved, but its entry's diagnostic is
-ResolutionLimit and it never passes (see `verify_family`).
+closed forms (`_rule_grid`). On every grid, given or sized, one rule types
+a failing level the grid does not resolve ResolutionLimit.
 
 `FAMILIES` holds one `Family` record per parameter type; `verify_family`
 and the CLI dispatch through it.
@@ -95,6 +94,7 @@ _RANGE_FACTOR = 1.5
 _PROBE_POINTS = 200
 _STRETCHES = 2.0 ** -np.arange(14)
 _LEVEL_BLOCK = 64
+_ORDERS = (3.5, 4.5)  # measured residual orders near Numerov's 4
 
 
 @dataclass(frozen=True)
@@ -335,9 +335,9 @@ class LevelRecord:
     False); the name stays for the verify CSV header and report readers.
     `note` is the human text of a failure ("" on a pass), and `diagnostic`
     the `SpectraError` subclass that typed it: the error's type, or
-    ResolutionLimit where the grid does not resolve the level. It is None
-    on a pass and on a plain failure, which misses a tolerance on a grid
-    that resolves the level.
+    ResolutionLimit for one of `verify_family`'s reasons. It is None on a
+    pass and on a plain failure, which misses a tolerance for no reason
+    the grid explains.
     """
 
     label: str
@@ -365,7 +365,6 @@ class VerificationReport:
     pt_defect: float
     grid: Grid
     tol_energy: float
-    tol_imag: float
     tol_residual: float
 
     @property
@@ -472,15 +471,14 @@ def _step_limits(k2, envelope, ranges, x, w, tol_residual):
     return ds
 
 
-def _rule_grid(fam, params, levels, tol_energy, tol_residual):
-    """(grid, notes): the stretched verify grid for `levels`, sized from the
-    closed forms, and per level why it is a ResolutionLimit ("" if not).
+def _rule_grid(fam, params, levels, ranges, tol_residual):
+    """The stretched verify grid for `levels`, sized from the closed forms
+    and the `ranges` L on which the levels decay to the energy tolerance.
 
     The grid is Grid(-S, S, n, Stretched(contour, a)) on the canonical
     contour, so the local step in x is h(x) = sqrt(a^2 + x^2) ds.
-    - Range: a level decays to tol_energy at L = log(1/tol_energy)/decay;
-      the grid reaches X = _RANGE_FACTOR max L, but no farther than the
-      smallest `reach`, and a sinh S = X.
+    - Range: the grid reaches X = _RANGE_FACTOR max L, but no farther than
+      the smallest `reach`, and a sinh S = X.
     - Step: on a probe of the path out to X, each level's local wavenumber
       is k^2 = |Q - E W| (the unstretched Liouville normal form) plus
       1/(x^2 + d^2), d = min(eps, pi/2 - eps) the singularity distance.
@@ -489,17 +487,17 @@ def _rule_grid(fam, params, levels, tol_energy, tol_residual):
       times _RESIDUAL_SAFETY, within tol_residual.
     - a is the stretch, among 2^-j (j < 14) times the probed range, that
       needs the fewest points; n = 2 ceil(S/ds) + 1 is capped at
-      _VERIFY_POINTS.
-    A level that needs a longer range than the grid reaches, or more points
-    than the grid has, is typed. Levels that could not be resolved on their
-    own do not size the grid, unless no level can be.
+      _VERIFY_POINTS, and a level whose ds underflows to 0 needs unbounded
+      points.
+    Levels that could not be resolved on their own, for a range beyond the
+    reach or more points than the cap, do not size the grid, unless no
+    level can be. `verify_family` types what the grid does not resolve.
     """
     contour = fam.contour(params)
     if not levels:
-        return Grid(*fam.grid, contour), []
+        return Grid(*fam.grid, contour)
     d = min(contour.epsilon, math.pi / 2 - contour.epsilon)
     decay = np.array([fam.decay(l) for l in levels])
-    ranges = math.log(1 / tol_energy) / decay
     reach = min(fam.reach(l) for l in levels)
     far = min(_RANGE_FACTOR * ranges.max(), reach)
     x = d * np.sinh(np.linspace(0.0, math.asinh(far / d), _PROBE_POINTS))
@@ -513,26 +511,19 @@ def _rule_grid(fam, params, levels, tol_energy, tol_residual):
     ds = _step_limits(k2, envelope, ranges, x, w, tol_residual)
 
     def points(X):  # points each level needs, per stretch, to reach X
-        return 2 * np.ceil(np.arcsinh(X / stretch[:, 0]) / ds) + 1
+        span = np.arcsinh(X / stretch[:, 0])
+        return 2 * np.ceil(np.divide(span, ds, out=np.full(ds.shape, np.inf), where=ds > 0)) + 1
 
     own = points(np.minimum(_RANGE_FACTOR * ranges, reach)[:, None]).min(axis=1)
     sizing = (ranges <= reach) & (own <= _VERIFY_POINTS)
     if not sizing.any():
         sizing[:] = True
     X = min(_RANGE_FACTOR * ranges[sizing].max(), reach)
-    need = points(X)
-    j = int(np.argmin(need[sizing].max(axis=0)))
+    need = points(X)[sizing]
+    j = int(np.argmin(need.max(axis=0)))
     a = float(stretch[j, 0])
-    n = int(min(need[sizing, j].max(), _VERIFY_POINTS))
-    notes = []
-    for L, m in zip(ranges, need[:, j]):
-        if L > X:
-            notes.append(f"needs |x| up to {L:.3g}, the grid reaches {X:.3g}")
-        elif m > n:
-            notes.append(f"needs {int(m)} points, the grid has {n}")
-        else:
-            notes.append("")
-    return Grid(-math.asinh(X / a), math.asinh(X / a), n, Stretched(contour, a)), notes
+    n = int(min(need[:, j].max(), _VERIFY_POINTS))
+    return Grid(-math.asinh(X / a), math.asinh(X / a), n, Stretched(contour, a))
 
 
 def verify_family(params, grid: Grid = None, tol_energy: float = None,
@@ -549,19 +540,22 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     docstring). A missing grid is the stretched grid `_rule_grid` sizes
     from the closed forms, on the canonical contour, for the tighter of
     each tolerance and the family's default, so a looser tolerance
-    verifies on the default's grid; a level that grid cannot resolve is
-    still solved, but it is not converged and its diagnostic is
-    ResolutionLimit. A given grid is used as it is, and one without a
-    contour gets the family's canonical contour. On either grid, a failing
-    level whose eigenvalue moves by more than `tol_energy`, or whose
-    residual crosses `tol_residual`, when the step is halved, and a level
-    whose inverse iteration does not settle, is typed ResolutionLimit too.
-    The PT defect is sampled on 201 points of the grid's range. An
-    eigenvalue must match its energy within `tol_energy` and have |Im|
-    within 10 * `tol_energy`, and the stated-grid residual must be within
-    `tol_residual`; both tolerances must be finite and > 0
-    (InvalidParameters). Constituent errors become failed entries, not
-    exceptions, typed by their diagnostic and counting the sweeps run.
+    verifies on the default's grid. A given grid is used as it is, and one
+    without a contour gets the family's canonical contour. A level passes
+    when its eigenvalue is within `tol_energy` of its energy and its
+    stated-grid residual within `tol_residual`; both tolerances must be
+    finite and > 0 (InvalidParameters). On any grid, the first of these
+    reasons that applies types a failing level ResolutionLimit:
+    1. it decays to the tighter energy tolerance only past the grid's
+       reach, the smaller |x| of its ends (x = a sinh s if Stretched);
+    2. its Richardson correction |lambda_fine - lambda_coarse|/15 exceeds
+       `tol_energy`;
+    3. its residual exceeds `tol_residual` at a measured order in _ORDERS,
+       so a step of about h (tol_residual/residual)^(1/order) meets it;
+    4. its inverse iteration does not settle (NoConvergence).
+    Other failures are plain. Constituent errors become failed entries,
+    not exceptions, typed by their diagnostic and counting the sweeps run.
+    The PT defect is sampled on 201 points of the grid's range.
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, type(f.canonical))), None)
     if fam is None:
@@ -573,16 +567,18 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     if not all(math.isfinite(t) and t > 0 for t in (tol_energy, tol_residual)):
         raise InvalidParameters(f"tolerances must be finite and > 0, got "
                                 f"tol_energy={tol_energy}, tol_residual={tol_residual}")
-    tol_imag = 10 * tol_energy
     levels = fam.spectrum(params)
+    ranges = math.log(1 / min(tol_energy, fam.tol_energy)) / np.array(
+        [fam.decay(l) for l in levels])
     if grid is None:
-        grid, limits = _rule_grid(fam, params, levels, min(tol_energy, fam.tol_energy),
-                                  min(tol_residual, fam.tol_residual))
-    else:
-        limits = [""] * len(levels)
+        grid = _rule_grid(fam, params, levels, ranges, min(tol_residual, fam.tol_residual))
     if grid.contour is None:
         grid = replace(grid, contour=fam.contour(params))
     contour = grid.contour
+    # the grid's reach along the canonical path parameter x
+    reach = min(abs(grid.x_min), abs(grid.x_max))
+    if isinstance(contour, Stretched):
+        reach = contour.a * float(np.sinh(reach))
 
     evaluator = lambda xi: fam.potential(params, xi)
     Hf = build_hamiltonian(evaluator, grid.refined())
@@ -591,10 +587,10 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     scale = None  # the Liouville scale exp(-log(xi')/2) on the refined grid
 
     entries = []
-    for level, limit in zip(levels, limits):
+    for level, L in zip(levels, ranges):
         qn = level.qn
         E = level.energy
-        iters = 0
+        iters, limit = 0, ""  # limit: why the grid does not resolve the level
         try:
             coarse = solve_targeted(H, E)
             iters = coarse.iterations
@@ -609,15 +605,19 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             res_f = residual(u_f, E, Hf)
             order = math.log2(res_c / res_f) if res_f > 0 else float("nan")
             abs_err = abs(lam - E)
-            ok = abs_err <= tol_energy and abs(lam.imag) <= tol_imag and res_c <= tol_residual
+            ok = abs_err <= tol_energy and res_c <= tol_residual
             record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E, lam, abs_err,
                                  abs(lam.imag), res_c, res_f, order, iters, ok)
             step = abs(fine_res.eigenvalue - coarse.eigenvalue)
-            if not ok and (step > tol_energy or res_f <= tol_residual < res_c):
-                # halving the step moves the verdict's quantities across a
-                # tolerance: the stated grid does not resolve them
-                limit = limit or (f"halving the step moves the eigenvalue by {step:.3g} "
-                                  f"and the residual from {res_c:.3g} to {res_f:.3g}")
+            if not ok and step / 15 > tol_energy:
+                # the Richardson correction itself misses the tolerance
+                limit = (f"halving the step moves the eigenvalue by {step:.3g} "
+                         f"and the residual from {res_c:.3g} to {res_f:.3g}")
+            elif res_c > tol_residual and _ORDERS[0] <= order <= _ORDERS[1]:
+                # the residual still falls at Numerov's order: a finer step meets it
+                limit = (f"the residual {res_c:.3g} falls at order {order:.3g}; it needs a "
+                         f"step of about {grid.h * (tol_residual / res_c) ** (1 / order):.3g}, "
+                         f"the grid has {grid.h:.3g}")
         except SpectraError as exc:
             record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E,
                                  iterations=iters + getattr(exc, "iterations", 0),
@@ -625,14 +625,15 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             if isinstance(exc, NoConvergence):
                 # an eigenpair that does not settle on the grid is below what
                 # the grid resolves in floating point
-                limit = limit or f"no settled eigenpair on {grid.n_points} points ({record.note})"
+                limit = f"no settled eigenpair on {grid.n_points} points ({record.note})"
+        if L > reach and not record.converged and (limit or record.diagnostic is None):
+            limit = f"needs |x| up to {L:.3g}, the grid reaches {reach:.3g}"
         if limit:
-            record.converged, record.diagnostic = False, ResolutionLimit
+            record.diagnostic = ResolutionLimit
             record.note = f"{ResolutionLimit.__name__}: {limit}"
         entries.append(record)
 
     xs = np.linspace(grid.x_min, grid.x_max, 201)
     defect = pt_defect(evaluator, contour, xs)
     passed = all(e.converged for e in entries)
-    return VerificationReport(fam.name, entries, passed, defect,
-                              grid, tol_energy, tol_imag, tol_residual)
+    return VerificationReport(fam.name, entries, passed, defect, grid, tol_energy, tol_residual)

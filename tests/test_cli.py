@@ -335,6 +335,14 @@ def test_verify_looser_tolerance_passes(capsys):
     assert rows and all(r[-1] == "1" for r in rows)
 
 
+def test_verify_subnormal_residual_tolerance_is_a_failed_verdict(capsys):
+    code, out, err = _run(capsys, ["verify", "--family", "eckart", "--tol-residual", "1e-320"])
+    assert code == 1 and err == ""
+    header, rows = _rows(out)
+    assert header[-1] == "converged" and len(rows) == 2
+    assert all(r[-1] == "0" for r in rows)
+
+
 def test_verify_failed_levels_print_nan_and_inf(capsys):
     code, out, _ = _run(capsys, ["verify", "--family", "rpt", "--n", "3"])
     assert code == 1

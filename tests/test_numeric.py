@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -456,6 +457,12 @@ def test_verify_family_runs_on_the_grid_contour():
         verify_family(EckartParams(3.0, 1.0, 0.6), Grid(*window)))
 
 
+def _window_entries(params):
+    """The entries, by label, of `params` verified on its family's window."""
+    fam = next(f for f in FAMILIES.values() if isinstance(params, type(f.canonical)))
+    return {e.label: e for e in verify_family(params, Grid(*fam.grid)).entries}
+
+
 def test_unresolved_levels_on_a_given_grid_are_resolution_limits():
     # 201 points on the rpt window do not resolve the (-,-) levels: halving
     # the step moves their eigenvalues and residuals across the tolerances
@@ -469,6 +476,23 @@ def test_unresolved_levels_on_a_given_grid_are_resolution_limits():
         assert e.note.startswith("ResolutionLimit: halving the step moves the eigenvalue by")
     # the same window at 301 points resolves every level
     assert verify_family(RPT, Grid(-12.0, 12.0, 301)).passed
+    # on the uniform windows: a level decaying to tol_energy only at
+    # |x| ~ 1.3e4 fails for want of range
+    limited = _window_entries(PoschlTellerParams(
+        2.7617743021985426, 4.239287339043924, 0.8528042018753568))["(-,-,3)"]
+    assert not limited.converged and limited.diagnostic is ResolutionLimit
+    assert limited.note.startswith("ResolutionLimit: needs |x| up to 1.3e+04, the grid reaches 12")
+    # these Hulthen residuals miss tol_residual but still fall at Numerov's order
+    by_label = _window_entries(HulthenParams(1.6057852664796821, -11.626819040907229))
+    for label in ("(-,-,1)", "(+,-,0)"):
+        e = by_label[label]
+        assert not e.converged and e.diagnostic is ResolutionLimit
+        assert e.residual > FAMILIES["hulthen"].tol_residual and 3.5 <= e.order <= 4.5
+        assert e.note.startswith(f"ResolutionLimit: the residual {e.residual:.3g} falls at order")
+    # canonical (-,+,0) decays to tol_energy at |x| = 13.8, past the window's
+    # 12, yet meets every tolerance: a reason types a failure, never fails a pass
+    passing = _window_entries(RPT)["(-,+,0)"]
+    assert passing.converged and passing.diagnostic is None and not passing.note
 
 
 @pytest.mark.parametrize("contour", [None, ShiftedLine(0.5)], ids=["real_line", "shifted_line"])
@@ -550,6 +574,8 @@ def test_verify_family_rejects_the_printed_eckart_convention(monkeypatch):
     assert e.abs_err <= 1e-5  # the energy is right; the residual catches the function
     assert e.residual > 0.5 and e.residual_fine > 0.5
     assert not e.converged
+    # a wrong closed form is a plain failure, never a ResolutionLimit
+    assert all(f.diagnostic is None for f in rep.entries if not f.converged)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -562,6 +588,8 @@ def test_verify_family_rejects_energies_moved_by_ten_tolerances(monkeypatch, nam
     rep = verify_family(fam.canonical)
     assert rep.entries and not rep.passed
     assert not any(e.converged for e in rep.entries)
+    # a wrong closed form is a plain failure, never a ResolutionLimit
+    assert all(e.diagnostic is None for e in rep.entries)
 
 
 def test_verify_family_rejects_tau_swapped_rpt_labels(monkeypatch):
@@ -574,6 +602,8 @@ def test_verify_family_rejects_tau_swapped_rpt_labels(monkeypatch):
         assert e.abs_err <= 1e-6  # the energies are right; the residual catches the labels
         assert e.residual > 1.0
         assert not e.converged
+        # a wrong closed form is a plain failure, never a ResolutionLimit
+        assert e.diagnostic is None
 
 
 @pytest.mark.parametrize("tols", [
@@ -623,6 +653,19 @@ def test_step_limits_equal_the_per_level_loop():
                 np.inf), axis=1)
             for k, e, L in zip(k2, envelope, ranges)]
     assert np.array_equal(numeric._step_limits(k2, envelope, ranges, x, w, tol), np.array(loop))
+
+
+def test_subnormal_residual_tolerance_is_a_resolution_limit_without_a_warning():
+    # no step meets tol_residual = 1e-320: every step bound underflows to 0,
+    # the rule grid takes its point cap, and the residuals fall at order 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_family(ECK, tol_residual=1e-320)
+    assert rep.grid.n_points == numeric._VERIFY_POINTS and not rep.passed
+    assert rep.entries
+    for e in rep.entries:
+        assert e.diagnostic is ResolutionLimit and 3.5 <= e.order <= 4.5
+        assert e.note.startswith("ResolutionLimit: the residual")
 
 
 def test_level_record_defaults_are_the_failure_values():
@@ -684,12 +727,14 @@ def test_random_admissible_draws_pass_or_are_typed(name):
     entries = []
     for _ in range(30):
         params = type(fam.canonical)(*(rng.uniform(lo, hi) for lo, hi in _DRAW_BOXES[name]))
-        rep = verify_family(params)
-        assert rep.passed == all(e.converged for e in rep.entries)
-        entries += rep.entries
+        for grid in (None, Grid(*fam.grid, fam.contour(params))):
+            rep = verify_family(params, grid)
+            assert rep.passed == all(e.converged for e in rep.entries)
+            entries += rep.entries
     assert entries
     for e in entries:
-        # on the rule grid a failure is always typed, and a pass never is
+        # on the rule grid and the uniform window alike, a failure is always
+        # typed, and a pass never is
         assert e.converged or e.diagnostic is not None, (name, e)
         assert not e.converged or e.diagnostic is None, (name, e)
         if not (math.isfinite(e.residual) and math.isfinite(e.abs_err)):
