@@ -58,11 +58,10 @@ class NoConvergence(SpectraError):
 
 
 class ResolutionLimit(SpectraError):
-    """The verify grid cannot resolve a failing level: the level needs a
-    longer range than the grid reaches, its Richardson correction exceeds
-    the energy tolerance, its residual misses its tolerance while falling
-    at Numerov's order, or its inverse iteration does not settle.
-    `verify_family` reports the level with this diagnostic on any grid."""
+    """The verify grid cannot resolve a failing level: the grid's ends, its
+    step or its rounding floor measurably account for the miss, or the
+    level's inverse iteration does not settle. `verify_family` lists the
+    reasons and reports the level with this diagnostic on any grid."""
 
 
 class ShiftSingular(SpectraError):

@@ -81,12 +81,7 @@ _MAX_SWEEPS = 200
 _SHIFT_NUDGE = 1e-8 * (1 + 1j)
 _RESIDUAL_BUFFER = 0.05
 _MAX_POINTS = 10 ** 7
-# The verify-grid rule (`_rule_grid`). Numerov's stencil is held to
-# _STEP_THETA radians of the local wavenumber per step, and its h^4 residual
-# estimate, with a _RESIDUAL_SAFETY margin, to tol_residual. The grid
-# reaches _RANGE_FACTOR times the range on which each level decays to
-# tol_energy, since the Dirichlet ends shift an eigenvalue by about the
-# square of the amplitude left there. _VERIFY_POINTS caps the stated grid.
+# The verify-grid rule; `_rule_grid` says what each constant bounds.
 _VERIFY_POINTS = 1001
 _STEP_THETA = 0.4
 _RESIDUAL_SAFETY = 100.0
@@ -471,14 +466,14 @@ def _step_limits(k2, envelope, ranges, x, w, tol_residual):
     return ds
 
 
-def _rule_grid(fam, params, levels, ranges, tol_residual):
-    """The stretched verify grid for `levels`, sized from the closed forms
-    and the `ranges` L on which the levels decay to the energy tolerance.
+def _rule_grid(fam, params, levels, decay, ranges, tol_residual):
+    """The stretched verify grid for `levels`, sized from the closed forms,
+    their `decay` rates and their `ranges` L = log(1/tol_energy)/decay.
 
     The grid is Grid(-S, S, n, Stretched(contour, a)) on the canonical
     contour, so the local step in x is h(x) = sqrt(a^2 + x^2) ds.
-    - Range: the grid reaches X = _RANGE_FACTOR max L, but no farther than
-      the smallest `reach`, and a sinh S = X.
+    - Range: X = _RANGE_FACTOR max L (the ends shift an eigenvalue by about
+      the square of the amplitude left there), at most the smallest `reach`; a sinh S = X.
     - Step: on a probe of the path out to X, each level's local wavenumber
       is k^2 = |Q - E W| (the unstretched Liouville normal form) plus
       1/(x^2 + d^2), d = min(eps, pi/2 - eps) the singularity distance.
@@ -489,15 +484,13 @@ def _rule_grid(fam, params, levels, ranges, tol_residual):
       needs the fewest points; n = 2 ceil(S/ds) + 1 is capped at
       _VERIFY_POINTS, and a level whose ds underflows to 0 needs unbounded
       points.
-    Levels that could not be resolved on their own, for a range beyond the
-    reach or more points than the cap, do not size the grid, unless no
-    level can be. `verify_family` types what the grid does not resolve.
+    Levels with a range beyond the reach or more points than the cap do
+    not size the grid, unless no level can. `verify_family` types the rest.
     """
     contour = fam.contour(params)
     if not levels:
         return Grid(*fam.grid, contour)
     d = min(contour.epsilon, math.pi / 2 - contour.epsilon)
-    decay = np.array([fam.decay(l) for l in levels])
     reach = min(fam.reach(l) for l in levels)
     far = min(_RANGE_FACTOR * ranges.max(), reach)
     x = d * np.sinh(np.linspace(0.0, math.asinh(far / d), _PROBE_POINTS))
@@ -532,64 +525,64 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
 
     Enumerates the analytic spectrum, inverse-iterates the Numerov pencil
     at each analytic energy on the grid and its refinement, and reports the
-    PT defect and a `LevelRecord` per level: the fourth-order
-    Richardson-extrapolated eigenvalue (16 lambda_fine - lambda_coarse)/15,
+    PT defect (on 201 points of the grid's range) and a `LevelRecord` per
+    level: the Richardson eigenvalue (16 lambda_fine - lambda_coarse)/15,
     and the Numerov residuals of the analytic wave function at both steps
-    with the observed convergence order. Each report samples its grid, and
-    each wave function, once, on the refined grid (see the module
-    docstring). A missing grid is the stretched grid `_rule_grid` sizes
-    from the closed forms, on the canonical contour, for the tighter of
-    each tolerance and the family's default, so a looser tolerance
-    verifies on the default's grid. A given grid is used as it is, and one
-    without a contour gets the family's canonical contour. A level passes
-    when its eigenvalue is within `tol_energy` of its energy and its
-    stated-grid residual within `tol_residual`; both tolerances must be
-    finite and > 0 (InvalidParameters). On any grid, the first of these
-    reasons that applies types a failing level ResolutionLimit:
-    1. it decays to the tighter energy tolerance only past the grid's
-       reach, the smaller |x| of its ends (x = a sinh s if Stretched);
+    with their observed order. Each report samples its grid, and each wave
+    function, once, on the refined grid (see the module docstring). A
+    missing grid is the stretched grid `_rule_grid` sizes on the canonical
+    contour for the tighter of each tolerance and the family's default. A
+    given grid is used as it is; one without a contour gets the canonical
+    contour. A level passes when its eigenvalue is within `tol_energy` of
+    its energy and its stated-grid residual within `tol_residual`; both
+    must be finite and > 0 (InvalidParameters). On any grid, the first of
+    these reasons that applies types a failing level ResolutionLimit:
+    1. its eigenvalue misses `tol_energy`, it decays to the tighter energy
+       tolerance only past the grid's reach (the smaller |x| of the ends,
+       x = a sinh s if Stretched), and the analytic unknown u at the ends
+       moves the eigenvalue by 2 |u u'| / |integral of W u^2| (Green's
+       identity), more than `tol_energy`;
     2. its Richardson correction |lambda_fine - lambda_coarse|/15 exceeds
        `tol_energy`;
-    3. its residual exceeds `tol_residual` at a measured order in _ORDERS,
-       so a step of about h (tol_residual/residual)^(1/order) meets it;
+    3. its residual exceeds `tol_residual` but falls, at a measured order
+       in _ORDERS or, on at least _VERIFY_POINTS points, at order >= 1; the
+       note names the step h (tol_residual/residual)^(1/order) that meets
+       it, or the rounding floor eps (||A|| + |E| ||M||) above it;
     4. its inverse iteration does not settle (NoConvergence).
     Other failures are plain. Constituent errors become failed entries,
     not exceptions, typed by their diagnostic and counting the sweeps run.
-    The PT defect is sampled on 201 points of the grid's range.
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, type(f.canonical))), None)
     if fam is None:
         raise TypeError(f"unknown parameter record {type(params).__name__}")
-    if tol_energy is None:
-        tol_energy = fam.tol_energy
-    if tol_residual is None:
-        tol_residual = fam.tol_residual
+    tol_energy = fam.tol_energy if tol_energy is None else tol_energy
+    tol_residual = fam.tol_residual if tol_residual is None else tol_residual
     if not all(math.isfinite(t) and t > 0 for t in (tol_energy, tol_residual)):
         raise InvalidParameters(f"tolerances must be finite and > 0, got "
                                 f"tol_energy={tol_energy}, tol_residual={tol_residual}")
     levels = fam.spectrum(params)
-    ranges = math.log(1 / min(tol_energy, fam.tol_energy)) / np.array(
-        [fam.decay(l) for l in levels])
+    decay = np.array([fam.decay(l) for l in levels])
+    ranges = math.log(1 / min(tol_energy, fam.tol_energy)) / decay
     if grid is None:
-        grid = _rule_grid(fam, params, levels, ranges, min(tol_residual, fam.tol_residual))
+        grid = _rule_grid(fam, params, levels, decay, ranges,
+                          min(tol_residual, fam.tol_residual))
     if grid.contour is None:
         grid = replace(grid, contour=fam.contour(params))
     contour = grid.contour
-    # the grid's reach along the canonical path parameter x
-    reach = min(abs(grid.x_min), abs(grid.x_max))
+    # the grid's extent along the canonical path parameter x
+    extent = min(abs(grid.x_min), abs(grid.x_max))
     if isinstance(contour, Stretched):
-        reach = contour.a * float(np.sinh(reach))
+        extent = contour.a * float(np.sinh(extent))
 
     evaluator = lambda xi: fam.potential(params, xi)
     Hf = build_hamiltonian(evaluator, grid.refined())
     H = _stated_pencil(Hf, grid)
-    x_fine = Hf.grid.points()
+    x_fine, h_fine = Hf.grid.points(), Hf.grid.h
     scale = None  # the Liouville scale exp(-log(xi')/2) on the refined grid
 
     entries = []
     for level, L in zip(levels, ranges):
-        qn = level.qn
-        E = level.energy
+        qn, E = level.qn, level.energy
         iters, limit = 0, ""  # limit: why the grid does not resolve the level
         try:
             coarse = solve_targeted(H, E)
@@ -608,32 +601,40 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             ok = abs_err <= tol_energy and res_c <= tol_residual
             record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E, lam, abs_err,
                                  abs(lam.imag), res_c, res_f, order, iters, ok)
+            # Green's identity: the Dirichlet ends move the eigenvalue by 2|u u'| / |int W u^2|
+            v = u_f / np.max(np.abs(u_f))  # scaled so that v * v stays finite
+            ends = abs(v[0] * (v[1] - v[0])) + abs(v[-1] * (v[-1] - v[-2]))
+            norm = abs(np.dot(Hf.samples[1] ** 2 * v, v)) * h_fine
+            shift = 2 * ends / (h_fine * norm) if norm else math.inf
             step = abs(fine_res.eigenvalue - coarse.eigenvalue)
-            if not ok and step / 15 > tol_energy:
+            falls = (_ORDERS[0] <= order <= _ORDERS[1]
+                     or grid.n_points >= _VERIFY_POINTS and order >= 1)
+            if abs_err > tol_energy and shift > tol_energy and L > extent:
+                # the measured truncation shift explains the energy miss
+                limit = f"needs |x| up to {L:.3g}, the grid reaches {extent:.3g}"
+            elif not ok and step / 15 > tol_energy:
                 # the Richardson correction itself misses the tolerance
                 limit = (f"halving the step moves the eigenvalue by {step:.3g} "
                          f"and the residual from {res_c:.3g} to {res_f:.3g}")
-            elif res_c > tol_residual and _ORDERS[0] <= order <= _ORDERS[1]:
-                # the residual still falls at Numerov's order: a finer step meets it
-                limit = (f"the residual {res_c:.3g} falls at order {order:.3g}; it needs a "
-                         f"step of about {grid.h * (tol_residual / res_c) ** (1 / order):.3g}, "
-                         f"the grid has {grid.h:.3g}")
+            elif res_c > tol_residual and falls:
+                # a finer step lowers the residual, down to its rounding floor
+                floor = np.finfo(float).eps * (H.norms[0] + abs(E) * H.norms[1])
+                need = grid.h * (tol_residual / res_c) ** (1 / order)
+                limit = f"the residual {res_c:.3g} falls at order {order:.3g}; " + (
+                    f"the tolerance is below its rounding floor {floor:.3g}" if tol_residual < floor
+                    else f"it needs a step of about {need:.3g}, the grid has {grid.h:.3g}")
         except SpectraError as exc:
             record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E,
                                  iterations=iters + getattr(exc, "iterations", 0),
                                  note=f"{type(exc).__name__}: {exc}", diagnostic=type(exc))
             if isinstance(exc, NoConvergence):
-                # an eigenpair that does not settle on the grid is below what
-                # the grid resolves in floating point
+                # an unsettled eigenpair is below what the grid resolves
                 limit = f"no settled eigenpair on {grid.n_points} points ({record.note})"
-        if L > reach and not record.converged and (limit or record.diagnostic is None):
-            limit = f"needs |x| up to {L:.3g}, the grid reaches {reach:.3g}"
         if limit:
             record.diagnostic = ResolutionLimit
             record.note = f"{ResolutionLimit.__name__}: {limit}"
         entries.append(record)
 
-    xs = np.linspace(grid.x_min, grid.x_max, 201)
-    defect = pt_defect(evaluator, contour, xs)
+    defect = pt_defect(evaluator, contour, np.linspace(grid.x_min, grid.x_max, 201))
     passed = all(e.converged for e in entries)
     return VerificationReport(fam.name, entries, passed, defect, grid, tol_energy, tol_residual)

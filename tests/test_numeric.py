@@ -457,10 +457,14 @@ def test_verify_family_runs_on_the_grid_contour():
         verify_family(EckartParams(3.0, 1.0, 0.6), Grid(*window)))
 
 
+def _window(params):
+    """The uniform window of the family of `params`."""
+    return Grid(*next(f for f in FAMILIES.values() if isinstance(params, type(f.canonical))).grid)
+
+
 def _window_entries(params):
     """The entries, by label, of `params` verified on its family's window."""
-    fam = next(f for f in FAMILIES.values() if isinstance(params, type(f.canonical)))
-    return {e.label: e for e in verify_family(params, Grid(*fam.grid)).entries}
+    return {e.label: e for e in verify_family(params, _window(params)).entries}
 
 
 def test_unresolved_levels_on_a_given_grid_are_resolution_limits():
@@ -567,15 +571,16 @@ def test_verify_family_rejects_the_printed_eckart_convention(monkeypatch):
     wave = spectra.eckart_wavefunction
     monkeypatch.setattr(spectra, "eckart_wavefunction",
                         lambda p, level, z: wave(p, level, z, convention="printed"))
-    rep = verify_family(ECK)
-    assert not rep.passed
-    # degree-0 polynomials cannot distinguish the conventions; N = 1 can
-    (e,) = [e for e in rep.entries if e.N == 1]
-    assert e.abs_err <= 1e-5  # the energy is right; the residual catches the function
-    assert e.residual > 0.5 and e.residual_fine > 0.5
-    assert not e.converged
-    # a wrong closed form is a plain failure, never a ResolutionLimit
-    assert all(f.diagnostic is None for f in rep.entries if not f.converged)
+    for rep in (verify_family(ECK), verify_family(ECK, _window(ECK))):
+        assert not rep.passed
+        # degree-0 polynomials cannot distinguish the conventions; N = 1 can
+        (e,) = [e for e in rep.entries if e.N == 1]
+        assert e.abs_err <= 1e-5  # the energy is right; the residual catches the function
+        assert e.residual > 0.5 and e.residual_fine > 0.5
+        assert not e.converged
+        # a wrong closed form is a plain failure, never a ResolutionLimit,
+        # on the rule grid and the window alike
+        assert all(f.diagnostic is None for f in rep.entries if not f.converged)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -585,25 +590,30 @@ def test_verify_family_rejects_energies_moved_by_ten_tolerances(monkeypatch, nam
     levels = getattr(spectra, attr)
     monkeypatch.setattr(spectra, attr, lambda p: [
         dataclasses.replace(l, energy=l.energy + 10 * fam.tol_energy) for l in levels(p)])
-    rep = verify_family(fam.canonical)
-    assert rep.entries and not rep.passed
-    assert not any(e.converged for e in rep.entries)
-    # a wrong closed form is a plain failure, never a ResolutionLimit
-    assert all(e.diagnostic is None for e in rep.entries)
+    for grid in (None, _window(fam.canonical)):
+        rep = verify_family(fam.canonical, grid)
+        assert rep.entries and not rep.passed
+        assert not any(e.converged for e in rep.entries)
+        # a wrong closed form is a plain failure, never a ResolutionLimit,
+        # on the rule grid and the window alike
+        assert all(e.diagnostic is None for e in rep.entries)
 
 
 def test_verify_family_rejects_tau_swapped_rpt_labels(monkeypatch):
     levels = spectra.rpt_spectrum
     monkeypatch.setattr(spectra, "rpt_spectrum", lambda p: [
         dataclasses.replace(l, qn=dataclasses.replace(l.qn, tau=-l.qn.tau)) for l in levels(p)])
-    rep = verify_family(RPT)
-    assert len(rep.entries) == 3 and not rep.passed
-    for e in rep.entries:
-        assert e.abs_err <= 1e-6  # the energies are right; the residual catches the labels
-        assert e.residual > 1.0
-        assert not e.converged
-        # a wrong closed form is a plain failure, never a ResolutionLimit
-        assert e.diagnostic is None
+    # on the window, which ends at 12, the level relabelled from (-,+,0)
+    # decays to tol_energy only at 13.8, but the ends move no eigenvalue by
+    # tol_energy
+    for rep in (verify_family(RPT), verify_family(RPT, _window(RPT))):
+        assert len(rep.entries) == 3 and not rep.passed
+        for e in rep.entries:
+            assert e.abs_err <= 1e-6  # the energies are right; the residual catches the labels
+            assert e.residual > 1.0
+            assert not e.converged
+            # a wrong closed form is a plain failure, never a ResolutionLimit
+            assert e.diagnostic is None
 
 
 @pytest.mark.parametrize("tols", [
@@ -658,6 +668,7 @@ def test_step_limits_equal_the_per_level_loop():
 def test_subnormal_residual_tolerance_is_a_resolution_limit_without_a_warning():
     # no step meets tol_residual = 1e-320: every step bound underflows to 0,
     # the rule grid takes its point cap, and the residuals fall at order 4
+    # towards a rounding floor far above the tolerance
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = verify_family(ECK, tol_residual=1e-320)
@@ -666,6 +677,21 @@ def test_subnormal_residual_tolerance_is_a_resolution_limit_without_a_warning():
     for e in rep.entries:
         assert e.diagnostic is ResolutionLimit and 3.5 <= e.order <= 4.5
         assert e.note.startswith("ResolutionLimit: the residual")
+        assert "; the tolerance is below its rounding floor" in e.note
+
+
+@pytest.mark.parametrize("tol_residual, reason", [
+    (1e-10, "it needs a step of about"),
+    (1e-12, "the tolerance is below its rounding floor"),
+])
+def test_a_residual_still_falling_on_the_point_cap_is_a_resolution_limit(tol_residual, reason):
+    # canonical Hulthen meets tol_energy, and its residual 5.9e-10 falls at
+    # order 2 on the 1001-point cap the tighter tolerance sizes
+    (e,) = verify_family(HulthenParams(2.0, 2.0), tol_residual=tol_residual).entries
+    assert e.abs_err <= FAMILIES["hulthen"].tol_energy and e.residual > tol_residual
+    assert 1.0 <= e.order < 3.5
+    assert not e.converged and e.diagnostic is ResolutionLimit
+    assert f"; {reason}" in e.note
 
 
 def test_level_record_defaults_are_the_failure_values():
