@@ -15,7 +15,8 @@ L = tridiag(-1, 2, -1)/h^2 and B = tridiag(1, 10, 1)/12. On the shifted
 line and the real line xi' = 1, so Q = V and W = 1.
 `solve_targeted(H, target)` inverse-iterates one eigenpair of the pencil
 near `target`, factoring A - target M once and stopping when the
-eigenpair has settled relative to ||A||_inf + |target| ||M||_inf.
+eigenpair has settled relative to ||A||_inf + |target| ||M||_inf. It loads
+scipy's LAPACK at the first solve, so importing this module does not.
 
 Verification solves the Numerov pencil on the stated grid and on the once
 refined grid (same endpoints, halved step) for every family. The reported
@@ -44,14 +45,12 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .contour import (
     ArchContour,
     ShiftedLine,
     Stretched,
     add_curvature,
-    continuous_log,
     identity_map,
 )
 from .errors import (
@@ -71,6 +70,7 @@ from .potentials import (
     eval_rpt,
     pt_defect,
 )
+from . import contour as _contour
 from . import spectra as _sp
 
 _METRIC_FLOOR = 1e-10
@@ -245,6 +245,10 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
     restarts once at the shift nudged by _SHIFT_NUDGE before ShiftSingular
     is raised. Fewer than 3 interior nodes raise InvalidParameters.
     """
+    # imported here, not with the module: scipy.linalg outweighs the rest of
+    # start-up, and the closed-form commands never solve
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     a_diag, a_lower, a_upper = H.A[:3]
     m_diag, m_lower, m_upper = H.M[:3]
     n = len(a_diag)
@@ -592,7 +596,7 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             lam = (16 * fine_res.eigenvalue - coarse.eigenvalue) / 15
             psi = fam.wavefunction(params, level, contour, x_fine)
             if scale is None:
-                scale = np.exp(-0.5 * continuous_log(Hf.samples[1]))
+                scale = np.exp(-0.5 * _contour.continuous_log(Hf.samples[1]))
             u_f = psi * scale
             res_c = residual(u_f[::2], E, H)
             res_f = residual(u_f, E, Hf)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import arch_map, continuous_log, power_along_path, transport_wavefunction
+from .contour import arch_map, power_along_path, transport_wavefunction
 from .errors import (
     BoundaryLevelWarning,
     DegenerateSWarning,
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .potentials import EckartParams, HulthenParams, PoschlTellerParams
 from .special import jacobi_p_hyp
+from . import contour as _contour
 
 BOUNDARY_TOL = 1e-12
 _MAX_SLOTS = 10000
@@ -121,7 +122,7 @@ def eckart_wavefunction(p: EckartParams, level: Level, points, convention: str =
     # one exp in the log domain, finite where y - 1 itself underflows. On a
     # shifted line, -r - log sinh r is the principal log of y - 1 at every
     # first sample, so the branch is that of the two continued powers.
-    return np.exp((v - u) * r - (u + v) * continuous_log(sh)) * poly
+    return np.exp((v - u) * r - (u + v) * _contour.continuous_log(sh)) * poly
 
 
 def rpt_spectrum(p: PoschlTellerParams) -> list:

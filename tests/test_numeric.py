@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,7 +285,9 @@ def test_a_failed_sample_is_a_failed_entry_per_level(monkeypatch, patched):
     if patched == "wavefunction":
         monkeypatch.setattr(spectra, "eckart_wavefunction", broken)
     else:
-        monkeypatch.setattr(numeric, "continuous_log", broken)
+        # numeric reads the scale's log off its contour module; the
+        # wavefunctions keep the real continuous_log
+        monkeypatch.setattr(numeric, "_contour", SimpleNamespace(continuous_log=broken))
     rep = verify_family(ECK)
     assert not rep.passed and len(rep.entries) == len(good.entries) > 1
     for e, g in zip(rep.entries, good.entries):
