@@ -47,9 +47,11 @@ class MetricVanishing(SpectraError):
 
 
 class NoConvergence(SpectraError):
-    """Inverse iteration found no settled eigenpair within its sweep budget;
-    no eigenpair is returned, `best_residual` holds the smallest residual
-    any sweep reached and `iterations` the number of sweeps run."""
+    """Inverse iteration found no settled eigenpair: its sweep budget ran
+    out, or the measured rate of its residual showed that it would not
+    settle within the budget. No eigenpair is returned, `best_residual`
+    holds the smallest residual any sweep reached and `iterations` the
+    number of sweeps run."""
 
     def __init__(self, message, best_residual=None, iterations=0):
         super().__init__(message)

@@ -13,16 +13,20 @@ and Q = xi'^2 V + (3/4)(xi''/xi')^2 - (1/2) xi'''/xi'. Numerov's stencil
 turns it into A = L + B diag(Q) and M = B diag(W), where
 L = tridiag(-1, 2, -1)/h^2 and B = tridiag(1, 10, 1)/12. On the shifted
 line and the real line xi' = 1, so Q = V and W = 1.
-`solve_targeted(H, target)` inverse-iterates one eigenpair of the pencil
-near `target`, factoring A - target M once and stopping when the
-eigenpair has settled relative to ||A||_inf + |target| ||M||_inf. It loads
-scipy's LAPACK at the first solve, so importing this module does not.
+`solve_targeted(H, target, start=None)` inverse-iterates one eigenpair of
+the pencil near `target` from `start`, factoring A - target M once and
+stopping when the eigenpair has settled relative to
+||A||_inf + |target| ||M||_inf, or when the measured rate of its residual
+cannot get it there within the sweep budget. It loads scipy's LAPACK at
+the first solve, so importing this module does not.
 
-Verification solves the Numerov pencil on the stated grid and on the once
-refined grid (same endpoints, halved step) for every family. The reported
-eigenvalue is the Richardson combination (16*lambda_fine - lambda_coarse)/15,
-which removes the O(h^4) truncation term of the stencil, and the refined
-pass also yields the convergence-order table of the Numerov residuals.
+Verification solves the Numerov pencil on the once refined grid (same
+endpoints, halved step) and then on the stated grid, for every family; the
+stated-grid solve starts from the even nodes of the refined eigenvector.
+The reported eigenvalue is the Richardson combination
+(16*lambda_fine - lambda_coarse)/15, which removes the O(h^4) truncation
+term of the stencil, and the refined pass also yields the
+convergence-order table of the Numerov residuals.
 The refined grid's even nodes are the stated grid's nodes, bit for bit.
 So each report samples the path, the potential and the Liouville scale
 exp(-log(xi')/2) once, on the refined grid, and the stated-grid pencil
@@ -78,6 +82,8 @@ _START_SEED = 42
 _START_VECTORS = 8
 _SWEEP_TOL = 1e-14
 _MAX_SWEEPS = 200
+_RATE_FROM = 16  # the first sweep at which a measured rate can stop a solve
+_RATE_SPAN = 8  # sweeps over which the residual's geometric rate is measured
 _SHIFT_NUDGE = 1e-8 * (1 + 1j)
 _RESIDUAL_BUFFER = 0.05
 _MAX_POINTS = 10 ** 7
@@ -228,22 +234,28 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
-def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
+def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult:
     """Shifted inverse iteration for the eigenpair of A u = lambda M u
     nearest `target`.
 
-    Starts from a seeded random unit vector, drawn once per size for the
-    last _START_VECTORS sizes; A - shift M is factored once (LAPACK gttrf)
-    and each sweep is one gttrs solve of (A - shift M) w = M v. The
-    eigenvalue is the Rayleigh quotient v^H A v / v^H M v and the residual
+    Starts from `start`, a vector on the interior nodes, or by default from
+    a seeded random unit vector, drawn once per size for the last
+    _START_VECTORS sizes; A - shift M is factored once (LAPACK gttrf) and
+    each sweep is one gttrs solve of (A - shift M) w = M v. The eigenvalue
+    is the Rayleigh quotient v^H A v / v^H M v and the residual
     max|A v - lambda M v| / max|v|. A sweep stops when the residual and the
     change of the Rayleigh quotient since the previous sweep are both
-    within _SWEEP_TOL * (||A||_inf + |target| ||M||_inf): a small residual
-    alone can be a pseudo-eigenpair of this non-normal pencil whose Rayleigh
-    quotient still sits on the shift. No settled pair within _MAX_SWEEPS
-    sweeps raises NoConvergence. A singular factor or an overflowing solve
-    restarts once at the shift nudged by _SHIFT_NUDGE before ShiftSingular
-    is raised. Fewer than 3 interior nodes raise InvalidParameters.
+    within tol = _SWEEP_TOL * (||A||_inf + |target| ||M||_inf): a small
+    residual alone can be a pseudo-eigenpair of this non-normal pencil whose
+    Rayleigh quotient still sits on the shift. From sweep _RATE_FROM on, the
+    residual's geometric rate q over the last _RATE_SPAN sweeps stops a
+    solve that cannot settle: NoConvergence when q >= 1, or when the sweeps
+    q predicts to bring the residual to tol would pass _MAX_SWEEPS. No
+    settled pair within _MAX_SWEEPS sweeps raises NoConvergence too, and
+    its message names the last measured rate. A singular factor or an
+    overflowing solve restarts once at the shift nudged by _SHIFT_NUDGE
+    before ShiftSingular is raised. Fewer than 3 interior nodes raise
+    InvalidParameters.
     """
     # imported here, not with the module: scipy.linalg outweighs the rest of
     # start-up, and the closed-form commands never solve
@@ -255,14 +267,15 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
     if n < 3:
         raise InvalidParameters(f"{n} interior nodes; inverse iteration needs at least 3")
     tol = _SWEEP_TOL * (H.norms[0] + abs(target) * H.norms[1])
-    Mv = _band_product(H.M, _start_vector(n))
+    Mv = _band_product(H.M, _start_vector(n) if start is None else start)
     u = np.zeros(n + 2, dtype=complex)  # the iterate with its Dirichlet ends
     v = u[1:-1]
-    lam_prev, best_residual, it = None, math.inf, 0
+    lam_prev, best_residual, it, q = None, math.inf, 0, math.nan
     for shift in (complex(target), complex(target) + _SHIFT_NUDGE):
         *lu, info = zgttrf(a_lower - shift * m_lower, a_diag - shift * m_diag,
                            a_upper - shift * m_upper)
         failure = "shifted system singular" if info > 0 else None
+        history = []  # the residual of each sweep at this shift
         while failure is None and it < _MAX_SWEEPS:
             w, _ = zgttrs(*lu, Mv)
             nw = np.linalg.norm(w)
@@ -278,10 +291,17 @@ def solve_targeted(H: DiscretizedHamiltonian, target) -> EigenResult:
             if res <= tol and lam_prev is not None and abs(lam - lam_prev) <= tol:
                 return EigenResult(lam, u, res, it)
             lam_prev = lam
+            history.append(res)
+            if len(history) >= _RATE_FROM:
+                past = history[-1 - _RATE_SPAN]
+                q = (res / past) ** (1 / _RATE_SPAN) if past > 0 else math.inf
+                if q >= 1 or res > tol and it + math.log(tol / res) / math.log(q) > _MAX_SWEEPS:
+                    break
         if failure is None:
             raise NoConvergence(
-                f"inverse iteration at shift {target} did not settle in {_MAX_SWEEPS} "
-                f"sweeps; best residual {best_residual:.3e}",
+                f"inverse iteration at shift {target} did not settle in {it} sweeps: "
+                f"its residual changed by a factor {q:.3g} per sweep over the last "
+                f"{_RATE_SPAN}; best residual {best_residual:.3e}",
                 best_residual=best_residual, iterations=it,
             )
     raise ShiftSingular(f"{failure} at {shift}")
@@ -528,7 +548,8 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     """End-to-end check of a family's closed forms on the grid's contour.
 
     Enumerates the analytic spectrum, inverse-iterates the Numerov pencil
-    at each analytic energy on the grid and its refinement, and reports the
+    at each analytic energy on the grid's refinement and then on the grid,
+    from the even nodes of the refined eigenvector, and reports the
     PT defect (on 201 points of the grid's range) and a `LevelRecord` per
     level: the Richardson eigenvalue (16 lambda_fine - lambda_coarse)/15,
     and the Numerov residuals of the analytic wave function at both steps
@@ -552,7 +573,11 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
        in _ORDERS or, on at least _VERIFY_POINTS points, at order >= 1; the
        note names the step h (tol_residual/residual)^(1/order) that meets
        it, or the rounding floor eps (||A|| + |E| ||M||) above it;
-    4. its inverse iteration does not settle (NoConvergence).
+    4. an inverse iteration does not settle (NoConvergence): the refined
+       solve, which then skips the stated-grid solve, or the stated-grid
+       solve, whose record counts the refined solve's sweeps too; each
+       stops at _MAX_SWEEPS or as soon as its measured rate cannot settle
+       within them (see `solve_targeted`).
     Other failures are plain. Constituent errors become failed entries,
     not exceptions, typed by their diagnostic and counting the sweeps run.
     """
@@ -589,10 +614,11 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
         qn, E = level.qn, level.energy
         iters, limit = 0, ""  # limit: why the grid does not resolve the level
         try:
-            coarse = solve_targeted(H, E)
-            iters = coarse.iterations
             fine_res = solve_targeted(Hf, E)
-            iters += fine_res.iterations
+            iters = fine_res.iterations
+            # the refined grid's even interior nodes are the stated grid's
+            coarse = solve_targeted(H, E, fine_res.eigenvector[2:-2:2])
+            iters += coarse.iterations
             lam = (16 * fine_res.eigenvalue - coarse.eigenvalue) / 15
             psi = fam.wavefunction(params, level, contour, x_fine)
             if scale is None:

@@ -1,8 +1,8 @@
 """Complex-parameter special functions.
 
-Pochhammer symbols, the terminating Gauss hypergeometric sum, and Jacobi
-polynomials evaluated two independent ways (hypergeometric representation
-and three-term recurrence). Only the terminating branch of 2F1 is ever
+The terminating Gauss hypergeometric sum and Jacobi polynomials
+evaluated two independent ways (hypergeometric representation and
+three-term recurrence). Only the terminating branch of 2F1 is ever
 needed here, so it is summed directly; no analytic continuation exists in
 this module.
 
@@ -12,8 +12,6 @@ ordinary complex; once any argument is an array the same body runs
 vectorized in complex128, which is plenty for wave-function sampling.
 The 1e-10 cross-oracle comparisons all go through scalar calls.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,28 +23,6 @@ ABS_FLOOR = 1e-13
 
 # pole / degeneracy guard on denominators and leading coefficients
 _COEFF_FLOOR = 1e-13
-# how far b may sit from a non-positive integer for 2F1 to terminate
-_TERMINATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class HypergeometricReduction:
-    """Record of a reduction to the Gauss equation.
-
-    Stores the hypergeometric parameters (a, b, c) and a description of
-    the coordinate substitution that produced the argument z. Terminating
-    solutions have b at a non-positive integer within round-off.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    z_map: str
-
-    def is_terminating(self) -> bool:
-        b = complex(self.b)
-        return (abs(b.imag) <= _TERMINATION_TOL and abs(b.real - round(b.real)) <= _TERMINATION_TOL
-                and round(b.real) <= 0)
 
 
 def _working(*vals):
@@ -66,16 +42,6 @@ def _working(*vals):
 def _finish(value):
     """Ordinary complex for a scalar result, the complex128 array otherwise."""
     return value if isinstance(value, np.ndarray) else complex(value)
-
-
-def pochhammer(a, k: int):
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1 exactly."""
-    if k < 0:
-        raise ValueError("k must be a non-negative integer")
-    a, acc = _working(a)
-    for j in range(k):
-        acc = acc * (a + j)
-    return _finish(acc)
 
 
 def gauss2f1_terminating(N: int, b, c, z):

@@ -217,7 +217,10 @@ def test_targeted_unsettled_solve_is_no_convergence():
     with pytest.raises(NoConvergence) as info:
         solve_targeted(H, 728.19)
     assert 0 < info.value.best_residual < math.inf
-    assert info.value.iterations == 200
+    # the measured rate (about 0.89 per sweep) stops it well before the budget
+    assert numeric._RATE_FROM <= info.value.iterations < numeric._MAX_SWEEPS
+    assert f"did not settle in {info.value.iterations} sweeps" in str(info.value)
+    assert "per sweep over the last 8" in str(info.value)
     (entry,) = verify_family(params).entries
     assert hulthen_spectrum(params)[0].energy == pytest.approx(728.19, abs=1e-2)
     # on the rule grid the level passes or is typed, never a plain failure
@@ -225,27 +228,36 @@ def test_targeted_unsettled_solve_is_no_convergence():
     if not entry.converged:
         assert entry.note.startswith("ResolutionLimit: no settled eigenpair on")
         assert "(NoConvergence: inverse iteration at shift" in entry.note
-        assert entry.iterations == 200  # the coarse solve's whole sweep budget
+        assert "per sweep" in entry.note
+        assert entry.iterations < numeric._MAX_SWEEPS
 
 
-def test_failed_fine_solve_keeps_the_coarse_sweeps(monkeypatch):
+@pytest.mark.parametrize("stalls", ["coarse", "fine"])
+def test_a_failed_solve_keeps_the_sweeps_run_before_it(monkeypatch, stalls):
+    # the refined solve runs first: a stalled coarse solve keeps its sweeps,
+    # and a stalled refined solve skips the coarse one
     grid = verify_family(ECK).grid
-    H = build_hamiltonian(lambda z: eval_eckart(ECK, z), grid)
+    Hf = build_hamiltonian(lambda z: eval_eckart(ECK, z), grid.refined())
     solve = numeric.solve_targeted
+    calls = []
 
-    def fine_stalls(Hg, target):
-        if Hg.grid.n_points > grid.n_points:
+    def one_stalls(Hg, target, start=None):
+        fine = Hg.grid.n_points > grid.n_points
+        calls.append(fine)
+        if fine == (stalls == "fine"):
             raise NoConvergence("stalled", iterations=7)
-        return solve(Hg, target)
+        return solve(Hg, target, start)
 
-    monkeypatch.setattr(numeric, "solve_targeted", fine_stalls)
+    monkeypatch.setattr(numeric, "solve_targeted", one_stalls)
     entries = verify_family(ECK, grid).entries
     assert entries
+    assert calls == ([True] if stalls == "fine" else [True, False]) * len(entries)
     for e in entries:
         assert e.diagnostic is ResolutionLimit and not e.converged
         assert e.note.startswith("ResolutionLimit: no settled eigenpair on")
         assert e.note.endswith("(NoConvergence: stalled)")
-        assert e.iterations == solve(H, e.E_analytic).iterations + 7
+        ran = 7 if stalls == "fine" else solve(Hf, e.E_analytic).iterations + 7
+        assert e.iterations == ran
 
 
 def _diagonal(d):
@@ -302,6 +314,59 @@ def test_targeted_singular_shift_is_nudged_once():
     # the nudged shift lands on the second diagonal entry: singular again
     with pytest.raises(ShiftSingular, match="shifted system singular"):
         solve_targeted(_diagonal([1.0, 1.0 + 1e-8 * (1 + 1j), 3.0]), 1.0)
+
+
+def test_targeted_stops_an_equidistant_pair_by_its_rate():
+    # 1 and 3 are equally far from the shift 2: the iterate keeps both
+    # components, its residual does not fall, and the rate stops the solve
+    with pytest.raises(NoConvergence) as info:
+        solve_targeted(_diagonal([1.0, 3.0, 6.0, 10.0]), 2.0)
+    assert info.value.iterations == numeric._RATE_FROM < numeric._MAX_SWEEPS
+    assert "changed by a factor 1 per sweep" in str(info.value)
+    assert info.value.best_residual > 0.1
+
+
+def test_targeted_slow_but_converging_solve_is_not_stopped():
+    # neighbour ratio 1/1.25 = 0.8 per sweep: the rate predicts a settled
+    # pair within the budget, so the solve runs on until it settles
+    r = solve_targeted(_diagonal([1.0, 1.25, 3.0, 5.0]), 0.0)
+    assert abs(r.eigenvalue - 1.0) <= 1e-12
+    assert 100 < r.iterations < numeric._MAX_SWEEPS
+
+
+def test_targeted_starts_from_the_given_vector():
+    # an exact eigenvector stays one, even off the eigenvalue nearest the shift
+    r = solve_targeted(_diagonal([1.0, 2.0, 3.0]), 1.1, start=np.array([0.0, 0.0, 1.0]))
+    assert r.eigenvalue == 3.0 and r.iterations == 2
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_default_start_is_the_seeded_vector(name):
+    fam = FAMILIES[name]
+    grid = verify_family(fam.canonical).grid
+    H = build_hamiltonian(lambda z: fam.potential(fam.canonical, z), grid)
+    seeded = numeric._start_vector(len(H.A[0]))
+    for level in fam.spectrum(fam.canonical):
+        cold, given = solve_targeted(H, level.energy), solve_targeted(H, level.energy, seeded)
+        assert (cold.eigenvalue, cold.residual, cold.iterations) == (
+            given.eigenvalue, given.residual, given.iterations)
+        assert np.array_equal(cold.eigenvector, given.eigenvector)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_warm_start_from_the_refined_eigenvector(name):
+    # the refined eigenvector's even interior nodes start the stated-grid
+    # solve: the same eigenvalue as a cold start, in no more sweeps
+    fam = FAMILIES[name]
+    grid = verify_family(fam.canonical).grid
+    Hf = build_hamiltonian(lambda z: fam.potential(fam.canonical, z), grid.refined())
+    H = numeric._stated_pencil(Hf, grid)
+    for level in fam.spectrum(fam.canonical):
+        fine = solve_targeted(Hf, level.energy)
+        warm = solve_targeted(H, level.energy, fine.eigenvector[2:-2:2])
+        cold = solve_targeted(H, level.energy)
+        assert abs(warm.eigenvalue - cold.eigenvalue) <= 1e-11
+        assert warm.iterations <= cold.iterations
 
 
 def test_targeted_needs_three_interior_nodes():

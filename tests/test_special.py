@@ -3,37 +3,11 @@ import pytest
 
 from ptspectra import (
     DegenerateRecurrence,
-    HypergeometricReduction,
     PoleInC,
     gauss2f1_terminating,
     jacobi_p_hyp,
     jacobi_p_rec,
-    pochhammer,
 )
-
-
-def test_pochhammer_values():
-    assert pochhammer(2.5 + 0j, 0) == 1
-    assert pochhammer(1.0, 4) == 24
-    assert pochhammer(-2.0, 3) == 0
-    assert pochhammer(2.5, 2) == pytest.approx(8.75)
-
-
-def test_pochhammer_splitting():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        a = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        j = int(rng.integers(0, 6))
-        k = int(rng.integers(0, 6))
-        whole = pochhammer(a, j + k)
-        split = pochhammer(a, j) * pochhammer(a + j, k)
-        assert abs(whole - split) <= 1e-13 * (1 + abs(whole))
-
-
-def test_pochhammer_array_argument():
-    a = np.array([1.0 + 0j, -2.0, 2.5])
-    out = pochhammer(a, 3)
-    assert np.allclose(out, [6.0, 0.0, 2.5 * 3.5 * 4.5])
 
 
 def test_gauss2f1_single_term_and_z0():
@@ -111,9 +85,3 @@ def test_jacobi_rec_degenerate_coefficient():
         jacobi_p_rec(2, -3.0, 1.0, 0.4)
     # the hypergeometric route has no such degeneracy here
     jacobi_p_hyp(2, -3.0, 1.0, 0.4)
-
-
-def test_reduction_record_terminating_flag():
-    red = HypergeometricReduction(a=2.5, b=-3.0 + 0j, c=1.5, z_map="test")
-    assert red.is_terminating()
-    assert not HypergeometricReduction(a=2.5, b=0.5, c=1.5, z_map="test").is_terminating()
