@@ -46,6 +46,7 @@ from .potentials import PoschlTellerParams
 # perfbench/spans.py wraps these names on this module. Only eval_rpt is
 # called here (transform's parent potential); the others are kept for it.
 from .potentials import eval_eckart, eval_hulthen, eval_rpt  # noqa: F401
+from .spectra import SampledPath
 from .spectra import (  # noqa: F401
     eckart_spectrum,
     eckart_wavefunction,
@@ -252,7 +253,7 @@ def cmd_sample(args) -> int:
         if level is None:
             sys.stderr.write("ptspectra: invalid level for psi sampling\n")
             return 2
-        psi = fam.wavefunction(params, level, contour, x)
+        psi = fam.wavefunction(params, level, SampledPath(xi))
         header += ["psi_re", "psi_im"]
         columns += [psi.real, psi.imag]
     _emit(header, columns, args.out)

@@ -152,14 +152,18 @@ def continuous_log(values):
     return logs
 
 
-def power_along_path(base_values, exponent, *more):
+def power_along_path(base_values, exponent, *more, logs=None):
     """base^exponent, times base_k^exponent_k for each further pair in
     `more` = (base_2, exponent_2, ...), with the branch-continuity policy
     along the samples. The product is formed in the log domain, one exp of
     the summed exponent * continuous_log(base), so it stays finite where a
-    factor alone would overflow or underflow."""
+    factor alone would overflow or underflow. `logs`, when given, holds the
+    bases' continuous logs in order, taken once by a caller that raises the
+    same bases to many exponents."""
     pairs = (base_values, exponent) + more
-    return np.exp(sum(e * continuous_log(b) for b, e in zip(pairs[::2], pairs[1::2])))
+    if logs is None:
+        logs = map(continuous_log, pairs[::2])
+    return np.exp(sum(e * log for e, log in zip(pairs[1::2], logs)))
 
 
 def arch_map(xi):
@@ -229,17 +233,26 @@ def liouville_potential(W, kappa, lmap, xi):
     return out if np.ndim(xi) else complex(out)
 
 
-def transport_wavefunction(chi, lmap, xi_samples):
-    """Psi(xi) = chi[r(xi)] / sqrt(r'(xi)) along an ordered sample sequence,
-    r and r' taken from one `lmap(xi)` call.
-
-    The square root follows the branch-continuity policy (principal at the
-    first sample, continuous thereafter).
-    """
-    xi = np.asarray(xi_samples, dtype=complex)
-    r, rp = lmap(xi)[:2]
+def metric_root(rp):
+    """sqrt(r'(xi)) along an ordered sample sequence, exp(continuous_log(r')/2),
+    so it follows the branch-continuity policy. Raises SingularPoint where
+    r' vanishes."""
     rp = np.asarray(rp, dtype=complex)
     if np.min(np.abs(rp)) < _METRIC_FLOOR:
         raise SingularPoint("r'(xi) vanishes along the sample path")
-    root = np.exp(0.5 * continuous_log(rp))
+    return np.exp(0.5 * continuous_log(rp))
+
+
+def transport_wavefunction(chi, lmap, xi_samples, mapped=None):
+    """Psi(xi) = chi[r(xi)] / sqrt(r'(xi)) along an ordered sample sequence,
+    r and r' taken from one `lmap(xi)` call and the root from `metric_root`.
+
+    `mapped`, when given, is that (r, root) on `xi_samples`, held by a
+    caller that transports several functions along the same samples; lmap
+    is then not called.
+    """
+    if mapped is None:
+        r, rp = lmap(np.asarray(xi_samples, dtype=complex))[:2]
+        mapped = r, metric_root(rp)
+    r, root = mapped
     return np.asarray(chi(r), dtype=complex) / root

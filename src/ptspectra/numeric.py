@@ -25,14 +25,15 @@ endpoints, halved step) and then on the stated grid, for every family; the
 stated-grid solve starts from the even nodes of the refined eigenvector.
 The reported eigenvalue is the Richardson combination
 (16*lambda_fine - lambda_coarse)/15, which removes the O(h^4) truncation
-term of the stencil, and the refined pass also yields the
-convergence-order table of the Numerov residuals.
+term of the stencil, and the refined pass also yields each level's
+convergence order of the Numerov residuals.
 The refined grid's even nodes are the stated grid's nodes, bit for bit.
 So each report samples the path, the potential and the Liouville scale
 exp(-log(xi')/2) once, on the refined grid, and the stated-grid pencil
-reads their even nodes. Each analytic wave function is sampled once, on
-the refined grid, and scaled to the Liouville unknown, and the stated-grid
-residual reads its even nodes too.
+reads their even nodes. The path's factors are sampled once per report,
+in one `spectra.SampledPath` of the refined grid's points that every
+level's analytic wave function reads; each wave function is scaled to the
+Liouville unknown, and the stated-grid residual reads its even nodes too.
 
 Without a given grid, `verify_family` sizes a stretched grid from the
 closed forms (`_rule_grid`). On every grid, given or sized, one rule types
@@ -158,7 +159,7 @@ class DiscretizedHamiltonian:
     `A` and `M` each hold (diag, lower, upper, bc_left, bc_right): the three
     bands and the couplings of the first/last interior row to the
     (Dirichlet-zero) boundary nodes, which the residual of a whole-grid
-    sample needs. `samples` holds the node samples (Q, xi') a Numerov
+    sample needs. `samples` holds the node samples (xi, Q, xi') a Numerov
     pencil was built from, on every node of the grid. `norms` holds
     (||A||_inf, ||M||_inf), taken once when the pencil is built.
     """
@@ -200,12 +201,12 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
     if small < _METRIC_FLOOR:
         raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e} on the grid")
     Q = add_curvature(xp ** 2 * np.asarray(evaluator(xi), dtype=complex), xp, xp2, xp3)
-    return _numerov_pencil(Q, xp, grid)
+    return _numerov_pencil(xi, Q, xp, grid)
 
 
-def _numerov_pencil(Q, xp, grid: Grid) -> DiscretizedHamiltonian:
+def _numerov_pencil(xi, Q, xp, grid: Grid) -> DiscretizedHamiltonian:
     """A = L + B diag(Q) and M = B diag(xp^2) from the node samples Q and
-    xi' on every node of `grid`."""
+    xi' on every node of `grid`; the path points xi are kept with them."""
     off, b0, b1 = -1.0 / grid.h ** 2, 10.0 / 12.0, 1.0 / 12.0
 
     def weighted(F):  # the rows of B diag(F)
@@ -213,7 +214,8 @@ def _numerov_pencil(Q, xp, grid: Grid) -> DiscretizedHamiltonian:
 
     laplacian = (2.0 / grid.h ** 2, off, off, off, off)
     return DiscretizedHamiltonian(
-        tuple(l + b for l, b in zip(laplacian, weighted(Q))), weighted(xp ** 2), grid, (Q, xp))
+        tuple(l + b for l, b in zip(laplacian, weighted(Q))), weighted(xp ** 2), grid,
+        (xi, Q, xp))
 
 
 def _stated_pencil(Hf: DiscretizedHamiltonian, grid: Grid) -> DiscretizedHamiltonian:
@@ -386,25 +388,17 @@ class VerificationReport:
     tol_energy: float
     tol_residual: float
 
-    @property
-    def convergence_table(self) -> list:
-        return [
-            {"label": e.label, "residual_h": e.residual,
-             "residual_h_half": e.residual_fine, "order": e.order}
-            for e in self.entries
-        ]
-
 
 @dataclass(frozen=True)
 class Family:
     """What the verifier and the CLI know about one potential family.
 
     `spectrum(params)`, `potential(params, xi)` and
-    `wavefunction(params, level, contour, x)` look the family functions up
-    when called, not at import, so a wrapper installed on a module
-    attribute sees every call. `contour(params)` builds the path of the
-    record's `epsilon`: the shift of a ShiftedLine, the angle of
-    Hulthen's ArchContour.
+    `wavefunction(params, level, path)` look the family functions up when
+    called, not at import, so a wrapper installed on a module attribute
+    sees every call. `path` is a `spectra.SampledPath` of the points.
+    `contour(params)` builds the path of the record's `epsilon`: the shift
+    of a ShiftedLine, the angle of Hulthen's ArchContour.
     `canonical` is the README setup and the CLI's parameter defaults; its
     type is the family's parameter record.
     `grid` is the uniform window (x_min, x_max, n_points) that `sample`
@@ -443,8 +437,7 @@ FAMILIES = {f.name: f for f in (
     Family("eckart", EckartParams(3.0, 1.0, 0.5),
            spectrum=lambda p: _sp.eckart_spectrum(p),
            potential=lambda p, xi: eval_eckart(p, xi),
-           wavefunction=lambda p, level, contour, x:
-               _sp.eckart_wavefunction(p, level, contour.point(x)),
+           wavefunction=lambda p, level, path: _sp.eckart_wavefunction(p, level, path),
            contour=lambda p: ShiftedLine(p.epsilon),
            grid=(-18.0, 18.0, 1001), tol_energy=1e-5, tol_residual=1.5e-1,
            aux_columns=("u_re", "u_im", "v_re", "v_im"),
@@ -453,8 +446,7 @@ FAMILIES = {f.name: f for f in (
     Family("rpt", PoschlTellerParams(3.5, 1.5, 0.3),
            spectrum=lambda p: _sp.rpt_spectrum(p),
            potential=lambda p, xi: eval_rpt(p, xi),
-           wavefunction=lambda p, level, contour, x:
-               _sp.rpt_wavefunction(p, level, contour.point(x)),
+           wavefunction=lambda p, level, path: _sp.rpt_wavefunction(p, level, path),
            contour=lambda p: ShiftedLine(p.epsilon),
            grid=(-12.0, 12.0, 1001), tol_energy=1e-6, tol_residual=1.5e-1,
            aux_columns=(),
@@ -463,8 +455,7 @@ FAMILIES = {f.name: f for f in (
     Family("hulthen", HulthenParams(2.0, 2.0),
            spectrum=lambda p: _sp.hulthen_spectrum(p),
            potential=lambda p, xi: eval_hulthen(p, xi),
-           wavefunction=lambda p, level, contour, x:
-               _sp.hulthen_wavefunction(p, level, contour, x),
+           wavefunction=lambda p, level, path: _sp.hulthen_wavefunction(p, level, None, path),
            contour=lambda p: ArchContour(p.epsilon),
            grid=(-12.0, 12.0, 1001), tol_energy=1e-4, tol_residual=1e-4,
            aux_columns=("s", "tau_beta"),
@@ -553,10 +544,11 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     PT defect (on 201 points of the grid's range) and a `LevelRecord` per
     level: the Richardson eigenvalue (16 lambda_fine - lambda_coarse)/15,
     and the Numerov residuals of the analytic wave function at both steps
-    with their observed order. Each report samples its grid, and each wave
-    function, once, on the refined grid (see the module docstring). A
-    missing grid is the stretched grid `_rule_grid` sizes on the canonical
-    contour for the tighter of each tolerance and the family's default. A
+    with their observed order. Each report samples its grid, and the
+    factors its levels' wave functions share, once, on the refined grid
+    (see the module docstring). A missing grid is the stretched grid
+    `_rule_grid` sizes on the canonical contour for the tighter of each
+    tolerance and the family's default. A
     given grid is used as it is; one without a contour gets the canonical
     contour. A level passes when its eigenvalue is within `tol_energy` of
     its energy and its stated-grid residual within `tol_residual`; both
@@ -606,7 +598,9 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     evaluator = lambda xi: fam.potential(params, xi)
     Hf = build_hamiltonian(evaluator, grid.refined())
     H = _stated_pencil(Hf, grid)
-    x_fine, h_fine = Hf.grid.points(), Hf.grid.h
+    xi_fine, _, xp_fine = Hf.samples
+    h_fine = Hf.grid.h
+    path = _sp.SampledPath(xi_fine)  # the factors every level's wave function shares
     scale = None  # the Liouville scale exp(-log(xi')/2) on the refined grid
 
     entries = []
@@ -620,9 +614,9 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             coarse = solve_targeted(H, E, fine_res.eigenvector[2:-2:2])
             iters += coarse.iterations
             lam = (16 * fine_res.eigenvalue - coarse.eigenvalue) / 15
-            psi = fam.wavefunction(params, level, contour, x_fine)
+            psi = fam.wavefunction(params, level, path)
             if scale is None:
-                scale = np.exp(-0.5 * _contour.continuous_log(Hf.samples[1]))
+                scale = np.exp(-0.5 * _contour.continuous_log(xp_fine))
             u_f = psi * scale
             res_c = residual(u_f[::2], E, H)
             res_f = residual(u_f, E, Hf)
@@ -634,7 +628,7 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             # Green's identity: the Dirichlet ends move the eigenvalue by 2|u u'| / |int W u^2|
             v = u_f / np.max(np.abs(u_f))  # scaled so that v * v stays finite
             ends = abs(v[0] * (v[1] - v[0])) + abs(v[-1] * (v[-1] - v[-2]))
-            norm = abs(np.dot(Hf.samples[1] ** 2 * v, v)) * h_fine
+            norm = abs(np.dot(xp_fine ** 2 * v, v)) * h_fine
             shift = 2 * ends / (h_fine * norm) if norm else math.inf
             step = abs(fine_res.eigenvalue - coarse.eigenvalue)
             falls = (_ORDERS[0] <= order <= _ORDERS[1]

@@ -11,15 +11,30 @@ argument degenerates exactly there). A walk past 10^4 quantum numbers
 Energies are kept as floats. If a closed form develops an imaginary part
 above 1e-12 under nominally real couplings, that is a bug in this module,
 not in the caller's input, and InternalConsistencyError says so.
+
+Every level of a family is sinh and cosh powers of r times a Jacobi
+polynomial, with r = xi on the shifted line and r = arch_map(xi) on the
+arch, so the levels sampled on one path share every transcendental
+factor. A `SampledPath` holds one ordered sample of path points and
+computes each factor on first use: sinh r and cosh r with their
+SingularPoint guards, their logs, the Jacobi arguments coth r and
+cosh 2r, and on the arch r itself and the Liouville root
+exp(continuous_log(r')/2). Its logs follow the contour module's branch
+policy, principal at the first sample and continuous thereafter. The wave
+functions take an array of points or a SampledPath; given an array they
+sample a fresh one. A level then costs one Jacobi sum and one exp of the
+exponent-weighted logs: `power_along_path` and `transport_wavefunction`
+take the path's logs and root instead of taking them again.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .contour import arch_map, power_along_path, transport_wavefunction
+from .contour import arch_map, metric_root, power_along_path, transport_wavefunction
 from .errors import (
     BoundaryLevelWarning,
     DegenerateSWarning,
@@ -60,6 +75,79 @@ class Level:
     qn: QuantumNumbers
     energy: float
     aux: dict = field(default_factory=dict)
+
+
+class SampledPath:
+    """One ordered sample of path points and the level-independent factors
+    of the closed-form wave functions on it, each computed on first use and
+    kept for the object's lifetime. A factor that raises is not kept, so it
+    raises again for the next level that asks. `np.asarray(path)` gives the
+    points.
+    """
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=complex)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
+
+    @cached_property
+    def sinh(self):
+        return _nonvanishing(np.sinh(self.points), "sinh r")
+
+    @cached_property
+    def cosh(self):
+        return _nonvanishing(np.cosh(self.points), "cosh r")
+
+    @cached_property
+    def log_sinh(self):
+        return _contour.continuous_log(self.sinh)
+
+    @cached_property
+    def log_cosh(self):
+        return _contour.continuous_log(self.cosh)
+
+    @cached_property
+    def coth(self):
+        """coth r, Eckart's Jacobi argument; cosh r is not guarded here,
+        since coth r is finite where it vanishes."""
+        return np.cosh(self.points) / self.sinh
+
+    @cached_property
+    def cosh2(self):
+        """cosh 2r, the Poschl-Teller Jacobi argument."""
+        return np.cosh(2 * self.points)
+
+    @cached_property
+    def _arch_map(self):
+        r, rp = arch_map(self.points)[:2]
+        return SampledPath(r), rp
+
+    @cached_property
+    def arch(self):
+        """The parent line r = arch_map(xi) of arch points, as a SampledPath."""
+        return self._arch_map[0]
+
+    @cached_property
+    def transport_root(self):
+        """sqrt(r'(xi)) of the arch map, `contour.metric_root`."""
+        return metric_root(self._arch_map[1])
+
+
+def _nonvanishing(values, name):
+    if np.min(np.abs(values)) < 1e-12:
+        raise SingularPoint(f"{name} vanishes on the requested points")
+    return values
+
+
+def _sampled(points):
+    return points if isinstance(points, SampledPath) else SampledPath(points)
+
+
+def _check_family(level, family):
+    if level.qn.family != family:
+        raise InvalidParameters(f"level must come from {family}_spectrum, "
+                                f"not {level.qn.family}_spectrum")
 
 
 def _check_slot(family, N):
@@ -107,22 +195,22 @@ def eckart_wavefunction(p: EckartParams, level: Level, points, convention: str =
     (2u, 2v) as forced by matching the terminating Gauss series (c = 1+2u,
     a+b = 2u+2v+1); "printed" uses (u/2, v/2). The discrete Schrodinger
     residual arbitrates between them; "reduction" is the one that
-    converges. Complex powers are branch-continuous along the points.
+    converges. Complex powers are branch-continuous along the points, an
+    array or a `SampledPath`. A level of another family raises
+    InvalidParameters.
     """
     if convention not in ("reduction", "printed"):
         raise InvalidParameters("convention must be 'reduction' or 'printed'")
+    _check_family(level, "eckart")
     u, v = level.aux["u"], level.aux["v"]
-    r = np.asarray(points, dtype=complex)
-    sh = np.sinh(r)
-    if np.min(np.abs(sh)) < 1e-12:
-        raise SingularPoint("sinh r vanishes on the requested points")
+    path = _sampled(points)
     pa, pb = (2 * u, 2 * v) if convention == "reduction" else (u / 2, v / 2)
-    poly = jacobi_p_hyp(level.qn.N, pa, pb, np.cosh(r) / sh)
+    poly = jacobi_p_hyp(level.qn.N, pa, pb, path.coth)
     # y -+ 1 = e^{-+r}/sinh r, so u log(y-1) + v log(y+1) = (v-u) r - (u+v) log sinh r:
     # one exp in the log domain, finite where y - 1 itself underflows. On a
     # shifted line, -r - log sinh r is the principal log of y - 1 at every
     # first sample, so the branch is that of the two continued powers.
-    return np.exp((v - u) * r - (u + v) * _contour.continuous_log(sh)) * poly
+    return np.exp((v - u) * path.points - (u + v) * path.log_sinh) * poly
 
 
 def rpt_spectrum(p: PoschlTellerParams) -> list:
@@ -152,18 +240,21 @@ def rpt_spectrum(p: PoschlTellerParams) -> list:
 
 def _parent_eigenfunction(N, tb, sa, r):
     """sinh^{tb+1/2}(r) cosh^{sa+1/2}(r) P_N^{(tb, sa)}(cosh 2r), branch-continuous:
-    the Poschl-Teller eigenfunction with tb = tau*beta, sa = sigma*alpha."""
-    r = np.asarray(r, dtype=complex)
-    sh, ch = np.sinh(r), np.cosh(r)
-    if min(np.min(np.abs(sh)), np.min(np.abs(ch))) < 1e-12:
-        raise SingularPoint("sinh r or cosh r vanishes on the requested points")
-    poly = jacobi_p_hyp(N, tb, sa, np.cosh(2 * r))
-    return power_along_path(sh, tb + 0.5, ch, sa + 0.5) * poly
+    the Poschl-Teller eigenfunction with tb = tau*beta, sa = sigma*alpha, on
+    the points r, an array or a `SampledPath`."""
+    path = _sampled(r)
+    sh, ch = path.sinh, path.cosh  # their SingularPoint guards come before the Jacobi sum
+    poly = jacobi_p_hyp(N, tb, sa, path.cosh2)
+    logs = path.log_sinh, path.log_cosh
+    return power_along_path(sh, tb + 0.5, ch, sa + 0.5, logs=logs) * poly
 
 
 def rpt_wavefunction(p: PoschlTellerParams, level: Level, points):
     """psi = sinh^{tau*beta+1/2}(r) cosh^{sigma*alpha+1/2}(r)
-    P_N^{(tau*beta, sigma*alpha)}(cosh 2r), branch-continuous."""
+    P_N^{(tau*beta, sigma*alpha)}(cosh 2r), branch-continuous along the
+    points, an array or a `SampledPath`. A level of another family raises
+    InvalidParameters."""
+    _check_family(level, "rpt")
     qn = level.qn
     return _parent_eigenfunction(qn.N, qn.tau * p.beta, qn.sigma * p.alpha, points)
 
@@ -226,15 +317,20 @@ def hulthen_wavefunction(p: HulthenParams, level: Level, arch, x_samples):
 
     chi is the parent eigenfunction rebuilt from the level's derived
     parameters (beta = |tau*beta|, tau = sign); one `arch_map` call
-    supplies r(xi) = x - i*eps and the metric factor r'(xi).
+    supplies r(xi) = x - i*eps and the metric factor r'(xi), and the root
+    follows the branch policy. `x_samples` are path parameters of `arch`,
+    or a `SampledPath` of its points xi(x), which `arch` then need not
+    supply.
     """
     if "kappa" not in level.aux or level.qn.family != "hulthen":
         raise InvalidParameters("level must come from hulthen_spectrum")
     tb = level.aux["tau_beta"]
     sa = level.qn.sigma * p.alpha
+    path = x_samples if isinstance(x_samples, SampledPath) else SampledPath(
+        arch.point(np.asarray(x_samples, dtype=float)))
     n = level.qn.N
-    xi = arch.point(np.asarray(x_samples, dtype=float))
-    return transport_wavefunction(lambda r: _parent_eigenfunction(n, tb, sa, r), arch_map, xi)
+    return transport_wavefunction(lambda r: _parent_eigenfunction(n, tb, sa, r), arch_map,
+                                  path, mapped=(path.arch, path.transport_root))
 
 
 def eckart_spacing(p: EckartParams, N: int) -> float:

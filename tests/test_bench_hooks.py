@@ -36,3 +36,24 @@ def test_verify_pools_pass_the_census(monkeypatch, workload):
     workloads = _load("workloads")
     problems = [p for op in workloads.BUILDERS[workload](1) for p in op.check(op.run(None))]
     assert problems == []
+
+
+def test_traced_wavefunction_spans_count_the_sampled_nodes(monkeypatch):
+    # the hooks count np.size of a wave function's path argument, so a
+    # SampledPath must count its nodes, not 1 per call
+    monkeypatch.setitem(sys.modules, "census", _load("census"))
+    workloads, spans = _load("workloads"), _load("spans")
+    tracer = spans.Tracer()
+    pool = workloads.BUILDERS["canonical"](1)
+    nodes = []
+    with tracer.installed():
+        for i, op in enumerate(pool):
+            with tracer.operation(i):
+                report = op.run(None)
+            assert report.passed  # every level sampled its wave function
+            nodes += [report.grid.refined().n_points] * len(report.entries)
+    counts = [s[5] for s in tracer.spans if s[0] == "spectra.wavefunction"]
+    assert len(nodes) == 6 and counts == nodes
+    metrics = spans.layer_metrics(tracer, len(pool), len(pool), workloads.verdict([]), 0)
+    assert metrics["spectra.wavefunction.calls"]["value"] == 6
+    assert metrics["spectra.wavefunction.points"]["value"] == sum(nodes)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ptspectra import ArchContour, Grid, HulthenParams, verify_family
+from ptspectra import ArchContour, Grid, HulthenParams, SampledPath, verify_family
 from ptspectra.cli import build_parser, main, parse_angle
 from ptspectra.numeric import FAMILIES
 
@@ -264,8 +264,9 @@ def test_sample_sigma_and_tau_select_a_level_without_N(capsys):
     fam = FAMILIES["rpt"]
     level = fam.spectrum(fam.canonical)[0]
     assert level.qn.label() == "(-,-,0)"
-    psi = fam.wavefunction(fam.canonical, level, fam.contour(fam.canonical),
-                           Grid(*fam.grid[:2], 3).points())
+    contour = fam.contour(fam.canonical)
+    psi = fam.wavefunction(fam.canonical, level,
+                           SampledPath(contour.point(Grid(*fam.grid[:2], 3).points())))
     assert [r[-2:] for r in rows] == [[f"{v.real:.11e}", f"{v.imag:.11e}"] for v in psi]
 
 
@@ -295,7 +296,8 @@ def test_sample_every_canonical_level_as_the_benchmark_asks(capsys, name):
         assert code == 0, err
         header, rows = _rows(out)
         assert header[-2:] == ["psi_re", "psi_im"]
-        psi = fam.wavefunction(params, level, fam.contour(params), x)
+        contour = fam.contour(params)
+        psi = fam.wavefunction(params, level, SampledPath(contour.point(x)))
         assert [r[-2:] for r in rows] == [[f"{v.real:.11e}", f"{v.imag:.11e}"] for v in psi]
 
 

@@ -17,6 +17,7 @@ from ptspectra import (
     power_along_path,
     transport_wavefunction,
 )
+from ptspectra.contour import metric_root
 
 
 def test_map_point_shifted_line():
@@ -152,3 +153,20 @@ def test_transport_trivial_and_branch():
     const = transport_wavefunction(lambda r: np.ones_like(r), flip, xi)
     assert np.allclose(const, const[0])
     assert abs(const[0] ** 2 + 1.0) <= 1e-12  # (1/sqrt(-1))^2 = -1
+
+
+def test_held_logs_and_root_give_the_values_taken_afresh():
+    # a caller holding the bases' logs, or the map's r and root, gets the
+    # same values bit for bit as the calls that take them again
+    r = ArchContour(0.4).point(np.linspace(-3.0, 3.0, 61))
+    sh, ch = np.sinh(r), np.cosh(r)
+    held = power_along_path(sh, 1.7, ch, -0.3 + 0.2j,
+                            logs=(continuous_log(sh), continuous_log(ch)))
+    assert held.tobytes() == power_along_path(sh, 1.7, ch, -0.3 + 0.2j).tobytes()
+
+    chi = lambda z: np.exp(-z ** 2)
+    mapped, rp = arch_map(r)[:2]
+    held = transport_wavefunction(chi, arch_map, r, mapped=(mapped, metric_root(rp)))
+    assert held.tobytes() == transport_wavefunction(chi, arch_map, r).tobytes()
+    with pytest.raises(SingularPoint, match="r'"):
+        metric_root(np.array([1.0, 0.0, 1.0]))

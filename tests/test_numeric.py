@@ -37,7 +37,7 @@ from ptspectra import (
     solve_targeted,
     verify_family,
 )
-from ptspectra import numeric, spectra
+from ptspectra import contour, numeric, spectra
 from ptspectra.numeric import FAMILIES
 
 ECK = EckartParams(3.0, 1.0, 0.5)
@@ -308,6 +308,22 @@ def test_a_failed_sample_is_a_failed_entry_per_level(monkeypatch, patched):
         assert e.iterations == g.iterations  # the sweeps of both solves
 
 
+@pytest.mark.parametrize("name, logs", [("eckart", 2), ("rpt", 3), ("hulthen", 4)])
+def test_a_report_takes_each_path_log_once(monkeypatch, name, logs):
+    # the levels of a report share one sampled path: log sinh r for Eckart's
+    # 2 levels, log sinh r and log cosh r for rpt's 3, and for Hulthen's one
+    # level those two and the arch's log r'; each count adds the report's
+    # one Liouville-scale log
+    calls = []
+    real = contour.continuous_log
+    monkeypatch.setattr(contour, "continuous_log",
+                        lambda values: calls.append(1) or real(values))
+    fam = FAMILIES[name]
+    rep = verify_family(fam.canonical)
+    assert rep.passed and len(rep.entries) == {"eckart": 2, "rpt": 3, "hulthen": 1}[name]
+    assert len(calls) == logs
+
+
 def test_targeted_singular_shift_is_nudged_once():
     r = solve_targeted(_diagonal([1.0, 2.0, 3.0]), 1.0)
     assert abs(r.eigenvalue - 1.0) <= 1e-12
@@ -472,7 +488,6 @@ def test_verify_family_eckart():
         assert e.abs_err <= 1e-5
         assert abs(e.eigenvalue.imag) <= 1e-7
         assert 3.8 <= e.order <= 4.2
-    assert len(rep.convergence_table) == 2
 
 
 def test_verify_family_rpt():

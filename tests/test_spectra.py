@@ -9,9 +9,12 @@ from ptspectra import (
     DegenerateSWarning,
     EckartParams,
     HulthenParams,
+    InvalidParameters,
     OutOfRange,
     PoschlTellerParams,
+    SampledPath,
     ShiftedLine,
+    SingularPoint,
     continuous_log,
     eckart_spacing,
     eckart_spectrum,
@@ -22,6 +25,7 @@ from ptspectra import (
     rpt_real_energy_condition,
     rpt_spectrum,
     rpt_wavefunction,
+    verify_family,
 )
 from ptspectra.numeric import FAMILIES
 from ptspectra.spectra import _parent_eigenfunction
@@ -279,3 +283,56 @@ def test_wavefunctions_stay_finite_in_the_far_field():
     for level in levels:
         psi = rpt_wavefunction(p, level, np.linspace(-120.0, 120.0, 2401) - 0.724j)
         assert np.all(np.isfinite(psi))
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_wavefunction_rejects_a_level_of_another_family(name):
+    # an rpt wave function given an Eckart level once sampled that level's
+    # quantum numbers as its own, and an Eckart one raised a bare KeyError
+    fam = FAMILIES[name]
+    params = fam.canonical
+    contour = fam.contour(params)
+    path = SampledPath(contour.point(np.linspace(-4.0, 4.0, 9)))
+    for other in FAMILIES.values():
+        if other is fam:
+            continue
+        for level in other.spectrum(other.canonical):
+            with pytest.raises(InvalidParameters, match=f"level must come from {name}_spectrum"):
+                fam.wavefunction(params, level, path)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_sampled_path_wavefunctions_equal_the_array_calls(name):
+    # every level sampled from one shared SampledPath of the refined rule
+    # grid equals, bit for bit, the call that samples the points afresh
+    fam = FAMILIES[name]
+    params = fam.canonical
+    grid = verify_family(params).grid.refined()
+    x = grid.points()
+    xi = grid.contour.point(x)
+    path = SampledPath(xi)
+    levels = fam.spectrum(params)
+    assert levels
+    for level in levels:
+        if name == "hulthen":
+            plain = hulthen_wavefunction(params, level, grid.contour, x)
+            shared = hulthen_wavefunction(params, level, grid.contour, path)
+        else:
+            wave = eckart_wavefunction if name == "eckart" else rpt_wavefunction
+            plain = wave(params, level, xi)
+            shared = wave(params, level, path)
+        assert shared.dtype == plain.dtype and shared.shape == plain.shape == x.shape
+        assert shared.tobytes() == plain.tobytes()
+
+
+def test_sampled_path_is_array_like_and_keeps_no_failure():
+    xi = np.linspace(-1.0, 1.0, 5) + 0j  # sinh vanishes at the middle point
+    path = SampledPath(xi)
+    assert np.size(path) == 5
+    assert np.array_equal(np.asarray(path), xi)
+    assert np.array_equal(np.array(path, copy=True), xi)
+    level = eckart_spectrum(EckartParams(3.0, 1.0, 0.5))[0]
+    for _ in range(2):  # a factor that raised is computed again, and raises again
+        with pytest.raises(SingularPoint, match="sinh r vanishes"):
+            eckart_wavefunction(EckartParams(3.0, 1.0, 0.5), level, path)
+    assert "sinh" not in vars(path)
