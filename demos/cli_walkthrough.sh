@@ -27,7 +27,3 @@ ptspectra sample --family rpt --N 0 --sigma -1 --tau -1 --xmin -3 --xmax 3 --n 7
 echo
 echo "== rebuild the hulthen potential by the change of variables =="
 ptspectra transform --family hulthen --n 5
-
-echo
-echo "== the identity-map self test of the same machinery =="
-ptspectra transform --family hulthen --identity-selftest --n 5

@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .contour import arch_map, identity_map, liouville_potential
+from .contour import arch_map, liouville_potential
 from .errors import InvalidParameters, SpectraError
 from .numeric import FAMILIES, Grid, verify_family
 from .potentials import PoschlTellerParams
@@ -281,18 +281,11 @@ def cmd_transform(args) -> int:
     kappa = level.aux["kappa"]
     # the Poschl-Teller parent of this level; the arch angle is its line shift
     parent = PoschlTellerParams(params.alpha, abs(level.aux["tau_beta"]), contour.epsilon)
-
-    def W(r):
-        return eval_rpt(parent, r)
-
     x = Grid(*_bounds(args, _TRANSFORM_GRID)).points()
     xi = contour.point(x)
-    if args.identity_selftest:
-        lmap, v_closed = identity_map, W(xi) + kappa ** 2
-    else:
-        # closed form of the same V - E object: Hulthen potential minus E = kappa^2
-        lmap, v_closed = arch_map, fam.potential(params, xi) - kappa ** 2
-    v_liou = liouville_potential(W, kappa, lmap, xi)
+    # closed form of the same V - E object: Hulthen potential minus E = kappa^2
+    v_closed = fam.potential(params, xi) - kappa ** 2
+    v_liou = liouville_potential(lambda r: eval_rpt(parent, r), kappa, arch_map, xi)
     diff = np.abs(v_liou - v_closed)
     header = ["x", "xi_re", "xi_im", "V_liouville_re", "V_liouville_im",
               "V_closed_re", "V_closed_im", "abs_diff"]
@@ -334,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="level selector")
         p.add_argument("--sigma", type=int, choices=(-1, 1), default=None)
         p.add_argument("--tau", type=int, choices=(-1, 1), default=None)
-        if name == "transform":
-            p.add_argument("--identity-selftest", dest="identity_selftest",
-                           action="store_true")
     return parser
 
 

@@ -101,6 +101,13 @@ _ORDERS = (3.5, 4.5)  # measured residual orders near Numerov's 4
 
 @dataclass(frozen=True)
 class Grid:
+    """`n_points` equally spaced path parameters x on [x_min, x_max], ends
+    included, and the contour that maps them to path points. ValueError for
+    non-finite bounds, a non-integer `n_points`, fewer than 3 or more than
+    _MAX_POINTS points, or x_max <= x_min. `contour=None` is the real line
+    to `build_hamiltonian` and the family's canonical contour to
+    `verify_family`."""
+
     x_min: float
     x_max: float
     n_points: int
@@ -254,10 +261,12 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
     solve that cannot settle: NoConvergence when q >= 1, or when the sweeps
     q predicts to bring the residual to tol would pass _MAX_SWEEPS. No
     settled pair within _MAX_SWEEPS sweeps raises NoConvergence too, and
-    its message names the last measured rate. A singular factor or an
-    overflowing solve restarts once at the shift nudged by _SHIFT_NUDGE
-    before ShiftSingular is raised. Fewer than 3 interior nodes raise
-    InvalidParameters.
+    its message names the last measured rate. Where rounding keeps the
+    Rayleigh quotient moving by more than tol, a found pair never settles:
+    the rate stop ends its solve, and `verify_family` types it "no settled
+    eigenpair". A singular factor or an overflowing solve restarts once at
+    the shift nudged by _SHIFT_NUDGE before ShiftSingular is raised. Fewer
+    than 3 interior nodes raise InvalidParameters.
     """
     # imported here, not with the module: scipy.linalg outweighs the rest of
     # start-up, and the closed-form commands never solve
@@ -328,17 +337,6 @@ def residual(psi, E, H: DiscretizedHamiltonian) -> float:
     if not core.size:
         raise InvalidParameters(f"{len(r)} interior nodes leave no residual core")
     return float(np.max(np.abs(core)) / np.max(np.abs(psi)))
-
-
-def pt_norm(psi, grid: Grid):
-    """(PT bilinear integral psi^2 xi' dx, conventional integral |psi|^2 dx),
-    trapezoid rule along the grid parameter; no conjugation in the first."""
-    psi = np.asarray(psi, dtype=complex)
-    x = grid.points()
-    xip = grid.contour.derivative(x) if grid.contour is not None else np.ones_like(x)
-    bilinear = complex(np.trapezoid(psi * psi * xip, x))
-    conventional = float(np.trapezoid(np.abs(psi) ** 2, x))
-    return bilinear, conventional
 
 
 @dataclass

@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import DegenerateRecurrence, PoleInC
 
-# default comparison tolerances; see module tests
-REL_TOL = 1e-10
-ABS_FLOOR = 1e-13
-
 # pole / degeneracy guard on denominators and leading coefficients
 _COEFF_FLOOR = 1e-13
 

@@ -119,19 +119,11 @@ class SampledPath:
         return np.cosh(2 * self.points)
 
     @cached_property
-    def _arch_map(self):
-        r, rp = arch_map(self.points)[:2]
-        return SampledPath(r), rp
-
-    @cached_property
     def arch(self):
-        """The parent line r = arch_map(xi) of arch points, as a SampledPath."""
-        return self._arch_map[0]
-
-    @cached_property
-    def transport_root(self):
-        """sqrt(r'(xi)) of the arch map, `contour.metric_root`."""
-        return metric_root(self._arch_map[1])
+        """(r, sqrt(r')) of arch points xi: the parent line r = arch_map(xi)
+        as a SampledPath, and `contour.metric_root` of r'(xi)."""
+        r, rp = arch_map(self.points)[:2]
+        return SampledPath(r), metric_root(rp)
 
 
 def _nonvanishing(values, name):
@@ -182,7 +174,7 @@ def eckart_spectrum(p: EckartParams) -> list:
         check = -2 * (u * u + v * v)
         if abs(check - E) > 1e-12 * max(1.0, abs(E)):
             raise InternalConsistencyError("aux (u,v) disagree with the closed-form energy")
-        aux = {"D": D, "u": u, "v": v, "a": 2 * p.A - N - 1}
+        aux = {"D": D, "u": u, "v": v}
         levels.append(Level(QuantumNumbers("eckart", N), E, aux))
         N += 1
     return levels
@@ -330,7 +322,7 @@ def hulthen_wavefunction(p: HulthenParams, level: Level, arch, x_samples):
         arch.point(np.asarray(x_samples, dtype=float)))
     n = level.qn.N
     return transport_wavefunction(lambda r: _parent_eigenfunction(n, tb, sa, r), arch_map,
-                                  path, mapped=(path.arch, path.transport_root))
+                                  path, mapped=path.arch)
 
 
 def eckart_spacing(p: EckartParams, N: int) -> float:

@@ -126,6 +126,7 @@ def test_flags_of_another_family_rejected(capsys, argv):
     ["sample", "--family", "rpt", "--tol-residual", "1"],
     ["transform", "--family", "hulthen", "--tol-energy", "1"],
     ["verify", "--family", "eckart", "--seed", "4"],
+    ["transform", "--family", "hulthen", "--identity-selftest"],
 ])
 def test_flags_the_subcommand_does_not_read_rejected(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -390,14 +391,6 @@ def test_transform_window_falls_back_per_field(capsys):
     assert len(rows) == 101
     assert float(rows[0][0]) == pytest.approx(-1.0)
     assert float(rows[-1][0]) == pytest.approx(3.0)
-
-
-def test_transform_identity_selftest(capsys):
-    code, out, _ = _run(capsys, ["transform", "--family", "hulthen",
-                                 "--identity-selftest"])
-    assert code == 0
-    _, rows = _rows(out)
-    assert max(float(r[-1]) for r in rows) <= 1e-12
 
 
 def test_transform_requires_hulthen_and_valid_level(capsys):

@@ -30,7 +30,6 @@ from ptspectra import (
     eval_hulthen,
     eval_rpt,
     hulthen_spectrum,
-    pt_norm,
     residual,
     rpt_spectrum,
     rpt_wavefunction,
@@ -456,28 +455,6 @@ def test_residual_arbitrates_jacobi_convention():
     # the printed parameters do not solve the equation at all
     assert out["printed"][0] > 0.5
     assert out["printed"][1] > 0.5
-
-
-def test_pt_norm_trivial_and_gaussian():
-    g = Grid(-10.0, 10.0, 501, None)
-    zero, conv = pt_norm(np.zeros(501, dtype=complex), g)
-    assert zero == 0 and conv == 0
-    psi = np.exp(-g.points() ** 2 / 2).astype(complex)
-    bil, conv = pt_norm(psi, g)
-    assert bil.real > 0 and abs(bil.imag) <= 1e-14
-    assert bil == pytest.approx(conv, rel=1e-12)
-
-
-def test_pt_norm_eckart_tail():
-    line = ShiftedLine(0.5)
-    g = Grid(-18.0, 18.0, 4001, line)
-    level = eckart_spectrum(ECK)[0]
-    x = g.points()
-    psi = eckart_wavefunction(ECK, level, line.point(x))
-    _, conv = pt_norm(psi, g)
-    mask = np.abs(x) > 0.8 * 18
-    tail = np.trapezoid(np.abs(psi[mask]) ** 2, x[mask])
-    assert tail / conv <= 1e-6
 
 
 def test_verify_family_eckart():

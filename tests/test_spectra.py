@@ -50,7 +50,6 @@ def test_eckart_aux_parameters():
             D = A - level.qn.N - 1
             assert u + v == pytest.approx(D, abs=1e-12)
             assert (u + v) * (u - v) == pytest.approx(-1j * beta, abs=1e-13)
-            assert level.aux["a"] == pytest.approx(2 * A - level.qn.N - 1)
             # energy from the (u, v) route; rel term covers the blow-up of
             # beta^2/D^2 on near-boundary D where 1e-12 absolute is sub-ulp
             assert level.energy == pytest.approx(-2 * (u ** 2 + v ** 2), rel=1e-12, abs=1e-12)

@@ -84,8 +84,7 @@ ARGVS = (
     + [["verify", "--family", "rpt", "--n", "3"]]
     + [["sample", "--family", name] for name in FAMILIES]
     + [["sample", "--family", name, "--N", "0"] for name in FAMILIES]
-    + [["transform", "--family", "hulthen"],
-       ["transform", "--family", "hulthen", "--identity-selftest"]]
+    + [["transform", "--family", "hulthen"]]
     + [_bench_argv("sample", name, 4001) for name in FAMILIES]
     + [_bench_argv("transform", "hulthen", 4001)]
 )
