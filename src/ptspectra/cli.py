@@ -11,8 +11,11 @@ deterministic row order. Every number is written byte for byte as
 `'%.11e' % x` writes it (12 significant digits): numpy builds the digits
 of whole blocks of rows, and the cells it cannot round exactly (zeros,
 non-finite values, |x| outside [1e-280, 1e280], cells within 1e-3 of a
-rounding tie) go through `'%.11e' %` itself. Exit codes: 0 = pass,
-1 = verification failure, 2 = invalid input.
+rounding tie) go through `'%.11e' %` itself. Each cell of a block is one
+20-byte record, five uint32 slots of text padded with zero bytes and the
+separator in its last byte, looked up from digit tables; the block's
+records are written in row order with the zero bytes dropped. Exit
+codes: 0 = pass, 1 = verification failure, 2 = invalid input.
 
 Every subcommand looks its family up in `numeric.FAMILIES`: the record
 supplies the parameter defaults, the parameter flags the family accepts,
@@ -82,32 +85,49 @@ def parse_angle(text: str) -> float:
     return float(text)
 
 
-# The '%.11e' writer. A cell is a record of _SLOTS uint32 slots, each holding
-# one zero-padded piece of its text: "-d.", "dd", "ddd", "ddd", "ddd",
-# "e+dd(d)" over two slots, and the separator. The zero bytes are dropped
-# when a block of rows is joined, so a one-byte separator may be stored as a
-# uint32 value on either byte order.
-_SLOTS = 8
+# The '%.11e' writer. A cell is a record of _SLOTS uint32 slots, 20 bytes: up
+# to 19 bytes of text, zero-padded, and the separator in the last byte. A
+# number fills the slots "sd.d", "dddd", "dddd", "dde+" (or "dde-") and "ddd\0"
+# ("\0dd\0" for an exponent below 100 in size), s being '-' or a zero byte.
+# The zero bytes are dropped when a block of rows is written, so the
+# exponent's digits must end before the separator's byte.
+_SLOTS = 5
 _BLOCK = 1024  # rows formatted and written at a time
 
 
-def _slots(texts):
-    """uint32 slots holding `texts`, each zero-padded to a multiple of 4 bytes."""
-    width = -(-max(map(len, texts)) // 4) * 4
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), dtype=np.uint32)
+def _digits(k, n):
+    """The n ASCII codes of the digits of the integers `k`, held as floats,
+    zero-padded; floor of an exact quotient is the integer quotient."""
+    return [np.floor(k / 10 ** i) - 10 * np.floor(k / 10 ** (i + 1)) + ord("0")
+            for i in range(n - 1, -1, -1)]
 
 
-_LEAD = _slots([b"%s%d." % (sign, d) for sign in (b"", b"-") for d in range(10)])
-_PAIR = _slots([b"%02d" % k for k in range(100)])
-_TRIPLE = _slots([b"%03d" % k for k in range(1000)])
-_EXP = _slots([b"e%+03d" % e for e in range(-300, 301)]).reshape(-1, 2)
+def _slots(*codes):
+    """uint32 slots whose 4 bytes are the byte `codes`, arrays or scalars."""
+    out = np.empty((max(map(np.size, codes)), 4))
+    for j, c in enumerate(codes):
+        out[:, j] = c
+    return out.astype(np.uint8).view(np.uint32).ravel()
+
+
+_K = np.arange(200.0)
+_NEG = _K >= 100
+_D0, _D1 = _digits(_K % 100, 2)
+_E = np.arange(301.0)
+_E0, _E1, _E2 = _digits(_E, 3)
+# _HEAD[d0d1 + 100 (x < 0)], _QUAD[dddd], _TAIL[dd + 100 (exponent < 0)], _EXP[|exponent|]
+_HEAD = _slots(np.where(_NEG, ord("-"), 0), _D0, ord("."), _D1)
+_QUAD = _slots(*_digits(np.arange(10000.0), 4))
+_TAIL = _slots(_D0, _D1, ord("e"), np.where(_NEG, ord("-"), ord("+")))
+_EXP = _slots(np.where(_E < 100, 0, _E0), _E1, _E2, 0)
 # _POW10[k + 300] is 10^k correctly rounded, for k in [-300, 300]
 _POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
 
 
-def _format(v):
-    """(v.shape, _SLOTS) uint32 records of `'%.11e' % x` and a ',' for the
-    floats `v`.
+def _format(v, out):
+    """Write into `out`, of shape v.shape + (_SLOTS,), the records of
+    `'%.11e' % x` for the floats `v`, each record's last byte left zero for
+    its separator.
 
     With e = floor(log10|x|), corrected once so that s = |x| 10^(11-e) lies
     in [1e11, 1e12) (log10 may round across a power of ten), the digits are
@@ -120,45 +140,41 @@ def _format(v):
     """
     a = np.abs(v)
     fast = (a >= 1e-280) & (a <= 1e280)  # False for +-0, nan and +-inf
-    a = np.where(fast, a, 1.0)
+    a[~fast] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
     s = a * _POW10[311 - e]
-    e += (s >= 1e12).astype(np.intp) - (s < 1e11)
-    s = a * _POW10[311 - e]
-    m = np.rint(s)
-    fast &= np.abs(s - np.floor(s) - 0.5) > 1e-3
+    e += s >= 1e12
+    e -= s < 1e11
+    np.take(_POW10, 311 - e, out=s)
+    s *= a
+    # the temporaries are reused from here on, so a block's working set stays
+    # a few arrays: m takes a's memory, and q below takes s's
+    m = np.rint(s, out=a)
+    s -= m
+    np.abs(s, out=s)  # the distance of s from its nearest integer m
+    fast &= 0.5 - s > 1e-3
     carry = m == 1e12
     e += carry
     m[carry] = 1e11
-    # m = d0 d1d2 ddd | ddd ddd; floor of an exact quotient of integers below
-    # 2^53 is their integer quotient
-    hi = np.floor(m / 1e6)
-    lo = m - 1e6 * hi
-    head = np.floor(hi / 1e3)
-    lead = np.floor(head / 1e2)
-    out = np.empty(v.shape + (_SLOTS,), dtype=np.uint32)
-    out[..., 0] = _LEAD[(lead + 10 * np.signbit(v)).astype(np.intp)]
-    out[..., 1] = _PAIR[(head - 1e2 * lead).astype(np.intp)]
-    out[..., 2] = _TRIPLE[(hi - 1e3 * head).astype(np.intp)]
-    mid = np.floor(lo / 1e3)
-    out[..., 3] = _TRIPLE[mid.astype(np.intp)]
-    out[..., 4] = _TRIPLE[(lo - 1e3 * mid).astype(np.intp)]
-    out[..., 5:7] = _EXP[e + 300]
-    out[..., 7] = ord(",")
-    slow = np.nonzero(~fast)
-    if slow[0].size:
-        text = np.array(["%.11e" % x for x in v[slow].tolist()], dtype=f"S{4 * _SLOTS - 4}")
-        out[slow + (slice(0, _SLOTS - 1),)] = text.view(np.uint32).reshape(-1, _SLOTS - 1)
-    return out
-
-
-def _records(cells):
-    """uint32 records of the str `cells` and a ',', as `_format` writes them."""
-    cells = np.array(cells, dtype="S")
-    out = np.zeros((len(cells), -(-cells.itemsize // 4) + 1), dtype=np.uint32)
-    out.view(np.uint8)[:, :cells.itemsize] = cells.view(np.uint8).reshape(len(cells), -1)
-    out[:, -1] = ord(",")
-    return out
+    # m = d0d1 | dddd | dddd | dd, each part split off the top into q; floor
+    # of an exact quotient of integers below 2^53 is their integer quotient
+    q = np.floor(np.divide(m, 1e10, out=s), out=s)
+    m -= 1e10 * q
+    q += 100 * np.signbit(v)
+    out[..., 0] = _HEAD[q.astype(np.intp)]
+    np.floor(np.divide(m, 1e6, out=q), out=q)
+    m -= 1e6 * q
+    out[..., 1] = _QUAD[q.astype(np.intp)]
+    np.floor(np.divide(m, 1e2, out=q), out=q)
+    m -= 1e2 * q
+    out[..., 2] = _QUAD[q.astype(np.intp)]
+    m += 100 * (e < 0)
+    out[..., 3] = _TAIL[m.astype(np.intp)]
+    out[..., 4] = _EXP[np.abs(e)]
+    if not fast.all():
+        slow = np.nonzero(~fast)
+        text = np.array(["%.11e" % x for x in v[slow].tolist()], dtype=f"S{4 * _SLOTS}")
+        out[slow] = text.view(np.uint32).reshape(-1, _SLOTS)
 
 
 def _emit(header, columns, out_path) -> None:
@@ -168,20 +184,36 @@ def _emit(header, columns, out_path) -> None:
     written byte for byte as `'%.11e' % x` writes it: `_format` builds the
     digits with numpy and falls back on `'%.11e' %` for zeros, non-finite
     values, |x| outside [1e-280, 1e280] and cells within 1e-3 of a
-    rounding tie. Rows are formatted and written _BLOCK at a time.
+    rounding tie. Rows are formatted and written _BLOCK at a time, each
+    block as one (rows, columns, _SLOTS) uint32 array of cell records in
+    row order: `_format` writes the numbers into it, the str cells are
+    copied in, the separators go into each record's last byte, and the
+    block is written with its zero bytes dropped. A str cell longer than 19
+    bytes widens every record of the table.
     """
-    numeric = [isinstance(c, np.ndarray) or not (len(c) and isinstance(c[0], str))
-               for c in columns]
+    rows = len(columns[0])
+    numbers = [j for j, c in enumerate(columns)
+               if isinstance(c, np.ndarray) or not (len(c) and isinstance(c[0], str))]
+    texts = {j: np.array(c, dtype="S") for j, c in enumerate(columns) if j not in numbers}
+    width = max([_SLOTS] + [t.itemsize // 4 + 1 for t in texts.values()])
+    texts = {j: t.astype(f"S{4 * width}").view(np.uint32).reshape(rows, width)
+             for j, t in texts.items()}
     with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _BLOCK):
-            block = [c[start:start + _BLOCK] for c in columns]
-            values = np.array([c for c, num in zip(block, numeric) if num], dtype=float)
-            cells = iter(_format(values))
-            rows = np.concatenate([next(cells) if num else _records(c)
-                                   for c, num in zip(block, numeric)], axis=1)
-            rows[:, -1] = ord("\n")
-            fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+        for start in range(0, rows, _BLOCK):
+            stop = min(start + _BLOCK, rows)
+            values = np.ones((stop - start, len(columns)))  # 1.0 holds a str cell's place
+            for j in numbers:
+                values[:, j] = columns[j][start:stop]
+            block = np.empty(values.shape + (width,), dtype=np.uint32)
+            _format(values, block[..., :_SLOTS])
+            block[..., _SLOTS:] = 0
+            for j, t in texts.items():
+                block[:, j] = t[start:stop]
+            ends = block.view(np.uint8)[..., -1]
+            ends[...] = ord(",")
+            ends[:, -1] = ord("\n")
+            fh.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _setup(args):

@@ -2,9 +2,10 @@
 
 Two path families are provided: the shifted line x - i*eps and the
 down-bent arch obtained from it by sinh(x - i*eps) = -i e^{i xi(x)}.
-Both are PT-symmetric: xi(-x) = -xi(x)*. A path is one function, its
-closed-form jet `jet(x)`, the tuple (xi, xi', xi'', xi''') in the path
-parameter x; `point` and `derivative` read its first two entries.
+Both are PT-symmetric: xi(-x) = -xi(x)*. A path gives its points xi(x)
+by `point(x)` and its closed-form jet by `jet(x)`, the tuple (xi, xi',
+xi'', xi''') in the path parameter x, whose entry 0 is `point(x)`;
+`derivative` reads entry 1.
 `Stretched(contour, a)` re-parametrises any path by x = a sinh(s).
 
 A Liouville coordinate map is one function `lmap(xi)` returning
@@ -39,11 +40,8 @@ _FD_TOL = 1e-6
 
 @dataclass(frozen=True)
 class _Path:
-    """A path given by its closed-form jet; `point` and `derivative` read
-    entries 0 and 1 of `jet(x)`."""
-
-    def point(self, x):
-        return self.jet(x)[0]
+    """A path given by its points `point(x)` and its closed-form jet
+    `jet(x)`; `derivative` reads entry 1 of the jet."""
 
     def derivative(self, x):
         return self.jet(x)[1]
@@ -59,12 +57,16 @@ class ShiftedLine(_Path):
         if not (0.0 < self.epsilon < math.pi / 2):
             raise InvalidParameters("epsilon must lie strictly inside (0, pi/2)")
 
+    def point(self, x):
+        """xi(x) = x - i*eps."""
+        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+        return x - 1j * self.epsilon
+
     def jet(self, x):
         """(xi, xi', xi'', xi''') at x: (x - i*eps, 1, 0, 0)."""
-        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         one = np.ones(np.shape(x), dtype=complex)
         zero = np.zeros_like(one)
-        return x - 1j * self.epsilon, one, zero, zero
+        return self.point(x), one, zero, zero
 
 
 @dataclass(frozen=True)
@@ -83,17 +85,22 @@ class ArchContour(_Path):
         if not (0.0 < self.epsilon < math.pi / 2):
             raise InvalidParameters("epsilon must lie strictly inside (0, pi/2)")
 
+    def point(self, x):
+        """xi(x) = v(x) - i u(x)."""
+        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+        v = np.arctan(np.tanh(x) / math.tan(self.epsilon))
+        u = 0.5 * np.log(np.sinh(x) ** 2 + math.sin(self.epsilon) ** 2)
+        return v - 1j * u
+
     def jet(self, x):
         """(xi, xi', xi'', xi''') at x. Differentiating the arch identity
         gives, with z = x - i eps, xi' = -i coth z, xi'' = i csch^2 z and
         xi''' = -2i coth z csch^2 z."""
         x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        v = np.arctan(np.tanh(x) / math.tan(self.epsilon))
-        u = 0.5 * np.log(np.sinh(x) ** 2 + math.sin(self.epsilon) ** 2)
         z = x - 1j * self.epsilon
         coth = 1.0 / np.tanh(z)
         csch2 = 1.0 / np.sinh(z) ** 2
-        return v - 1j * u, -1j * coth, 1j * csch2, -2j * coth * csch2
+        return self.point(x), -1j * coth, 1j * csch2, -2j * coth * csch2
 
     @property
     def apex(self) -> float:
@@ -120,6 +127,10 @@ class Stretched(_Path):
     def __post_init__(self):
         if not (math.isfinite(self.a) and self.a > 0):
             raise InvalidParameters("stretch a must be finite and > 0")
+
+    def point(self, s):
+        """The contour's point at x = a sinh(s)."""
+        return self.contour.point(self.a * np.sinh(s))
 
     def jet(self, s):
         s = np.asarray(s, dtype=float) if np.ndim(s) else float(s)

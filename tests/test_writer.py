@@ -65,6 +65,30 @@ def test_every_cell_is_percent_11e(tmp_path):
     _assert_same_text(path, ["v"], [tail])
 
 
+def test_long_str_cells_are_written_whole(tmp_path):
+    rows = 2 * cli._BLOCK + 1
+    first = ["s"] * rows
+    first[cli._BLOCK] = "x" * 30
+    columns = [first, np.linspace(-1.0, 1.0, rows), [str(k) for k in range(rows)]]
+    path = tmp_path / "t.csv"
+    cli._emit(["a", "b", "c"], columns, str(path))
+    _assert_same_text(path, ["a", "b", "c"], columns)
+
+
+def test_digit_tables_hold_their_percent_text():
+    def entries(table):
+        return [slot.tobytes() for slot in table]
+
+    def sign(k, plus):
+        return b"-" if k >= 100 else plus
+
+    assert entries(cli._HEAD) == [b"%s%d.%d" % (sign(k, b"\0"), k % 100 // 10, k % 10)
+                                  for k in range(200)]
+    assert entries(cli._QUAD) == [b"%04d" % k for k in range(10000)]
+    assert entries(cli._TAIL) == [b"%02de%s" % (k % 100, sign(k, b"+")) for k in range(200)]
+    assert entries(cli._EXP) == [(b"%03d\0" if k >= 100 else b"\0%02d\0") % k for k in range(301)]
+
+
 def _bench_argv(command, name, points):
     """The tabulate benchmark's argv shape: every parameter flag, --n, and
     the first level's N, sigma and tau."""
