@@ -68,6 +68,11 @@ _PARAM_FLAGS = tuple(dict.fromkeys(
 # transform's own sampling window; it does not use the family's verify grid
 _TRANSFORM_GRID = (-3.0, 3.0, 101)
 
+# What argparse takes for a negative number, not a flag, after an option that
+# wants a value: '-' then a digit, or '.' and a digit. Its own pattern,
+# ^-\d+$|^-\d*\.\d+$, has no exponent, so it read "--C -3e-05" as two flags.
+_NEGATIVE_NUMBER_RE = re.compile(r"-\.?\d")
+
 _ANGLE_RE = re.compile(r"^\s*(?:(?P<coef>[+-]?\d+(?:\.\d+)?)\s*\*\s*)?pi\s*(?:/\s*(?P<den>\d+(?:\.\d+)?))?\s*$")
 
 
@@ -339,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("spectrum", cmd_spectrum), ("verify", cmd_verify),
                      ("sample", cmd_sample), ("transform", cmd_transform)):
         p = sub.add_parser(name)
+        p._negative_number_matcher = _NEGATIVE_NUMBER_RE
         p.set_defaults(func=fn)
         p.add_argument("--family", choices=tuple(FAMILIES), required=True)
         for flag in _PARAM_FLAGS:
@@ -370,7 +376,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SpectraError, ValueError) as exc:
+    except (SpectraError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"ptspectra: {type(exc).__name__}: {exc}\n")
         return 2
     except OSError as exc:

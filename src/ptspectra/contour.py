@@ -4,8 +4,7 @@ Two path families are provided: the shifted line x - i*eps and the
 down-bent arch obtained from it by sinh(x - i*eps) = -i e^{i xi(x)}.
 Both are PT-symmetric: xi(-x) = -xi(x)*. A path gives its points xi(x)
 by `point(x)` and its closed-form jet by `jet(x)`, the tuple (xi, xi',
-xi'', xi''') in the path parameter x, whose entry 0 is `point(x)`;
-`derivative` reads entry 1.
+xi'', xi''') in the path parameter x, whose entry 0 is `point(x)`.
 `Stretched(contour, a)` re-parametrises any path by x = a sinh(s).
 
 A Liouville coordinate map is one function `lmap(xi)` returning
@@ -39,16 +38,7 @@ _FD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class _Path:
-    """A path given by its points `point(x)` and its closed-form jet
-    `jet(x)`; `derivative` reads entry 1 of the jet."""
-
-    def derivative(self, x):
-        return self.jet(x)[1]
-
-
-@dataclass(frozen=True)
-class ShiftedLine(_Path):
+class ShiftedLine:
     """Straight path xi(x) = x - i*epsilon, unit derivative."""
 
     epsilon: float
@@ -59,7 +49,7 @@ class ShiftedLine(_Path):
 
     def point(self, x):
         """xi(x) = x - i*eps."""
-        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+        x = np.asarray(x, dtype=float)
         return x - 1j * self.epsilon
 
     def jet(self, x):
@@ -70,7 +60,7 @@ class ShiftedLine(_Path):
 
 
 @dataclass(frozen=True)
-class ArchContour(_Path):
+class ArchContour:
     """Down-bent arch xi(x) = v(x) - i u(x).
 
     v = arctan(tanh x / tan eps), u = (1/2) ln(sinh^2 x + sin^2 eps).
@@ -87,7 +77,7 @@ class ArchContour(_Path):
 
     def point(self, x):
         """xi(x) = v(x) - i u(x)."""
-        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+        x = np.asarray(x, dtype=float)
         v = np.arctan(np.tanh(x) / math.tan(self.epsilon))
         u = 0.5 * np.log(np.sinh(x) ** 2 + math.sin(self.epsilon) ** 2)
         return v - 1j * u
@@ -96,7 +86,7 @@ class ArchContour(_Path):
         """(xi, xi', xi'', xi''') at x. Differentiating the arch identity
         gives, with z = x - i eps, xi' = -i coth z, xi'' = i csch^2 z and
         xi''' = -2i coth z csch^2 z."""
-        x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+        x = np.asarray(x, dtype=float)
         z = x - 1j * self.epsilon
         coth = 1.0 / np.tanh(z)
         csch2 = 1.0 / np.sinh(z) ** 2
@@ -109,7 +99,7 @@ class ArchContour(_Path):
 
 
 @dataclass(frozen=True)
-class Stretched(_Path):
+class Stretched:
     """`contour` re-parametrised by x = a sinh(s), the mapped grid of
     Fattal, Baer and Kosloff (1996): a step ds in s is a step a ds at the
     centre and grows as a cosh(s) ds outwards, so a grid uniform in s
@@ -133,7 +123,7 @@ class Stretched(_Path):
         return self.contour.point(self.a * np.sinh(s))
 
     def jet(self, s):
-        s = np.asarray(s, dtype=float) if np.ndim(s) else float(s)
+        s = np.asarray(s, dtype=float)
         x, x1 = self.a * np.sinh(s), self.a * np.cosh(s)
         c, c1, c2, c3 = self.contour.jet(x)
         return c, c1 * x1, c2 * x1 ** 2 + c1 * x, c3 * x1 ** 3 + 3 * c2 * x1 * x + c1 * x1
@@ -240,8 +230,7 @@ def liouville_potential(W, kappa, lmap, xi):
     r, rp, r2, r3 = check_derivatives(lmap, xi)
     if np.min(np.abs(rp)) < _METRIC_FLOOR:
         raise SingularPoint("r'(xi) vanishes on the requested points")
-    out = add_curvature(rp ** 2 * (W(r) + kappa ** 2), rp, r2, r3)
-    return out if np.ndim(xi) else complex(out)
+    return add_curvature(rp ** 2 * (W(r) + kappa ** 2), rp, r2, r3)
 
 
 def metric_root(rp):

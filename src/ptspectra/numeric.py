@@ -429,7 +429,7 @@ class Family:
 # tol_residual bounds the stated-grid Numerov residual of the analytic wave
 # function, and `_rule_grid` sizes the step to it. The shifted-line 0.15 sits
 # between the canonical rule-grid residuals (at most 0.022) and those of a
-# wrong wave function (the printed Jacobi convention, tau-swapped rpt labels:
+# wrong wave function (the printed Eckart Jacobi pair, tau-swapped rpt labels:
 # 9 and more); the h -> h/2 order does the fine work.
 FAMILIES = {f.name: f for f in (
     Family("eckart", EckartParams(3.0, 1.0, 0.5),

@@ -1,7 +1,8 @@
 """The three potential families on arbitrary complex coordinates.
 
-Each family is a frozen parameter record plus a pointwise evaluator that
-accepts a scalar or an ndarray of complex coordinates. Evaluators raise
+Each family is a frozen parameter record plus a pointwise evaluator of
+an ndarray of complex coordinates; a scalar coordinate follows numpy's
+0-d rules and comes back as a numpy scalar. Evaluators raise
 SingularPoint instead of returning huge values when the coordinate drifts
 within SING_FLOOR of a pole; contour code must fail loudly there.
 
@@ -83,10 +84,6 @@ def _check_floor(mag, what: str) -> None:
         raise SingularPoint(f"|{what}| = {float(np.min(mag)):.3e} below floor {SING_FLOOR:.1e}")
 
 
-def _scalar_like(value, like):
-    return value if np.ndim(like) else complex(value)
-
-
 def eval_eckart(p: EckartParams, r):
     """A(A-1)/sinh^2 r - 2i*beta cosh r / sinh r at complex r.
 
@@ -97,7 +94,7 @@ def eval_eckart(p: EckartParams, r):
     r = np.asarray(r, dtype=complex)
     sh = np.sinh(r)
     _check_floor(np.abs(sh), "sinh r")
-    return _scalar_like(p.A * (p.A - 1) * (1 / sh) ** 2 - 2j * p.beta / np.tanh(r), r)
+    return p.A * (p.A - 1) * (1 / sh) ** 2 - 2j * p.beta / np.tanh(r)
 
 
 def eval_rpt(p: PoschlTellerParams, r):
@@ -107,8 +104,7 @@ def eval_rpt(p: PoschlTellerParams, r):
     sh, ch = np.sinh(r), np.cosh(r)
     _check_floor(np.abs(sh), "sinh r")
     _check_floor(np.abs(ch), "cosh r")
-    return _scalar_like((p.beta ** 2 - 0.25) * (1 / sh) ** 2
-                        - (p.alpha ** 2 - 0.25) * (1 / ch) ** 2, r)
+    return (p.beta ** 2 - 0.25) * (1 / sh) ** 2 - (p.alpha ** 2 - 0.25) * (1 / ch) ** 2
 
 
 def eval_hulthen(p: HulthenParams, xi):
@@ -123,7 +119,7 @@ def eval_hulthen(p: HulthenParams, xi):
     q = np.exp(np.where(up, -z, z))
     _check_floor(np.abs(1 - q), "1 - e^{2i xi}")
     g = np.where(up, -q, 1.0) / (1 - q)
-    return _scalar_like(p.A * g ** 2 + p.B * g, xi)
+    return p.A * g ** 2 + p.B * g
 
 
 def pt_defect(evaluator, contour, x_samples) -> float:

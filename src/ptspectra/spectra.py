@@ -6,7 +6,8 @@ auxiliary parameters needed by the wave functions. Range boundaries are
 strict; a level sitting within 1e-12 of its admissibility boundary is
 excluded and reported through BoundaryLevelWarning (the normalizability
 argument degenerates exactly there). A walk past 10^4 quantum numbers
-(couplings too large to enumerate) raises InvalidParameters.
+(couplings too large to enumerate) raises InvalidParameters, and so does
+a closed form that overflows.
 
 Energies are kept as floats. If a closed form develops an imaginary part
 above 1e-12 under nominally real couplings, that is a bug in this module,
@@ -30,7 +31,7 @@ take the path's logs and root instead of taking them again.
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -151,6 +152,25 @@ def _check_slot(family, N):
                                 f"the couplings are too large")
 
 
+def _finite(spectrum):
+    """`spectrum` raising InvalidParameters where a closed form overflows:
+    past about 1e154 a float's ** raises OverflowError, and a product can
+    overflow to an infinite energy."""
+    @wraps(spectrum)
+    def enumerate_levels(p):
+        try:
+            levels = spectrum(p)
+            if all(math.isfinite(l.energy) for l in levels):
+                return levels
+        except OverflowError:
+            pass
+        family = spectrum.__name__.removesuffix("_spectrum")
+        raise InvalidParameters(f"{family} closed form overflows; the couplings are too large")
+
+    return enumerate_levels
+
+
+@_finite
 def eckart_spectrum(p: EckartParams) -> list:
     """All bound levels E_N = -D^2 + beta^2/D^2, D = A-N-1 > 0 strictly.
 
@@ -180,24 +200,19 @@ def eckart_spectrum(p: EckartParams) -> list:
     return levels
 
 
-def eckart_wavefunction(p: EckartParams, level: Level, points, convention: str = "reduction"):
-    """psi(r) = (y-1)^u (y+1)^v P_N^{(par)}(y) with y = coth r.
+def eckart_wavefunction(p: EckartParams, level: Level, points):
+    """psi(r) = (y-1)^u (y+1)^v P_N^{(2u, 2v)}(y) with y = coth r.
 
-    `convention` selects the Jacobi parameter pair: "reduction" uses
-    (2u, 2v) as forced by matching the terminating Gauss series (c = 1+2u,
-    a+b = 2u+2v+1); "printed" uses (u/2, v/2). The discrete Schrodinger
-    residual arbitrates between them; "reduction" is the one that
-    converges. Complex powers are branch-continuous along the points, an
-    array or a `SampledPath`. A level of another family raises
-    InvalidParameters.
+    The Jacobi pair (2u, 2v) is the one forced by matching the terminating
+    Gauss series (c = 1+2u, a+b = 2u+2v+1); the discrete Schrodinger
+    residual rejects the printed pair (u/2, v/2). Complex powers are
+    branch-continuous along the points, an array or a `SampledPath`. A
+    level of another family raises InvalidParameters.
     """
-    if convention not in ("reduction", "printed"):
-        raise InvalidParameters("convention must be 'reduction' or 'printed'")
     _check_family(level, "eckart")
     u, v = level.aux["u"], level.aux["v"]
     path = _sampled(points)
-    pa, pb = (2 * u, 2 * v) if convention == "reduction" else (u / 2, v / 2)
-    poly = jacobi_p_hyp(level.qn.N, pa, pb, path.coth)
+    poly = jacobi_p_hyp(level.qn.N, 2 * u, 2 * v, path.coth)
     # y -+ 1 = e^{-+r}/sinh r, so u log(y-1) + v log(y+1) = (v-u) r - (u+v) log sinh r:
     # one exp in the log domain, finite where y - 1 itself underflows. On a
     # shifted line, -r - log sinh r is the principal log of y - 1 at every
@@ -205,6 +220,7 @@ def eckart_wavefunction(p: EckartParams, level: Level, points, convention: str =
     return np.exp((v - u) * path.points - (u + v) * path.log_sinh) * poly
 
 
+@_finite
 def rpt_spectrum(p: PoschlTellerParams) -> list:
     """Levels E = -(2N+1+sigma*alpha+tau*beta)^2 over all four (sigma,tau)
     families, N admissible while 2N+1 < -sigma*alpha-tau*beta strictly."""
@@ -261,6 +277,7 @@ def rpt_real_energy_condition(alpha, beta, sigma: int, tau: int, N: int):
     return (abs(E.imag) <= 1e-12, E)
 
 
+@_finite
 def hulthen_spectrum(p: HulthenParams) -> list:
     """Levels of the transformed family, enumerated by (sigma, n).
 
@@ -314,8 +331,7 @@ def hulthen_wavefunction(p: HulthenParams, level: Level, arch, x_samples):
     or a `SampledPath` of its points xi(x), which `arch` then need not
     supply.
     """
-    if "kappa" not in level.aux or level.qn.family != "hulthen":
-        raise InvalidParameters("level must come from hulthen_spectrum")
+    _check_family(level, "hulthen")
     tb = level.aux["tau_beta"]
     sa = level.qn.sigma * p.alpha
     path = x_samples if isinstance(x_samples, SampledPath) else SampledPath(

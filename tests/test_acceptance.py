@@ -153,7 +153,7 @@ def test_hulthen_energy_algebra(accept_log):
              f"tol 1e-12, all E>0: {all_positive}")
 
 
-def test_residual_convergence_order_and_convention(accept_log):
+def test_residual_convergence_order_and_convention(accept_log, printed_eckart_wavefunction):
     def orders(params, eps, a, b, steps, wave):
         line = ShiftedLine(eps)
         spectrum = (eckart_spectrum if isinstance(params, EckartParams)
@@ -175,7 +175,7 @@ def test_residual_convergence_order_and_convention(accept_log):
     rpt = orders(RPT, 0.3, -12, 12, (2401, 4801),
                  lambda l, z: rpt_wavefunction(RPT, l, z))
     wrong = orders(ECK, 0.5, -18, 18, (3601, 7201),
-                   lambda l, z: eckart_wavefunction(ECK, l, z, convention="printed"))
+                   lambda l, z: printed_eckart_wavefunction(ECK, l, z))
     good = all(3.8 <= o <= 4.2 for _, o, _ in eck + rpt)
     # degree-0 polynomials cannot distinguish the conventions; N >= 1 can
     distinguishing = [r for N, _, r in wrong if N >= 1]

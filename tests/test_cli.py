@@ -40,6 +40,41 @@ def test_parse_angle_literals():
         parse_angle("pi/0")
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["spectrum", "--family", "hulthen", "--C", "-3e-05"], "C", -3e-05),
+    (["sample", "--family", "rpt", "--xmin", "-1e3"], "xmin", -1e3),
+    (["sample", "--family", "rpt", "--N", "-1"], "N", -1),
+], ids=["C_exponent", "xmin_exponent", "N_integer"])
+def test_negative_values_are_not_flags(argv, flag, value):
+    # argparse's own negative-number pattern has no exponent form
+    assert getattr(build_parser().parse_args(argv), flag) == value
+
+
+def test_negative_exponent_form_reads_as_the_equals_form(capsys):
+    argv = ["spectrum", "--family", "hulthen"]
+    assert _run(capsys, argv + ["--C", "-3e-05"]) == _run(capsys, argv + ["--C=-3e-05"])
+    code, _, err = _run(capsys, ["sample", "--family", "rpt", "-x", "3"])
+    assert code == 2 and "unrecognized arguments: -x" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("flags", [["--family", "eckart", "--beta", "1e300"],
+                                   ["--family", "rpt", "--alpha", "1e300"],
+                                   ["--family", "hulthen", "--C", "1e300"]],
+                         ids=["eckart", "rpt", "hulthen"])
+def test_couplings_that_overflow_are_an_input_error(capsys, command, flags):
+    code, out, err = _run(capsys, [command] + flags)
+    assert code == 2 and out == ""
+    assert "InvalidParameters" in err and "couplings are too large" in err
+
+
+def test_potential_that_overflows_is_an_input_error(capsys):
+    # eval_rpt squares beta with **, which raises OverflowError past about 1e154
+    code, out, err = _run(capsys, ["sample", "--family", "rpt", "--beta", "1e300"])
+    assert code == 2 and out == ""
+    assert err.startswith("ptspectra: OverflowError")
+
+
 def test_spectrum_eckart_table(capsys):
     code, out, _ = _run(capsys, ["spectrum", "--family", "eckart"])
     assert code == 0

@@ -7,11 +7,18 @@ from ptspectra import (
     ArchContour,
     BranchDiscontinuity,
     DerivativeInconsistency,
+    EckartParams,
+    HulthenParams,
     InvalidParameters,
+    PoschlTellerParams,
     ShiftedLine,
     SingularPoint,
+    Stretched,
     arch_map,
     continuous_log,
+    eval_eckart,
+    eval_hulthen,
+    eval_rpt,
     identity_map,
     liouville_potential,
     power_along_path,
@@ -25,7 +32,7 @@ def test_map_point_shifted_line():
     line = ShiftedLine(0.5)
     x = np.linspace(-3, 3, 7)
     assert np.allclose(line.point(x), x - 0.5j)
-    assert np.all(line.derivative(x) == 1.0)
+    assert np.all(line.jet(x)[1] == 1.0)
 
 
 def test_map_point_arch():
@@ -37,11 +44,11 @@ def test_map_point_arch():
 
 
 def test_arch_derivative_closed_form_and_fd():
-    assert ArchContour(math.pi / 4).derivative(0.0) == pytest.approx(1.0 + 0j, abs=1e-14)
+    assert ArchContour(math.pi / 4).jet(0.0)[1] == pytest.approx(1.0 + 0j, abs=1e-14)
     arch = ArchContour(0.3)
     h = 1e-5
     fd = (arch.point(1.2 + h) - arch.point(1.2 - h)) / (2 * h)
-    assert arch.derivative(1.2) == pytest.approx(fd, abs=1e-8)
+    assert arch.jet(1.2)[1] == pytest.approx(fd, abs=1e-8)
 
 
 def test_paths_are_pt_symmetric():
@@ -126,6 +133,30 @@ def test_liouville_derivative_cross_check_catches_lies():
         liouville_potential(lambda r: np.sinh(r) ** -2, 1.5, bad, xi)
 
 
+def test_scalars_equal_one_element_arrays():
+    # a scalar goes through numpy's 0-d rules: its result is 0-d and holds
+    # entry 0 of the result for the one-element array. Not always bit for
+    # bit: numpy may multiply complex arrays with fused multiply-adds and
+    # 0-d operands without, so a complex product can differ by an ulp
+    arch = ArchContour(math.pi / 6)
+    xi = arch.point(np.array([0.7]))[0]
+    calls = []
+    for path in (ShiftedLine(0.5), arch, Stretched(arch, 0.7)):
+        calls.append((path.point, 0.7))
+        calls += [(lambda x, path=path, k=k: path.jet(x)[k], 0.7) for k in range(4)]
+    calls += [
+        (lambda r: eval_eckart(EckartParams(3.0, 1.0), r), 0.4 - 0.5j),
+        (lambda r: eval_rpt(PoschlTellerParams(3.5, 1.5), r), 0.4 - 0.3j),
+        (lambda z: eval_hulthen(HulthenParams(2.0, 2.0), z), xi),
+        (lambda z: liouville_potential(lambda r: np.sinh(r) ** -2, 1.5, arch_map, z), xi),
+    ]
+    for f, x in calls:
+        scalar, array = np.asarray(f(x)), f(np.array([x]))
+        assert scalar.shape == () and array.shape == (1,)
+        assert scalar.dtype == array.dtype
+        assert abs(scalar - array[0]) <= 4 * np.finfo(float).eps * abs(array[0])
+
+
 def test_arch_map_inverts_the_arch():
     # r(xi(x)) must reproduce the shifted line x - i eps that generated it
     eps = math.pi / 6
@@ -138,7 +169,7 @@ def test_arch_chain_rule():
     eps = 0.4
     x = np.linspace(-5, 5, 33)
     arch = ArchContour(eps)
-    chain = arch_map(arch.point(x))[1] * arch.derivative(x)
+    chain = arch_map(arch.point(x))[1] * arch.jet(x)[1]
     assert np.max(np.abs(chain - 1.0)) <= 1e-10
 
 

@@ -57,6 +57,19 @@ def test_param_validation():
             spectrum(params)
 
 
+@pytest.mark.parametrize("spectrum, params", [
+    (eckart_spectrum, EckartParams(3.0, 1e300)),
+    (eckart_spectrum, EckartParams(1.5, 1e154)),
+    (rpt_spectrum, PoschlTellerParams(1e300, 1.5)),
+    (hulthen_spectrum, HulthenParams(2.0, 1e300)),
+], ids=["eckart", "eckart_infinite_energy", "rpt", "hulthen"])
+def test_couplings_that_overflow_the_closed_form_are_invalid(spectrum, params):
+    # past about 1e154, squaring a coupling with ** raises OverflowError;
+    # beta^2 / D^2 with beta = 1e154 and D = 1/2 overflows to inf
+    with pytest.raises(InvalidParameters, match="couplings are too large"):
+        spectrum(params)
+
+
 def test_hulthen_derived_couplings():
     p = HulthenParams(2.0, 2.0)
     assert p.A == pytest.approx(1 - 4.0)

@@ -230,7 +230,7 @@ def test_hulthen_wavefunction_complex_value(alpha, C, eps):
         psi = hulthen_wavefunction(p, level, arch, x)
         want = _parent_eigenfunction(level.qn.N, level.aux["tau_beta"],
                                      level.qn.sigma * p.alpha, x - 1j * eps) \
-            * np.exp(0.5 * continuous_log(arch.derivative(x)))
+            * np.exp(0.5 * continuous_log(arch.jet(x)[1]))
         assert np.max(np.abs(psi - want) / np.abs(want)) <= 1e-12
 
 
