@@ -4,7 +4,8 @@ Four subcommands: `spectrum` prints closed-form level tables, `verify`
 runs the finite-difference check of a family and sets the exit code,
 `sample` tabulates a contour and potential (optionally one eigenfunction),
 and `transform` compares the coordinate-transformed parent potential
-against the closed form along the arch.
+against the closed form along the arch (Hulthen only, so `--family` takes
+only hulthen there).
 
 All output is CSV with '.' decimal point and ',' separators and
 deterministic row order. Every number is written byte for byte as
@@ -27,7 +28,9 @@ verifies on the library's stretched rule grid, as
 uniform window. Each subcommand
 registers only the flags it reads; any other flag is an input error.
 `verify`, `sample` and `transform` all take their window through `Grid`,
-so each rejects the same windows. `sample` and `transform` select the
+so each rejects the same windows. `sample` and `transform` refuse a
+window on which a sampled column is not finite (InvalidParameters, exit
+2), and select the
 first level, in spectrum order, that matches every one of `--N`,
 `--sigma` and `--tau` given.
 """
@@ -278,22 +281,33 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _require_finite(x, sampled) -> None:
+    """InvalidParameters naming the first point of `x` at which one of the
+    `sampled` columns is not finite: the window reaches past the far field
+    that the path, the potential or the wave function can represent."""
+    bad = ~np.logical_and.reduce([np.isfinite(c) for c in sampled])
+    if bad.any():
+        raise InvalidParameters(f"the sampled columns are not finite at x = {x[np.argmax(bad)]:g}")
+
+
 def cmd_sample(args) -> int:
     fam, params, contour = _setup(args)
     x = Grid(*_bounds(args, fam.grid)).points()
-    xi = contour.point(x)
-    V = fam.potential(params, xi)
     header = ["x", "xi_re", "xi_im", "V_re", "V_im"]
-    columns = [x, xi.real, xi.imag, V.real, V.imag]
+    level = None
     if any(getattr(args, k) is not None for k in ("N", "sigma", "tau")):
         level = _select_level(args, fam, params)
         if level is None:
             sys.stderr.write("ptspectra: invalid level for psi sampling\n")
             return 2
-        psi = fam.wavefunction(params, level, SampledPath(xi))
         header += ["psi_re", "psi_im"]
-        columns += [psi.real, psi.imag]
-    _emit(header, columns, args.out)
+    with np.errstate(all="ignore"):  # a non-finite cell is refused below
+        xi = contour.point(x)
+        sampled = [xi, fam.potential(params, xi)]
+        if level is not None:
+            sampled.append(fam.wavefunction(params, level, SampledPath(xi)))
+    _require_finite(x, sampled)
+    _emit(header, [x] + [part for c in sampled for part in (c.real, c.imag)], args.out)
     return 0
 
 
@@ -307,9 +321,6 @@ def _select_level(args, fam, params):
 
 
 def cmd_transform(args) -> int:
-    if args.family != "hulthen":
-        sys.stderr.write("ptspectra: transform requires --family hulthen\n")
-        return 2
     fam, params, contour = _setup(args)
     level = _select_level(args, fam, params)
     if level is None:
@@ -319,11 +330,13 @@ def cmd_transform(args) -> int:
     # the Poschl-Teller parent of this level; the arch angle is its line shift
     parent = PoschlTellerParams(params.alpha, abs(level.aux["tau_beta"]), contour.epsilon)
     x = Grid(*_bounds(args, _TRANSFORM_GRID)).points()
-    xi = contour.point(x)
-    # closed form of the same V - E object: Hulthen potential minus E = kappa^2
-    v_closed = fam.potential(params, xi) - kappa ** 2
-    v_liou = liouville_potential(lambda r: eval_rpt(parent, r), kappa, arch_map, xi)
-    diff = np.abs(v_liou - v_closed)
+    with np.errstate(all="ignore"):  # a non-finite cell is refused below
+        xi = contour.point(x)
+        # closed form of the same V - E object: Hulthen potential minus E = kappa^2
+        v_closed = fam.potential(params, xi) - kappa ** 2
+        v_liou = liouville_potential(lambda r: eval_rpt(parent, r), kappa, arch_map, xi)
+        diff = np.abs(v_liou - v_closed)
+    _require_finite(x, [xi, v_liou, v_closed, diff])
     header = ["x", "xi_re", "xi_im", "V_liouville_re", "V_liouville_im",
               "V_closed_re", "V_closed_im", "abs_diff"]
     columns = [x, xi.real, xi.imag, v_liou.real, v_liou.imag,
@@ -346,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p._negative_number_matcher = _NEGATIVE_NUMBER_RE
         p.set_defaults(func=fn)
-        p.add_argument("--family", choices=tuple(FAMILIES), required=True)
+        p.add_argument("--family", required=True,
+                       choices=("hulthen",) if name == "transform" else tuple(FAMILIES))
         for flag in _PARAM_FLAGS:
             p.add_argument(f"--{flag}", type=float, default=None)
         p.add_argument("--epsilon", type=str, default=None,

@@ -221,12 +221,14 @@ def liouville_potential(W, kappa, lmap, xi):
     where `lmap(xi)` gives (r, r', r'', r''') and -kappa^2 is the base
     problem's bound-state energy. The caller separates V from the
     transformed energy E using the target family's closed form. Raises
-    InvalidParameters unless kappa is finite and > 0, SingularPoint when r'
-    vanishes at xi and DerivativeInconsistency when the map's analytic
-    derivatives fail their finite-difference cross-check.
+    InvalidParameters unless kappa is finite and > 0 and kappa^2 is finite,
+    SingularPoint when r' vanishes at xi and DerivativeInconsistency when
+    the map's analytic derivatives fail their finite-difference cross-check.
     """
     if not (math.isfinite(kappa) and kappa > 0):
         raise InvalidParameters("kappa must be real and > 0")
+    if not math.isfinite(float(kappa) * float(kappa)):
+        raise InvalidParameters(f"kappa^2 overflows for kappa = {kappa:g}")
     r, rp, r2, r3 = check_derivatives(lmap, xi)
     if np.min(np.abs(rp)) < _METRIC_FLOOR:
         raise SingularPoint("r'(xi) vanishes on the requested points")

@@ -2,7 +2,7 @@
 
 The one discrete operator is a complex tridiagonal pencil A u = lambda M u
 on the grid's interior nodes, with Dirichlet truncation at the ends;
-`DiscretizedHamiltonian` stores A and M alike, as band tuples. The
+`DiscretizedHamiltonian` stores A and M alike, as three-band tuples. The
 contour is part of the `Grid` (None is the real line).
 
 `build_hamiltonian(evaluator, grid)` is the fourth-order Numerov pencil
@@ -139,20 +139,18 @@ class Grid:
         return Grid(self.x_min, self.x_max, 2 * self.n_points - 1, self.contour)
 
 
-def _band_product(bands, v, ends=(0.0, 0.0)):
-    """The tridiagonal rows `bands` = (diag, lower, upper, bc_left, bc_right)
-    applied to the interior vector v, the boundary nodes holding `ends`."""
-    diag, lower, upper, bc_left, bc_right = bands
+def _band_product(bands, v):
+    """The tridiagonal rows `bands` = (diag, lower, upper) applied to the
+    interior vector v, the boundary nodes held at zero."""
+    diag, lower, upper = bands
     w = diag * v
     w[1:] += lower * v[:-1]
     w[:-1] += upper * v[1:]
-    w[0] += bc_left * ends[0]
-    w[-1] += bc_right * ends[1]
     return w
 
 
 def _norm_inf(bands) -> float:
-    diag, lower, upper = bands[:3]
+    diag, lower, upper = bands
     rows = np.abs(diag)
     rows[1:] += np.abs(lower)
     rows[:-1] += np.abs(upper)
@@ -163,10 +161,10 @@ def _norm_inf(bands) -> float:
 class DiscretizedHamiltonian:
     """Complex tridiagonal pencil A u = lambda M u on the grid's interior nodes.
 
-    `A` and `M` each hold (diag, lower, upper, bc_left, bc_right): the three
-    bands and the couplings of the first/last interior row to the
-    (Dirichlet-zero) boundary nodes, which the residual of a whole-grid
-    sample needs. `samples` holds the node samples (xi, Q, xi') a Numerov
+    `A` and `M` each hold the three bands (diag, lower, upper) of the
+    interior rows, with no coupling to the (Dirichlet-zero) end nodes: a
+    solve holds them at zero and `residual` leaves out the rows next to
+    them. `samples` holds the node samples (xi, Q, xi') a Numerov
     pencil was built from, on every node of the grid. `norms` holds
     (||A||_inf, ||M||_inf), taken once when the pencil is built.
     """
@@ -196,10 +194,10 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
     Q = xi'^2 V + (3/4)(xi''/xi')^2 - (1/2) xi'''/xi', from the contour's
     closed-form `jet`. Numerov's O(h^4) stencil gives A = L + B diag(Q) and
     M = B diag(W), with L = tridiag(-1, 2, -1)/h^2 and
-    B = tridiag(1, 10, 1)/12; the boundary couplings take Q and W at the
-    end nodes. `grid.contour=None` means the real line; there and on a
-    ShiftedLine xi' = 1, so Q = V and W = 1. MetricVanishing when |xi'|
-    falls below _METRIC_FLOOR at a node.
+    B = tridiag(1, 10, 1)/12, as the bands of the interior rows.
+    `grid.contour=None` means the real line; there and on a ShiftedLine
+    xi' = 1, so Q = V and W = 1. MetricVanishing when |xi'| falls below
+    _METRIC_FLOOR at a node.
     """
     x = grid.points()
     jet = identity_map(x) if grid.contour is None else grid.contour.jet(x)
@@ -217,9 +215,9 @@ def _numerov_pencil(xi, Q, xp, grid: Grid) -> DiscretizedHamiltonian:
     off, b0, b1 = -1.0 / grid.h ** 2, 10.0 / 12.0, 1.0 / 12.0
 
     def weighted(F):  # the rows of B diag(F)
-        return b0 * F[1:-1], b1 * F[1:-2], b1 * F[2:-1], complex(b1 * F[0]), complex(b1 * F[-1])
+        return b0 * F[1:-1], b1 * F[1:-2], b1 * F[2:-1]
 
-    laplacian = (2.0 / grid.h ** 2, off, off, off, off)
+    laplacian = (2.0 / grid.h ** 2, off, off)
     return DiscretizedHamiltonian(
         tuple(l + b for l, b in zip(laplacian, weighted(Q))), weighted(xp ** 2), grid,
         (xi, Q, xp))
@@ -272,8 +270,8 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
     # start-up, and the closed-form commands never solve
     from scipy.linalg.lapack import zgttrf, zgttrs
 
-    a_diag, a_lower, a_upper = H.A[:3]
-    m_diag, m_lower, m_upper = H.M[:3]
+    a_diag, a_lower, a_upper = H.A
+    m_diag, m_lower, m_upper = H.M
     n = len(a_diag)
     if n < 3:
         raise InvalidParameters(f"{n} interior nodes; inverse iteration needs at least 3")
@@ -323,17 +321,17 @@ def residual(psi, E, H: DiscretizedHamiltonian) -> float:
 
     psi is sampled on the full grid (ValueError otherwise); for the Numerov
     pencil it is the Liouville unknown u = psi / sqrt(xi'). A
-    _RESIDUAL_BUFFER share of interior nodes at each end is excluded to keep
-    boundary-truncation artifacts out of the norm. InvalidParameters when
-    that leaves no node.
+    _RESIDUAL_BUFFER share of interior nodes at each end, at least one, is
+    excluded to keep boundary-truncation artifacts out of the norm, so the
+    end nodes count only in max|psi|. InvalidParameters when none is left.
     """
     psi = np.asarray(psi, dtype=complex)
     if len(psi) != H.grid.n_points:
         raise ValueError("psi must be sampled on the full grid")
-    v, ends = psi[1:-1], (psi[0], psi[-1])
-    r = _band_product(H.A, v, ends) - complex(E) * _band_product(H.M, v, ends)
+    v = psi[1:-1]
+    r = _band_product(H.A, v) - complex(E) * _band_product(H.M, v)
     nb = int(math.ceil(_RESIDUAL_BUFFER * len(r)))
-    core = r[nb:len(r) - nb] if nb else r
+    core = r[nb:len(r) - nb]
     if not core.size:
         raise InvalidParameters(f"{len(r)} interior nodes leave no residual core")
     return float(np.max(np.abs(core)) / np.max(np.abs(psi)))

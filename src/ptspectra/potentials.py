@@ -25,6 +25,15 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidParameters(msg)
 
 
+def _require_squares(record, *names) -> None:
+    """InvalidParameters naming the first coupling of `names` whose square,
+    which the record's potential takes, is not finite."""
+    for name in names:
+        x = float(getattr(record, name))  # a float's product overflows to inf, silently
+        _require(math.isfinite(x * x),
+                 f"the couplings are too large: {name}^2 overflows for {name} = {x:g}")
+
+
 @dataclass(frozen=True)
 class EckartParams:
     """Couplings A and beta (B = i*beta purely imaginary) plus the line shift.
@@ -40,6 +49,7 @@ class EckartParams:
         _require(math.isfinite(self.A), "A must be real and finite")
         _require(math.isfinite(self.beta), "beta must be real and finite")
         _require(0.0 < self.epsilon < math.pi / 2, "epsilon must lie strictly inside (0, pi/2)")
+        _require_squares(self, "A")
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,7 @@ class PoschlTellerParams:
         _require(math.isfinite(self.alpha) and self.alpha > 0, "alpha must be > 0")
         _require(math.isfinite(self.beta) and self.beta > 0, "beta must be > 0")
         _require(0.0 < self.epsilon < math.pi / 2, "epsilon must lie strictly inside (0, pi/2)")
+        _require_squares(self, "alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -69,6 +80,7 @@ class HulthenParams:
         _require(math.isfinite(self.alpha) and self.alpha > 0, "alpha must be > 0")
         _require(math.isfinite(self.C), "C must be real and finite")
         _require(0.0 < self.epsilon < math.pi / 2, "epsilon must lie strictly inside (0, pi/2)")
+        _require_squares(self, "alpha")
 
     @property
     def A(self) -> float:

@@ -65,13 +65,26 @@ def jacobi_p_hyp(n: int, a, b, y):
     """Jacobi polynomial P_n^{(a,b)}(y) via the hypergeometric representation.
 
     P_n^{(a,b)}(y) = ((a+1)_n / n!) 2F1(-n, n+a+b+1; a+1; (1-y)/2),
-    valid for fully complex parameters and argument. PoleInC propagates
-    from the kernel when a+1 is a non-positive integer hit by the series.
-    The prefactor accumulates in the working precision; 2F1 receives its
-    arguments rounded to complex128.
+    valid for fully complex parameters and argument. Near y = -1 the
+    argument (1-y)/2 is near 1 and the terms cancel, so a scalar y with
+    Re y < 0 is evaluated as (-1)^n P_n^{(b,a)}(-y), whose argument (1+y)/2
+    is the smaller; where that series hits a pole (b+1 a non-positive
+    integer), the form above is used. PoleInC propagates from the kernel when a+1 is
+    a non-positive integer hit by the series. The prefactor accumulates in
+    the working precision; 2F1 receives its arguments rounded to
+    complex128.
     """
     if n < 0:
         raise ValueError("n must be a non-negative integer")
+    if np.ndim(y) == 0 and np.real(y) < 0:
+        try:
+            return (-1) ** n * _jacobi_hyp(n, b, a, -y)
+        except PoleInC:
+            pass
+    return _jacobi_hyp(n, a, b, y)
+
+
+def _jacobi_hyp(n, a, b, y):
     a, b, y, pref = _working(a, b, y)
     for j in range(n):
         pref = pref * (a + 1 + j) / (j + 1)

@@ -69,10 +69,28 @@ def test_couplings_that_overflow_are_an_input_error(capsys, command, flags):
 
 
 def test_potential_that_overflows_is_an_input_error(capsys):
-    # eval_rpt squares beta with **, which raises OverflowError past about 1e154
-    code, out, err = _run(capsys, ["sample", "--family", "rpt", "--beta", "1e300"])
+    # each potential squares these couplings: past about 1e154 the square
+    # is not a float, and the record names the coupling
+    for family, coupling in (("rpt", "beta"), ("rpt", "alpha"), ("hulthen", "alpha"),
+                             ("eckart", "A")):
+        code, out, err = _run(capsys, ["sample", "--family", family, f"--{coupling}", "1e300"])
+        assert code == 2 and out == ""
+        assert err == (f"ptspectra: InvalidParameters: the couplings are too large: "
+                       f"{coupling}^2 overflows for {coupling} = 1e+300\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"],
+    ["sample", "--family", "hulthen", "--xmin", "-1e3", "--n", "3", "--N", "0"],
+    ["transform", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"],
+    ["sample", "--family", "rpt", "--xmin", "-1e3", "--n", "3"],
+], ids=["sample", "sample_psi", "transform", "sample_rpt"])
+def test_a_window_past_the_far_field_is_an_input_error(capsys, argv):
+    # the arch's sinh^2 overflows past |x| of about 355 and the line's sinh
+    # past 710; the error, not a numpy warning, reaches the caller
+    code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
-    assert err.startswith("ptspectra: OverflowError")
+    assert err == "ptspectra: InvalidParameters: the sampled columns are not finite at x = -1000\n"
 
 
 def test_spectrum_eckart_table(capsys):
@@ -190,9 +208,10 @@ def test_consecutive_calls_share_no_parse_state(capsys):
 
 def test_family_choices_are_the_registry():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
-    for parser in sub.choices.values():
+    for name, parser in sub.choices.items():
         family = next(a for a in parser._actions if a.dest == "family")
-        assert tuple(family.choices) == tuple(FAMILIES)
+        # transform rebuilds Hulthen from its Poschl-Teller parent
+        assert tuple(family.choices) == (("hulthen",) if name == "transform" else tuple(FAMILIES))
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -430,7 +449,7 @@ def test_transform_window_falls_back_per_field(capsys):
 
 def test_transform_requires_hulthen_and_valid_level(capsys):
     code, _, err = _run(capsys, ["transform", "--family", "eckart"])
-    assert code == 2
+    assert code == 2 and "invalid choice: 'eckart'" in err
     code, _, err = _run(capsys, ["transform", "--family", "hulthen", "--N", "7"])
     assert code == 2
     assert "level" in err

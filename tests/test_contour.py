@@ -106,6 +106,9 @@ def test_liouville_map_validation():
         liouville_potential(lambda r: r ** 2, -1.0, identity_map, xi)
     with pytest.raises(InvalidParameters):
         liouville_potential(lambda r: r ** 2, 0.0, identity_map, xi)
+    # kappa^2 is not a float past about 1e154
+    with pytest.raises(InvalidParameters, match="kappa\\^2 overflows for kappa = 1e\\+300"):
+        liouville_potential(lambda r: r ** 2, 1e300, identity_map, xi)
 
 
 def test_liouville_identity_map():

@@ -110,8 +110,8 @@ def test_harmonic_ground_state():
 
 def test_complex_symmetric_discretization():
     H, _, _ = _ham(RPT, 0.3, -12, 12, 301)
-    a_diag, a_lower, a_upper = H.A[:3]
-    _, m_lower, m_upper = H.M[:3]
+    a_diag, a_lower, a_upper = H.A
+    _, m_lower, m_upper = H.M
     # M = B = M^T and A = L + B diag(V) with L, B symmetric, not Hermitian:
     # M's sub- and superdiagonal, and the two off-diagonal entries of each
     # column of A, are equal bit for bit
@@ -168,13 +168,13 @@ def test_targeted_never_confirms_perturbed_energy():
 
 
 def _dense(bands):
-    diag, lower, upper = bands[:3]
+    diag, lower, upper = bands
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
 def _real_pencil(H):
     """Dense (A, M) of a pencil with real bands; M is symmetric."""
-    assert not any(np.any(np.imag(b)) for b in H.A[:3] + H.M[:3])
+    assert not any(np.any(np.imag(b)) for b in H.A + H.M)
     assert np.array_equal(H.M[1], H.M[2])
     return _dense(H.A).real, _dense(H.M).real
 
@@ -262,8 +262,8 @@ def test_a_failed_solve_keeps_the_sweeps_run_before_it(monkeypatch, stalls):
 def _diagonal(d):
     d = np.asarray(d, dtype=complex)
     z = np.zeros(len(d) - 1, dtype=complex)
-    identity = (np.ones(len(d), dtype=complex), z, z, 0j, 0j)
-    return DiscretizedHamiltonian((d, z, z.copy(), 0j, 0j), identity, Grid(-1.0, 1.0, len(d) + 2))
+    identity = (np.ones(len(d), dtype=complex), z, z)
+    return DiscretizedHamiltonian((d, z, z.copy()), identity, Grid(-1.0, 1.0, len(d) + 2))
 
 
 def test_start_vector_memo_is_shared_read_only_and_bounded():
@@ -406,6 +406,22 @@ def test_residual_of_exact_eigenvector():
     lams, vecs = eig(*_real_pencil(H))
     k = np.argmin(np.abs(lams - 1.0))
     assert residual(np.pad(vecs[:, k], 1), lams[k], H) <= 1e-12
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["stated", "refined"])
+def test_residual_reads_the_end_nodes_only_through_the_peak(refined):
+    # the buffer leaves out at least the rows next to the end nodes, so the
+    # pencil needs no coupling to them
+    grid = Grid(-12.0, 12.0, 601, ShiftedLine(0.3))
+    grid = grid.refined() if refined else grid
+    H = build_hamiltonian(lambda z: eval_rpt(RPT, z), grid)
+    level = rpt_spectrum(RPT)[0]
+    psi = rpt_wavefunction(RPT, level, grid.contour.point(grid.points()))
+    peak = np.max(np.abs(psi))
+    moved = psi.copy()
+    moved[0], moved[-1] = 0.9j * peak, -0.5 * peak
+    assert np.max(np.abs(moved)) == peak
+    assert residual(moved, level.energy, H) == residual(psi, level.energy, H) > 0
 
 
 def test_residual_without_a_core_node_is_a_typed_error():
@@ -564,27 +580,25 @@ def test_unresolved_levels_on_a_given_grid_are_resolution_limits():
 def test_laplacian_stencil_row(contour):
     g = Grid(-0.5, 0.5, 11, contour)  # h = 0.1
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
-    a_diag, a_lower, a_upper, a_left, a_right = H.A
+    a_diag, a_lower, a_upper = H.A
     mid = 4
     # V = 0, xi' = 1: the pencil's A is the flat stencil tridiag(-1, 2, -1)/h^2 exactly;
     # row mid holds lower[mid - 1], diag[mid] and upper[mid]
     assert a_lower[mid - 1] == a_upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
     assert a_diag[mid] == 2.0 / g.h ** 2 == pytest.approx(200.0)
     assert np.array_equal(a_lower, a_upper)
-    assert a_left == a_right == -1.0 / g.h ** 2
 
 
 def test_numerov_stencil_row():
     g = Grid(-0.5, 0.5, 11, ShiftedLine(0.5))  # h = 0.1
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
-    a_diag, a_lower, a_upper, a_left, a_right = H.A
-    m_diag, m_lower, m_upper, m_left, m_right = H.M
+    a_diag, a_lower, a_upper = H.A
+    m_diag, m_lower, m_upper = H.M
     mid = 4
     # V = 0, xi' = 1: A = L = tridiag(-1, 2, -1)/h^2 and M = B = tridiag(1, 10, 1)/12
     assert a_lower[mid - 1] == a_upper[mid] == -1.0 / g.h ** 2 == pytest.approx(-100.0)
     assert a_diag[mid] == 2.0 / g.h ** 2
-    assert a_left == a_right == -1.0 / g.h ** 2
-    assert m_lower[mid - 1] == m_upper[mid] == m_left == m_right == 1 / 12
+    assert m_lower[mid - 1] == m_upper[mid] == 1 / 12
     assert m_diag[mid] == 10 / 12
 
 
@@ -597,12 +611,10 @@ def test_numerov_pencil_carries_the_potential_on_the_neighbours():
     L = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / g.h ** 2
     B = (10 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 12
     A = L + B @ np.diag(V)
-    a_diag, a_lower, a_upper, a_left, a_right = H.A
+    a_diag, a_lower, a_upper = H.A
     assert np.allclose(a_diag, np.diag(A)[1:-1], rtol=1e-14, atol=0)
     assert np.allclose(a_lower, np.diag(A, -1)[1:-1], rtol=1e-14, atol=0)
     assert np.allclose(a_upper, np.diag(A, 1)[1:-1], rtol=1e-14, atol=0)
-    assert a_left == pytest.approx(A[1, 0], rel=1e-14)
-    assert a_right == pytest.approx(A[-2, -1], rel=1e-14)
 
 
 @pytest.mark.parametrize("contour", [

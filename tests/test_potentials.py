@@ -57,17 +57,31 @@ def test_param_validation():
             spectrum(params)
 
 
-@pytest.mark.parametrize("spectrum, params", [
-    (eckart_spectrum, EckartParams(3.0, 1e300)),
-    (eckart_spectrum, EckartParams(1.5, 1e154)),
-    (rpt_spectrum, PoschlTellerParams(1e300, 1.5)),
-    (hulthen_spectrum, HulthenParams(2.0, 1e300)),
+@pytest.mark.parametrize("spectrum, record, values", [
+    (eckart_spectrum, EckartParams, (3.0, 1e300)),
+    (eckart_spectrum, EckartParams, (1.5, 1e154)),
+    (rpt_spectrum, PoschlTellerParams, (1e300, 1.5)),
+    (hulthen_spectrum, HulthenParams, (2.0, 1e300)),
 ], ids=["eckart", "eckart_infinite_energy", "rpt", "hulthen"])
-def test_couplings_that_overflow_the_closed_form_are_invalid(spectrum, params):
+def test_couplings_that_overflow_the_closed_form_are_invalid(spectrum, record, values):
     # past about 1e154, squaring a coupling with ** raises OverflowError;
-    # beta^2 / D^2 with beta = 1e154 and D = 1/2 overflows to inf
+    # beta^2 / D^2 with beta = 1e154 and D = 1/2 overflows to inf. The
+    # record itself refuses a coupling that its potential squares.
     with pytest.raises(InvalidParameters, match="couplings are too large"):
-        spectrum(params)
+        spectrum(record(*values))
+
+
+@pytest.mark.parametrize("record, values, coupling", [
+    (EckartParams, (1e300, 1.0), "A"),
+    (PoschlTellerParams, (1e300, 1.5), "alpha"),
+    (PoschlTellerParams, (3.5, 1e300), "beta"),
+    (HulthenParams, (1e300, 2.0), "alpha"),
+], ids=["eckart_A", "rpt_alpha", "rpt_beta", "hulthen_alpha"])
+def test_a_coupling_whose_square_overflows_is_named(record, values, coupling):
+    # A (A - 1), alpha^2 and beta^2 are not floats past about 1e154
+    with pytest.raises(InvalidParameters) as info:
+        record(*values)
+    assert f"{coupling}^2 overflows for {coupling} = 1e+300" in str(info.value)
 
 
 def test_hulthen_derived_couplings():

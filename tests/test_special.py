@@ -79,6 +79,26 @@ def test_jacobi_cross_check_complex_parameters():
     assert abs(h - r) <= 1e-10 * (1 + abs(h))
 
 
+@pytest.mark.parametrize("a, b, y", [
+    (3.2818438545882396 + 1.2537601474775908j, 2.536877527776749 + 2.73569518234671j,
+     -0.9966040987011198 + 0.07928227059129833j),
+    (3.1653895180393956 + 0.373566095931261j, 3.344740822811908 - 0.2541068471776393j,
+     -0.6838679058738397 + 0.012195079128601627j),
+], ids=["tabulate_seed_66", "tabulate_seed_169"])
+def test_jacobi_hyp_near_minus_one_matches_the_recurrence(a, b, y):
+    # (1-y)/2 near 1 cancels the series' terms; they deviated by 1.0e-10
+    # and 3.2e-10, past the 1e-10 oracle bound, before the reflection
+    h, r = jacobi_p_hyp(15, a, b, y), jacobi_p_rec(15, a, b, y)
+    assert abs(h - r) <= 1e-11 * (1 + abs(h))
+
+
+def test_jacobi_hyp_keeps_its_form_where_the_reflection_has_a_pole():
+    # b + 1 = -1: the reflected series' (c)_k vanishes at k = 1 < n
+    a, b, y = 0.5 + 0.2j, -2.0, -0.5 + 0.1j
+    h, r = jacobi_p_hyp(3, a, b, y), jacobi_p_rec(3, a, b, y)
+    assert abs(h - r) <= 1e-12 * (1 + abs(h))
+
+
 def test_jacobi_rec_degenerate_coefficient():
     # m=2 gives m+a+b = 0, zeroing the leading recurrence coefficient
     with pytest.raises(DegenerateRecurrence):
