@@ -253,7 +253,7 @@ def cmd_spectrum(args) -> int:
     columns += [[str(getattr(l.qn, k)) for l in levels] for k in ("sigma", "tau", "N")]
     columns.append([l.energy for l in levels])
     # aux entries: a `_re`/`_im` suffix takes that part of a complex entry,
-    # and a family without the entry gets empty cells
+    # and a family without the entry gets empty cells (Eckart's kappa)
     for column in header[5:]:
         key, part = column, "real"
         if column.endswith(("_re", "_im")):

@@ -12,6 +12,11 @@ A Liouville coordinate map is one function `lmap(xi)` returning
 (`arch_map`, `identity_map`); `check_derivatives` cross-checks any such
 map against finite differences.
 
+`power_along_path(logs, exponents)` raises bases to complex powers from
+their continuous logs, and `transport_wavefunction(chi, r, root)` carries
+a function of r to xi, given the map's r and `metric_root` of its r' on
+the samples; both take what a caller holds, not the bases or the map.
+
 Branch policy, used everywhere complex powers or roots appear along a
 path: principal value at the first sample, then phase continuity sample
 to sample (unwrapping by whole turns). An adjacent phase jump that stays
@@ -153,18 +158,13 @@ def continuous_log(values):
     return logs
 
 
-def power_along_path(base_values, exponent, *more, logs=None):
-    """base^exponent, times base_k^exponent_k for each further pair in
-    `more` = (base_2, exponent_2, ...), with the branch-continuity policy
-    along the samples. The product is formed in the log domain, one exp of
-    the summed exponent * continuous_log(base), so it stays finite where a
-    factor alone would overflow or underflow. `logs`, when given, holds the
-    bases' continuous logs in order, taken once by a caller that raises the
-    same bases to many exponents."""
-    pairs = (base_values, exponent) + more
-    if logs is None:
-        logs = map(continuous_log, pairs[::2])
-    return np.exp(sum(e * log for e, log in zip(pairs[1::2], logs)))
+def power_along_path(logs, exponents):
+    """The product of base_k^exponent_k, with `logs` the bases' continuous
+    logs (`continuous_log`) in order, so the powers follow the
+    branch-continuity policy along the samples. The product is formed in
+    the log domain, one exp of the summed exponent * log, so it stays
+    finite where a factor alone would overflow or underflow."""
+    return np.exp(sum(e * log for e, log in zip(exponents, logs)))
 
 
 def arch_map(xi):
@@ -245,16 +245,9 @@ def metric_root(rp):
     return np.exp(0.5 * continuous_log(rp))
 
 
-def transport_wavefunction(chi, lmap, xi_samples, mapped=None):
-    """Psi(xi) = chi[r(xi)] / sqrt(r'(xi)) along an ordered sample sequence,
-    r and r' taken from one `lmap(xi)` call and the root from `metric_root`.
-
-    `mapped`, when given, is that (r, root) on `xi_samples`, held by a
-    caller that transports several functions along the same samples; lmap
-    is then not called.
-    """
-    if mapped is None:
-        r, rp = lmap(np.asarray(xi_samples, dtype=complex))[:2]
-        mapped = r, metric_root(rp)
-    r, root = mapped
-    return np.asarray(chi(r), dtype=complex) / root
+def transport_wavefunction(chi, r, root):
+    """Psi(xi) = chi[r(xi)] / sqrt(r'(xi)) along an ordered sample sequence:
+    `r` is the map's r(xi) on the samples and `root` is `metric_root` of
+    its r'(xi), held by a caller that transports several functions along
+    the same samples."""
+    return chi(r) / root

@@ -197,15 +197,21 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
     B = tridiag(1, 10, 1)/12, as the bands of the interior rows.
     `grid.contour=None` means the real line; there and on a ShiftedLine
     xi' = 1, so Q = V and W = 1. MetricVanishing when |xi'| falls below
-    _METRIC_FLOOR at a node.
+    _METRIC_FLOOR at a node. InvalidParameters naming the first node at
+    which xi, Q or W is not finite: the window reaches past the far field
+    that the path or the potential can represent.
     """
     x = grid.points()
-    jet = identity_map(x) if grid.contour is None else grid.contour.jet(x)
-    xi, xp, xp2, xp3 = (np.asarray(c, dtype=complex) for c in jet)
-    small = float(np.min(np.abs(xp)))
-    if small < _METRIC_FLOOR:
-        raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e} on the grid")
-    Q = add_curvature(xp ** 2 * np.asarray(evaluator(xi), dtype=complex), xp, xp2, xp3)
+    with np.errstate(all="ignore"):  # a non-finite sample is refused below
+        jet = identity_map(x) if grid.contour is None else grid.contour.jet(x)
+        xi, xp, xp2, xp3 = (np.asarray(c, dtype=complex) for c in jet)
+        small = float(np.min(np.abs(xp)))
+        if small < _METRIC_FLOOR:
+            raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e} on the grid")
+        Q = add_curvature(xp ** 2 * np.asarray(evaluator(xi), dtype=complex), xp, xp2, xp3)
+        bad = ~(np.isfinite(xi) & np.isfinite(Q) & np.isfinite(xp ** 2))
+    if bad.any():
+        raise InvalidParameters(f"the path, Q or W is not finite at x = {x[np.argmax(bad)]:g}")
     return _numerov_pencil(xi, Q, xp, grid)
 
 

@@ -23,9 +23,10 @@ cosh 2r, and on the arch r itself and the Liouville root
 exp(continuous_log(r')/2). Its logs follow the contour module's branch
 policy, principal at the first sample and continuous thereafter. The wave
 functions take an array of points or a SampledPath; given an array they
-sample a fresh one. A level then costs one Jacobi sum and one exp of the
-exponent-weighted logs: `power_along_path` and `transport_wavefunction`
-take the path's logs and root instead of taking them again.
+sample a fresh one. A level then costs one Jacobi sum and one
+`power_along_path` of the path's logs, Eckart's (v-u) r - (u+v) log sinh r
+included; a Hulthen level adds one `transport_wavefunction` of the arch's
+r and root held by the path.
 """
 
 import math
@@ -217,7 +218,7 @@ def eckart_wavefunction(p: EckartParams, level: Level, points):
     # one exp in the log domain, finite where y - 1 itself underflows. On a
     # shifted line, -r - log sinh r is the principal log of y - 1 at every
     # first sample, so the branch is that of the two continued powers.
-    return np.exp((v - u) * path.points - (u + v) * path.log_sinh) * poly
+    return power_along_path((path.points, path.log_sinh), (v - u, -(u + v))) * poly
 
 
 @_finite
@@ -251,10 +252,9 @@ def _parent_eigenfunction(N, tb, sa, r):
     the Poschl-Teller eigenfunction with tb = tau*beta, sa = sigma*alpha, on
     the points r, an array or a `SampledPath`."""
     path = _sampled(r)
-    sh, ch = path.sinh, path.cosh  # their SingularPoint guards come before the Jacobi sum
+    path.sinh, path.cosh  # their SingularPoint guards come before the Jacobi sum
     poly = jacobi_p_hyp(N, tb, sa, path.cosh2)
-    logs = path.log_sinh, path.log_cosh
-    return power_along_path(sh, tb + 0.5, ch, sa + 0.5, logs=logs) * poly
+    return power_along_path((path.log_sinh, path.log_cosh), (tb + 0.5, sa + 0.5)) * poly
 
 
 def rpt_wavefunction(p: PoschlTellerParams, level: Level, points):
@@ -325,11 +325,11 @@ def hulthen_wavefunction(p: HulthenParams, level: Level, arch, x_samples):
     """Psi(xi(x)) = chi[r(xi)] / sqrt(r'(xi)) along the arch.
 
     chi is the parent eigenfunction rebuilt from the level's derived
-    parameters (beta = |tau*beta|, tau = sign); one `arch_map` call
-    supplies r(xi) = x - i*eps and the metric factor r'(xi), and the root
-    follows the branch policy. `x_samples` are path parameters of `arch`,
-    or a `SampledPath` of its points xi(x), which `arch` then need not
-    supply.
+    parameters (beta = |tau*beta|, tau = sign), and carried to the arch by
+    `transport_wavefunction` with the path's `arch`: r(xi) = x - i*eps and
+    the root of r'(xi), both from one `arch_map` call, the root following
+    the branch policy. `x_samples` are path parameters of `arch`, or a
+    `SampledPath` of its points xi(x), which `arch` then need not supply.
     """
     _check_family(level, "hulthen")
     tb = level.aux["tau_beta"]
@@ -337,8 +337,7 @@ def hulthen_wavefunction(p: HulthenParams, level: Level, arch, x_samples):
     path = x_samples if isinstance(x_samples, SampledPath) else SampledPath(
         arch.point(np.asarray(x_samples, dtype=float)))
     n = level.qn.N
-    return transport_wavefunction(lambda r: _parent_eigenfunction(n, tb, sa, r), arch_map,
-                                  path, mapped=path.arch)
+    return transport_wavefunction(lambda r: _parent_eigenfunction(n, tb, sa, r), *path.arch)
 
 
 def eckart_spacing(p: EckartParams, N: int) -> float:

@@ -57,3 +57,23 @@ def test_traced_wavefunction_spans_count_the_sampled_nodes(monkeypatch):
     metrics = spans.layer_metrics(tracer, len(pool), len(pool), workloads.verdict([]), 0)
     assert metrics["spectra.wavefunction.calls"]["value"] == 6
     assert metrics["spectra.wavefunction.points"]["value"] == sum(nodes)
+
+
+def test_traced_powers_and_transports_follow_the_levels(monkeypatch):
+    # every level's wave function takes its powers in one
+    # `contour.power_along_path` span, Eckart's included, and each Hulthen
+    # level is carried to the arch in one `contour.transport_wavefunction`
+    monkeypatch.setitem(sys.modules, "census", _load("census"))
+    workloads, spans = _load("workloads"), _load("spans")
+    tracer = spans.Tracer()
+    hulthen_levels = 0
+    with tracer.installed():
+        for i, op in enumerate(workloads.BUILDERS["canonical"](1)):
+            with tracer.operation(i):
+                report = op.run(None)
+            if report.family == "hulthen":
+                hulthen_levels += len(report.entries)
+    names = [s[0] for s in tracer.spans]
+    assert hulthen_levels > 0
+    assert names.count("contour.power_along_path") == names.count("spectra.wavefunction") > 0
+    assert names.count("contour.transport_wavefunction") == hulthen_levels

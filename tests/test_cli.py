@@ -79,18 +79,26 @@ def test_potential_that_overflows_is_an_input_error(capsys):
                        f"{coupling}^2 overflows for {coupling} = 1e+300\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["sample", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"],
-    ["sample", "--family", "hulthen", "--xmin", "-1e3", "--n", "3", "--N", "0"],
-    ["transform", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"],
-    ["sample", "--family", "rpt", "--xmin", "-1e3", "--n", "3"],
-], ids=["sample", "sample_psi", "transform", "sample_rpt"])
-def test_a_window_past_the_far_field_is_an_input_error(capsys, argv):
+_SAMPLED = "the sampled columns are"
+_PENCIL = "the path, Q or W is"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["sample", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"], _SAMPLED),
+    (["sample", "--family", "hulthen", "--xmin", "-1e3", "--n", "3", "--N", "0"], _SAMPLED),
+    (["transform", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"], _SAMPLED),
+    (["sample", "--family", "rpt", "--xmin", "-1e3", "--n", "3"], _SAMPLED),
+    (["verify", "--family", "eckart", "--xmin", "-1e3"], _PENCIL),
+    (["verify", "--family", "hulthen", "--xmin", "-1e3"], _PENCIL),
+], ids=["sample", "sample_psi", "transform", "sample_rpt", "verify", "verify_hulthen"])
+def test_a_window_past_the_far_field_is_an_input_error(capsys, argv, what):
     # the arch's sinh^2 overflows past |x| of about 355 and the line's sinh
-    # past 710; the error, not a numpy warning, reaches the caller
+    # past 710; the error, not a numpy warning, reaches the caller. A verify
+    # pencil that is not finite is bad input (exit 2), not a ShiftSingular
+    # failure of every level (exit 1)
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
-    assert err == "ptspectra: InvalidParameters: the sampled columns are not finite at x = -1000\n"
+    assert err == f"ptspectra: InvalidParameters: {what} not finite at x = -1000\n"
 
 
 def test_spectrum_eckart_table(capsys):

@@ -93,7 +93,7 @@ def test_continuous_log_rejects_coarse_jumps():
 def test_power_along_path_keeps_branch():
     theta = np.linspace(0.0, 2 * math.pi, 300)
     z = np.exp(1j * theta)
-    w = power_along_path(z, 0.5)
+    w = power_along_path((continuous_log(z),), (0.5,))
     # continued square root ends at -1, not the principal +1
     assert w[-1] == pytest.approx(-1.0 + 0j, abs=1e-10)
     naive = z ** 0.5
@@ -179,28 +179,13 @@ def test_arch_chain_rule():
 def test_transport_trivial_and_branch():
     xi = np.linspace(-1, 1, 11).astype(complex)
     chi = lambda r: np.exp(-r ** 2)
-    out = transport_wavefunction(chi, identity_map, xi)
+    r, rp = identity_map(xi)[:2]
+    out = transport_wavefunction(chi, r, metric_root(rp))
     assert np.allclose(out, chi(xi), atol=1e-14)
 
     # r' = -1 everywhere: 1/sqrt(-1) is one fixed branch, no sign flips
-    flip = lambda z: (-z, -np.ones_like(z), np.zeros_like(z), np.zeros_like(z))
-    const = transport_wavefunction(lambda r: np.ones_like(r), flip, xi)
+    const = transport_wavefunction(lambda r: np.ones_like(r), -xi, metric_root(-np.ones_like(xi)))
     assert np.allclose(const, const[0])
     assert abs(const[0] ** 2 + 1.0) <= 1e-12  # (1/sqrt(-1))^2 = -1
-
-
-def test_held_logs_and_root_give_the_values_taken_afresh():
-    # a caller holding the bases' logs, or the map's r and root, gets the
-    # same values bit for bit as the calls that take them again
-    r = ArchContour(0.4).point(np.linspace(-3.0, 3.0, 61))
-    sh, ch = np.sinh(r), np.cosh(r)
-    held = power_along_path(sh, 1.7, ch, -0.3 + 0.2j,
-                            logs=(continuous_log(sh), continuous_log(ch)))
-    assert held.tobytes() == power_along_path(sh, 1.7, ch, -0.3 + 0.2j).tobytes()
-
-    chi = lambda z: np.exp(-z ** 2)
-    mapped, rp = arch_map(r)[:2]
-    held = transport_wavefunction(chi, arch_map, r, mapped=(mapped, metric_root(rp)))
-    assert held.tobytes() == transport_wavefunction(chi, arch_map, r).tobytes()
     with pytest.raises(SingularPoint, match="r'"):
         metric_root(np.array([1.0, 0.0, 1.0]))

@@ -131,6 +131,18 @@ def test_metric_vanishing_guard():
         build_hamiltonian(lambda z: np.zeros_like(z), g)
 
 
+@pytest.mark.parametrize("name, x_max", [("eckart", 720.0), ("rpt", 720.0), ("hulthen", 400.0)])
+def test_a_window_past_the_far_field_is_an_input_error(name, x_max):
+    # the line's sinh overflows past |x| of about 710 and the arch's sinh^2
+    # past 355: the pencil would not be finite, which is not a singular shift
+    fam = FAMILIES[name]
+    grid = Grid(-x_max, x_max, 201, fam.contour(fam.canonical))
+    with pytest.raises(InvalidParameters, match=f"not finite at x = -{x_max:g}$"):
+        build_hamiltonian(lambda z: fam.potential(fam.canonical, z), grid)
+    with pytest.raises(InvalidParameters, match=f"not finite at x = -{x_max:g}$"):
+        verify_family(fam.canonical, grid)
+
+
 def test_targeted_eckart_raw_grid():
     H, _, _ = _ham(ECK, 0.5, -18, 18, 4001)
     res = [solve_targeted(H, E) for E in (-3.75, 0.0)]
