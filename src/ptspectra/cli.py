@@ -27,12 +27,13 @@ verifies on the library's stretched rule grid, as
 `verify_family(params)` does; with any of them it verifies on the
 uniform window. Each subcommand
 registers only the flags it reads; any other flag is an input error.
-`verify`, `sample` and `transform` all take their window through `Grid`,
-so each rejects the same windows. `sample` and `transform` refuse a
-window on which a sampled column is not finite (InvalidParameters, exit
-2), and select the
-first level, in spectrum order, that matches every one of `--N`,
-`--sigma` and `--tau` given.
+`spectrum` prints every level's `aux["kappa"]`, then the record's
+`aux_columns`. `verify`, `sample` and `transform` all take their window
+through `Grid`, so each rejects the same windows. `sample` and
+`transform` refuse a window on which a sampled column is not finite
+(`numeric.require_finite`, exit 2), and select the first level, in
+spectrum order, that matches every one of `--N`, `--sigma` and `--tau`
+given.
 """
 
 import argparse
@@ -47,7 +48,7 @@ import numpy as np
 
 from .contour import arch_map, liouville_potential
 from .errors import InvalidParameters, SpectraError
-from .numeric import FAMILIES, Grid, verify_family
+from .numeric import FAMILIES, Grid, require_finite, verify_family
 from .potentials import PoschlTellerParams
 # perfbench/spans.py wraps these names on this module. Only eval_rpt is
 # called here (transform's parent potential); the others are kept for it.
@@ -70,6 +71,7 @@ _PARAM_FLAGS = tuple(dict.fromkeys(
 
 # transform's own sampling window; it does not use the family's verify grid
 _TRANSFORM_GRID = (-3.0, 3.0, 101)
+_SAMPLED = "the sampled columns are"  # what a non-finite cell's error names
 
 # What argparse takes for a negative number, not a flag, after an option that
 # wants a value: '-' then a digit, or '.' and a digit. Its own pattern,
@@ -252,13 +254,12 @@ def cmd_spectrum(args) -> int:
     columns = [[fam.name] * len(levels)]
     columns += [[str(getattr(l.qn, k)) for l in levels] for k in ("sigma", "tau", "N")]
     columns.append([l.energy for l in levels])
-    # aux entries: a `_re`/`_im` suffix takes that part of a complex entry,
-    # and a family without the entry gets empty cells (Eckart's kappa)
+    # aux entries: a `_re`/`_im` suffix takes that part of a complex entry
     for column in header[5:]:
         key, part = column, "real"
         if column.endswith(("_re", "_im")):
             key, part = column[:-3], "real" if column.endswith("_re") else "imag"
-        columns.append([getattr(l.aux[key], part) if key in l.aux else "" for l in levels])
+        columns.append([getattr(l.aux[key], part) for l in levels])
     _emit(header, columns, args.out)
     return 0
 
@@ -281,15 +282,6 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _require_finite(x, sampled) -> None:
-    """InvalidParameters naming the first point of `x` at which one of the
-    `sampled` columns is not finite: the window reaches past the far field
-    that the path, the potential or the wave function can represent."""
-    bad = ~np.logical_and.reduce([np.isfinite(c) for c in sampled])
-    if bad.any():
-        raise InvalidParameters(f"the sampled columns are not finite at x = {x[np.argmax(bad)]:g}")
-
-
 def cmd_sample(args) -> int:
     fam, params, contour = _setup(args)
     x = Grid(*_bounds(args, fam.grid)).points()
@@ -306,7 +298,7 @@ def cmd_sample(args) -> int:
         sampled = [xi, fam.potential(params, xi)]
         if level is not None:
             sampled.append(fam.wavefunction(params, level, SampledPath(xi)))
-    _require_finite(x, sampled)
+    require_finite(x, sampled, _SAMPLED)
     _emit(header, [x] + [part for c in sampled for part in (c.real, c.imag)], args.out)
     return 0
 
@@ -336,7 +328,7 @@ def cmd_transform(args) -> int:
         v_closed = fam.potential(params, xi) - kappa ** 2
         v_liou = liouville_potential(lambda r: eval_rpt(parent, r), kappa, arch_map, xi)
         diff = np.abs(v_liou - v_closed)
-    _require_finite(x, [xi, v_liou, v_closed, diff])
+    require_finite(x, (xi, v_liou, v_closed, diff), _SAMPLED)
     header = ["x", "xi_re", "xi_im", "V_liouville_re", "V_liouville_im",
               "V_closed_re", "V_closed_im", "abs_diff"]
     columns = [x, xi.real, xi.imag, v_liou.real, v_liou.imag,

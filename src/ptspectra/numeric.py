@@ -36,8 +36,10 @@ level's analytic wave function reads; each wave function is scaled to the
 Liouville unknown, and the stated-grid residual reads its even nodes too.
 
 Without a given grid, `verify_family` sizes a stretched grid from the
-closed forms (`_rule_grid`). On every grid, given or sized, one rule types
-a failing level the grid does not resolve ResolutionLimit.
+closed forms and each level's decay rate `aux["kappa"]` (`_rule_grid`).
+On every grid, given or sized, one rule types a failing level the grid
+does not resolve ResolutionLimit. `require_finite` refuses every sampled
+window past the far field, the CLI's included.
 
 `FAMILIES` holds one `Family` record per parameter type; `verify_family`
 and the CLI dispatch through it.
@@ -97,6 +99,7 @@ _PROBE_POINTS = 200
 _STRETCHES = 2.0 ** -np.arange(14)
 _LEVEL_BLOCK = 64
 _ORDERS = (3.5, 4.5)  # measured residual orders near Numerov's 4
+_PENCIL_SAMPLES = "the path, Q or W is"  # what a non-finite pencil sample names
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,17 @@ class EigenResult:
     iterations: int
 
 
+def require_finite(x, columns, what) -> None:
+    """InvalidParameters "`what` not finite at x = ..." naming the first
+    point of `x` at which one of the sampled `columns` is not finite: the
+    window reaches past the far field that the closed forms can represent."""
+    finite = np.isfinite(columns[0])
+    for c in columns[1:]:
+        finite &= np.isfinite(c)
+    if not finite.all():
+        raise InvalidParameters(f"{what} not finite at x = {x[np.argmin(finite)]:g}")
+
+
 def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
     """The Numerov pencil of -d^2/dxi^2 + V(xi) along the grid's contour.
 
@@ -208,10 +222,9 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
         small = float(np.min(np.abs(xp)))
         if small < _METRIC_FLOOR:
             raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e} on the grid")
-        Q = add_curvature(xp ** 2 * np.asarray(evaluator(xi), dtype=complex), xp, xp2, xp3)
-        bad = ~(np.isfinite(xi) & np.isfinite(Q) & np.isfinite(xp ** 2))
-    if bad.any():
-        raise InvalidParameters(f"the path, Q or W is not finite at x = {x[np.argmax(bad)]:g}")
+        W = xp ** 2
+        Q = add_curvature(W * np.asarray(evaluator(xi), dtype=complex), xp, xp2, xp3)
+    require_finite(x, (xi, Q, W), _PENCIL_SAMPLES)
     return _numerov_pencil(xi, Q, xp, grid)
 
 
@@ -408,12 +421,12 @@ class Family:
     `aux_columns` the level aux entries the spectrum table prints after
     kappa (a `_re`/`_im` suffix takes that part of a complex entry).
     `tol_energy` and `tol_residual` are the verdict's default bounds.
-    `decay(level)` is the closed-form rate at which a level's wave function
-    decays along the path, and `reach(level)` the path range |x| on which
-    its far field stays finite in floating point: sinh and cosh overflow
-    past |x| of about 710 and the arch's height past 355, and a degree-N
-    Jacobi factor of cosh 2r grows as e^{2N|x|}. The CLI selects a level by
-    the quantum numbers it is given, the same way for every family.
+    `reach(level)` is the path range |x| on which a level's far field stays
+    finite in floating point: sinh and cosh overflow past |x| of about 710
+    and the arch's height past 355, and a degree-N Jacobi factor of cosh 2r
+    grows as e^{2N|x|}. Every family's levels state their decay rate along
+    the path as `aux["kappa"]`. The CLI selects a level by the quantum
+    numbers it is given, the same way for every family.
     """
 
     name: str
@@ -426,7 +439,6 @@ class Family:
     tol_energy: float
     tol_residual: float
     aux_columns: tuple
-    decay: Callable
     reach: Callable
 
 
@@ -443,7 +455,6 @@ FAMILIES = {f.name: f for f in (
            contour=lambda p: ShiftedLine(p.epsilon),
            grid=(-18.0, 18.0, 1001), tol_energy=1e-5, tol_residual=1.5e-1,
            aux_columns=("u_re", "u_im", "v_re", "v_im"),
-           decay=lambda level: level.aux["D"],
            reach=lambda level: 700.0),
     Family("rpt", PoschlTellerParams(3.5, 1.5, 0.3),
            spectrum=lambda p: _sp.rpt_spectrum(p),
@@ -452,7 +463,6 @@ FAMILIES = {f.name: f for f in (
            contour=lambda p: ShiftedLine(p.epsilon),
            grid=(-12.0, 12.0, 1001), tol_energy=1e-6, tol_residual=1.5e-1,
            aux_columns=(),
-           decay=lambda level: level.aux["kappa"],
            reach=lambda level: 700.0 / (1 + 2 * level.qn.N)),
     Family("hulthen", HulthenParams(2.0, 2.0),
            spectrum=lambda p: _sp.hulthen_spectrum(p),
@@ -461,7 +471,6 @@ FAMILIES = {f.name: f for f in (
            contour=lambda p: ArchContour(p.epsilon),
            grid=(-12.0, 12.0, 1001), tol_energy=1e-4, tol_residual=1e-4,
            aux_columns=("s", "tau_beta"),
-           decay=lambda level: level.aux["kappa"],
            reach=lambda level: 350.0 / (1 + 2 * level.qn.N)),
 )}
 
@@ -483,9 +492,9 @@ def _step_limits(k2, envelope, ranges, x, w, tol_residual):
     return ds
 
 
-def _rule_grid(fam, params, levels, decay, ranges, tol_residual):
+def _rule_grid(fam, params, levels, kappa, ranges, tol_residual):
     """The stretched verify grid for `levels`, sized from the closed forms,
-    their `decay` rates and their `ranges` L = log(1/tol_energy)/decay.
+    their decay rates `kappa` and their `ranges` L = log(1/tol_energy)/kappa.
 
     The grid is Grid(-S, S, n, Stretched(contour, a)) on the canonical
     contour, so the local step in x is h(x) = sqrt(a^2 + x^2) ds.
@@ -495,7 +504,7 @@ def _rule_grid(fam, params, levels, decay, ranges, tol_residual):
       is k^2 = |Q - E W| (the unstretched Liouville normal form) plus
       1/(x^2 + d^2), d = min(eps, pi/2 - eps) the singularity distance.
       Out to its L the level needs k h <= _STEP_THETA and the s-space
-      Numerov residual estimate (a^2 + x^2) e^{-decay x} h^4 k^6/240,
+      Numerov residual estimate (a^2 + x^2) e^{-kappa x} h^4 k^6/240,
       times _RESIDUAL_SAFETY, within tol_residual.
     - a is the stretch, among 2^-j (j < 14) times the probed range, that
       needs the fewest points; n = 2 ceil(S/ds) + 1 is capped at
@@ -503,6 +512,7 @@ def _rule_grid(fam, params, levels, decay, ranges, tol_residual):
       points.
     Levels with a range beyond the reach or more points than the cap do
     not size the grid, unless no level can. `verify_family` types the rest.
+    A probe that is not finite raises InvalidParameters (`require_finite`).
     """
     contour = fam.contour(params)
     if not levels:
@@ -511,13 +521,17 @@ def _rule_grid(fam, params, levels, decay, ranges, tol_residual):
     reach = min(fam.reach(l) for l in levels)
     far = min(_RANGE_FACTOR * ranges.max(), reach)
     x = d * np.sinh(np.linspace(0.0, math.asinh(far / d), _PROBE_POINTS))
-    xi, xp, xp2, xp3 = contour.jet(x)
-    qv = xp ** 2 * fam.potential(params, xi)
+    with np.errstate(all="ignore"):  # a non-finite sample is refused below
+        xi, xp, xp2, xp3 = contour.jet(x)
+        W = xp ** 2
+        qv = W * fam.potential(params, xi)
+        Q = add_curvature(qv, xp, xp2, xp3)
+    require_finite(x, (xi, Q, W), _PENCIL_SAMPLES)
     stretch = far * _STRETCHES[:, None]
     w = stretch ** 2 + x ** 2
     energy = np.array([l.energy for l in levels])[:, None]
-    k2 = np.abs(add_curvature(qv - energy * xp ** 2, xp, xp2, xp3)) + 1 / (x * x + d * d)
-    envelope = np.exp(-np.minimum(decay[:, None] * x, 700.0))
+    k2 = np.abs(add_curvature(qv - energy * W, xp, xp2, xp3)) + 1 / (x * x + d * d)
+    envelope = np.exp(-np.minimum(kappa[:, None] * x, 700.0))
     ds = _step_limits(k2, envelope, ranges, x, w, tol_residual)
 
     def points(X):  # points each level needs, per stretch, to reach X
@@ -573,7 +587,8 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
        stops at _MAX_SWEEPS or as soon as its measured rate cannot settle
        within them (see `solve_targeted`).
     Other failures are plain. Constituent errors become failed entries,
-    not exceptions, typed by their diagnostic and counting the sweeps run.
+    not exceptions, typed by their diagnostic and counting the sweeps run,
+    a wave function that is not finite among them (`require_finite`).
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, type(f.canonical))), None)
     if fam is None:
@@ -584,10 +599,10 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
         raise InvalidParameters(f"tolerances must be finite and > 0, got "
                                 f"tol_energy={tol_energy}, tol_residual={tol_residual}")
     levels = fam.spectrum(params)
-    decay = np.array([fam.decay(l) for l in levels])
-    ranges = math.log(1 / min(tol_energy, fam.tol_energy)) / decay
+    kappa = np.array([l.aux["kappa"] for l in levels])
+    ranges = math.log(1 / min(tol_energy, fam.tol_energy)) / kappa
     if grid is None:
-        grid = _rule_grid(fam, params, levels, decay, ranges,
+        grid = _rule_grid(fam, params, levels, kappa, ranges,
                           min(tol_residual, fam.tol_residual))
     if grid.contour is None:
         grid = replace(grid, contour=fam.contour(params))
@@ -601,7 +616,7 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     Hf = build_hamiltonian(evaluator, grid.refined())
     H = _stated_pencil(Hf, grid)
     xi_fine, _, xp_fine = Hf.samples
-    h_fine = Hf.grid.h
+    x_fine, h_fine = Hf.grid.points(), Hf.grid.h
     path = _sp.SampledPath(xi_fine)  # the factors every level's wave function shares
     scale = None  # the Liouville scale exp(-log(xi')/2) on the refined grid
 
@@ -616,7 +631,9 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             coarse = solve_targeted(H, E, fine_res.eigenvector[2:-2:2])
             iters += coarse.iterations
             lam = (16 * fine_res.eigenvalue - coarse.eigenvalue) / 15
-            psi = fam.wavefunction(params, level, path)
+            with np.errstate(all="ignore"):  # a non-finite sample is refused below
+                psi = fam.wavefunction(params, level, path)
+            require_finite(x_fine, (psi,), "the wave function is")
             if scale is None:
                 scale = np.exp(-0.5 * _contour.continuous_log(xp_fine))
             u_f = psi * scale

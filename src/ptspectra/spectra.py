@@ -175,7 +175,8 @@ def _finite(spectrum):
 def eckart_spectrum(p: EckartParams) -> list:
     """All bound levels E_N = -D^2 + beta^2/D^2, D = A-N-1 > 0 strictly.
 
-    aux carries u = D/2 - i beta/(2D), v = D/2 + i beta/(2D) (so u+v = D).
+    aux carries the decay rate kappa = D and u = D/2 - i beta/(2D),
+    v = D/2 + i beta/(2D) (so u+v = D).
     """
     levels = []
     N = 0
@@ -195,7 +196,7 @@ def eckart_spectrum(p: EckartParams) -> list:
         check = -2 * (u * u + v * v)
         if abs(check - E) > 1e-12 * max(1.0, abs(E)):
             raise InternalConsistencyError("aux (u,v) disagree with the closed-form energy")
-        aux = {"D": D, "u": u, "v": v}
+        aux = {"kappa": D, "u": u, "v": v}
         levels.append(Level(QuantumNumbers("eckart", N), E, aux))
         N += 1
     return levels

@@ -83,22 +83,39 @@ _SAMPLED = "the sampled columns are"
 _PENCIL = "the path, Q or W is"
 
 
-@pytest.mark.parametrize("argv, what", [
-    (["sample", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"], _SAMPLED),
-    (["sample", "--family", "hulthen", "--xmin", "-1e3", "--n", "3", "--N", "0"], _SAMPLED),
-    (["transform", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"], _SAMPLED),
-    (["sample", "--family", "rpt", "--xmin", "-1e3", "--n", "3"], _SAMPLED),
-    (["verify", "--family", "eckart", "--xmin", "-1e3"], _PENCIL),
-    (["verify", "--family", "hulthen", "--xmin", "-1e3"], _PENCIL),
-], ids=["sample", "sample_psi", "transform", "sample_rpt", "verify", "verify_hulthen"])
-def test_a_window_past_the_far_field_is_an_input_error(capsys, argv, what):
+@pytest.mark.parametrize("argv, what, x", [
+    (["sample", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"], _SAMPLED, "-1000"),
+    (["sample", "--family", "hulthen", "--xmin", "-1e3", "--n", "3", "--N", "0"], _SAMPLED,
+     "-1000"),
+    (["transform", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"], _SAMPLED, "-1000"),
+    (["sample", "--family", "rpt", "--xmin", "-1e3", "--n", "3"], _SAMPLED, "-1000"),
+    (["verify", "--family", "eckart", "--xmin", "-1e3"], _PENCIL, "-1000"),
+    (["verify", "--family", "hulthen", "--xmin", "-1e3"], _PENCIL, "-1000"),
+    # an arch angle of 1e-300 puts the apex at infinity: the probe that
+    # sizes the rule grid refuses it before any grid is built
+    (["verify", "--family", "hulthen", "--epsilon", "1e-300"], _PENCIL, "0"),
+], ids=["sample", "sample_psi", "transform", "sample_rpt", "verify", "verify_hulthen",
+        "verify_probe"])
+def test_a_window_past_the_far_field_is_an_input_error(capsys, argv, what, x):
     # the arch's sinh^2 overflows past |x| of about 355 and the line's sinh
     # past 710; the error, not a numpy warning, reaches the caller. A verify
     # pencil that is not finite is bad input (exit 2), not a ShiftSingular
     # failure of every level (exit 1)
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
-    assert err == f"ptspectra: InvalidParameters: {what} not finite at x = -1000\n"
+    assert err == f"ptspectra: InvalidParameters: {what} not finite at x = {x}\n"
+
+
+def test_a_level_past_its_far_field_fails_without_a_warning(capsys):
+    # the (-,-,1) wave function is not finite at the window's ends: that
+    # level fails as an input error of its own, and the others keep theirs
+    code, out, err = _run(capsys, ["verify", "--family", "rpt", "--xmin", "-400",
+                                   "--xmax", "400", "--n", "4001"])
+    assert code == 1 and err == ""
+    _, rows = _rows(out)
+    assert [r[:3] + r[-1:] for r in rows] == [["0", "-1", "-1", "0"], ["1", "-1", "-1", "0"],
+                                              ["0", "-1", "1", "1"]]
+    assert rows[1][4:8] == ["nan", "nan", "inf", "inf"]
 
 
 def test_spectrum_eckart_table(capsys):
@@ -110,7 +127,8 @@ def test_spectrum_eckart_table(capsys):
     assert len(rows) == 2
     assert float(rows[0][4]) == pytest.approx(-3.75)
     assert float(rows[1][4]) == pytest.approx(0.0, abs=1e-12)
-    assert rows[0][5] == ""  # no kappa column content for this family
+    # every family's levels carry their decay rate as kappa; Eckart's is D = A - N - 1
+    assert [float(r[5]) for r in rows] == [2.0, 1.0]
 
 
 def test_spectrum_rpt_empty_family(capsys):

@@ -143,6 +143,21 @@ def test_a_window_past_the_far_field_is_an_input_error(name, x_max):
         verify_family(fam.canonical, grid)
 
 
+def test_a_wave_function_past_its_far_field_is_an_input_error_of_its_level():
+    # cosh 2r overflows past |x| of about 355: the degree-1 Jacobi factor of
+    # (-,-,1) is not finite at the window's ends, while that of the degree-0
+    # levels is 1; the other levels keep their own verdicts
+    rep = verify_family(RPT, Grid(-400.0, 400.0, 4001, ShiftedLine(0.3)))
+    by_label = {e.label: e for e in rep.entries}
+    far = by_label["(-,-,1)"]
+    assert far.diagnostic is InvalidParameters and not far.converged
+    assert far.note == "InvalidParameters: the wave function is not finite at x = -400"
+    assert far.iterations > 0 and math.isinf(far.residual)
+    assert by_label["(-,-,0)"].diagnostic is ResolutionLimit
+    assert by_label["(-,-,0)"].note.startswith("ResolutionLimit: halving the step")
+    assert by_label["(-,+,0)"].converged and by_label["(-,+,0)"].diagnostic is None
+
+
 def test_targeted_eckart_raw_grid():
     H, _, _ = _ham(ECK, 0.5, -18, 18, 4001)
     res = [solve_targeted(H, E) for E in (-3.75, 0.0)]

@@ -83,14 +83,18 @@ def test_eckart_ground_wavefunction_shape():
     assert np.max(np.abs(psi - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
-def test_eckart_wavefunction_decay_rate():
-    p = EckartParams(3.0, 1.0, 0.5)
-    level = eckart_spectrum(p)[0]
-    line = ShiftedLine(0.5)
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_wavefunction_decay_rate(name):
+    # every level states the rate at which it decays along its canonical
+    # path as aux["kappa"], the rate the verifier sizes its grid from
+    fam = FAMILIES[name]
+    p = fam.canonical
     x = np.linspace(6.0, 10.0, 41)
-    a = np.abs(eckart_wavefunction(p, level, line.point(x)))
-    ratio = a[-1] / a[0]
-    assert ratio == pytest.approx(math.exp(-2 * (x[-1] - x[0])), rel=0.10)
+    path = SampledPath(fam.contour(p).point(x))
+    for level in fam.spectrum(p):
+        a = np.abs(fam.wavefunction(p, level, path))
+        ratio = a[-1] / a[0]
+        assert ratio == pytest.approx(math.exp(-level.aux["kappa"] * (x[-1] - x[0])), rel=1e-3)
 
 
 def test_rpt_spectrum_three_levels():
