@@ -16,7 +16,9 @@ rounding tie) go through `'%.11e' %` itself. Each cell of a block is one
 20-byte record, five uint32 slots of text padded with zero bytes and the
 separator in its last byte, looked up from digit tables; the block's
 records are written in row order with the zero bytes dropped. Exit
-codes: 0 = pass, 1 = verification failure, 2 = invalid input.
+codes: 0 = pass, 1 = verification failure, 2 = invalid input: any
+SpectraError, ValueError, OverflowError or OSError (an `--out` file that
+cannot be opened), which `main` prints as "ptspectra: <type>: <message>".
 
 Every subcommand looks its family up in `numeric.FAMILIES`: the record
 supplies the parameter defaults, the parameter flags the family accepts,
@@ -33,7 +35,7 @@ through `Grid`, so each rejects the same windows. `sample` and
 `transform` refuse a window on which a sampled column is not finite
 (`numeric.require_finite`, exit 2), and select the first level, in
 spectrum order, that matches every one of `--N`, `--sigma` and `--tau`
-given.
+given; InvalidParameters (exit 2) if none does.
 """
 
 import argparse
@@ -289,9 +291,6 @@ def cmd_sample(args) -> int:
     level = None
     if any(getattr(args, k) is not None for k in ("N", "sigma", "tau")):
         level = _select_level(args, fam, params)
-        if level is None:
-            sys.stderr.write("ptspectra: invalid level for psi sampling\n")
-            return 2
         header += ["psi_re", "psi_im"]
     with np.errstate(all="ignore"):  # a non-finite cell is refused below
         xi = contour.point(x)
@@ -305,19 +304,20 @@ def cmd_sample(args) -> int:
 
 def _select_level(args, fam, params):
     """The first level, in spectrum order, that matches every one of
-    `--N`, `--sigma` and `--tau` given; None if no level does."""
+    `--N`, `--sigma` and `--tau` given; InvalidParameters if none does."""
     given = [(k, getattr(args, k)) for k in ("N", "sigma", "tau")
              if getattr(args, k) is not None]
-    return next((l for l in fam.spectrum(params)
-                 if all(getattr(l.qn, k) == v for k, v in given)), None)
+    level = next((l for l in fam.spectrum(params)
+                  if all(getattr(l.qn, k) == v for k, v in given)), None)
+    if level is None:
+        flags = " ".join(f"--{k} {v}" for k, v in given)
+        raise InvalidParameters(f"invalid level: no {fam.name} level matches {flags}")
+    return level
 
 
 def cmd_transform(args) -> int:
     fam, params, contour = _setup(args)
     level = _select_level(args, fam, params)
-    if level is None:
-        sys.stderr.write("ptspectra: invalid level (not an accepted bound state)\n")
-        return 2
     kappa = level.aux["kappa"]
     # the Poschl-Teller parent of this level; the arch angle is its line shift
     parent = PoschlTellerParams(params.alpha, abs(level.aux["tau_beta"]), contour.epsilon)
@@ -382,11 +382,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SpectraError, ValueError, OverflowError) as exc:
+    except (SpectraError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"ptspectra: {type(exc).__name__}: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"ptspectra: {exc}\n")
         return 2
 
 

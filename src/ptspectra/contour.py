@@ -10,7 +10,9 @@ xi'', xi''') in the path parameter x, whose entry 0 is `point(x)`.
 A Liouville coordinate map is one function `lmap(xi)` returning
 (r, r', r'', r''') at xi, so one evaluation shares the work of all four
 (`arch_map`, `identity_map`); `check_derivatives` cross-checks any such
-map against finite differences.
+map against finite differences. `normal_form(jet, V)` forms the weight W
+and potential Q of the Liouville normal form from any such jet, a path's
+or a map's.
 
 `power_along_path(logs, exponents)` raises bases to complex powers from
 their continuous logs, and `transport_wavefunction(chi, r, root)` carries
@@ -207,19 +209,21 @@ def check_derivatives(lmap, xi):
     return at
 
 
-def add_curvature(base, rp, r2, r3):
-    """base + (3/4)[r''/r']^2 - (1/2)[r'''/r'], evaluated left to right: the
-    curvature term of the Liouville normal form added to `base`."""
-    return base + 0.75 * (r2 / rp) ** 2 - 0.5 * (r3 / rp)
+def normal_form(jet, V):
+    """(W, Q) = (r'^2, r'^2 V + (3/4)(r''/r')^2 - (1/2) r'''/r'), left to
+    right: u = psi / sqrt(r') solves -u'' + Q u = E W u where psi solves
+    -psi'' + V psi = E psi, for a map with the jet (r, r', r'', r''') and
+    V sampled at r."""
+    _, rp, r2, r3 = jet
+    W = rp ** 2
+    return W, W * V + 0.75 * (r2 / rp) ** 2 - 0.5 * (r3 / rp)
 
 
 def liouville_potential(W, kappa, lmap, xi):
-    """V(xi) - E for the transformed problem, the full right-hand side
-
-        [r'(xi)]^2 { W[r(xi)] + kappa^2 } + (3/4)[r''/r']^2 - (1/2)[r'''/r'],
-
-    where `lmap(xi)` gives (r, r', r'', r''') and -kappa^2 is the base
-    problem's bound-state energy. The caller separates V from the
+    """V(xi) - E for the transformed problem: the Q of `normal_form` for
+    the map `lmap(xi)`, which gives (r, r', r'', r'''), and the base
+    potential W[r(xi)] + kappa^2, -kappa^2 being the base problem's
+    bound-state energy. The caller separates V from the
     transformed energy E using the target family's closed form. Raises
     InvalidParameters unless kappa is finite and > 0 and kappa^2 is finite,
     SingularPoint when r' vanishes at xi and DerivativeInconsistency when
@@ -229,10 +233,10 @@ def liouville_potential(W, kappa, lmap, xi):
         raise InvalidParameters("kappa must be real and > 0")
     if not math.isfinite(float(kappa) * float(kappa)):
         raise InvalidParameters(f"kappa^2 overflows for kappa = {kappa:g}")
-    r, rp, r2, r3 = check_derivatives(lmap, xi)
-    if np.min(np.abs(rp)) < _METRIC_FLOOR:
+    jet = check_derivatives(lmap, xi)
+    if np.min(np.abs(jet[1])) < _METRIC_FLOOR:
         raise SingularPoint("r'(xi) vanishes on the requested points")
-    return add_curvature(rp ** 2 * (W(r) + kappa ** 2), rp, r2, r3)
+    return normal_form(jet, W(jet[0]) + kappa ** 2)[1]
 
 
 def metric_root(rp):

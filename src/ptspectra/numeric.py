@@ -8,9 +8,9 @@ contour is part of the `Grid` (None is the real line).
 `build_hamiltonian(evaluator, grid)` is the fourth-order Numerov pencil
 of the Liouville normal form along `grid.contour`. With the contour's jet
 (xi, xi', xi'', xi''') the unknown is u = psi / sqrt(xi'), and the
-equation in the path parameter reads -u'' + Q u = E W u with W = xi'^2
-and Q = xi'^2 V + (3/4)(xi''/xi')^2 - (1/2) xi'''/xi'. Numerov's stencil
-turns it into A = L + B diag(Q) and M = B diag(W), where
+equation in the path parameter reads -u'' + Q u = E W u with W and Q
+from `contour.normal_form`, sampled as the rule grid's probe is. Numerov's
+stencil turns it into A = L + B diag(Q) and M = B diag(W), where
 L = tridiag(-1, 2, -1)/h^2 and B = tridiag(1, 10, 1)/12. On the shifted
 line and the real line xi' = 1, so Q = V and W = 1.
 `solve_targeted(H, target, start=None)` inverse-iterates one eigenpair of
@@ -53,13 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import (
-    ArchContour,
-    ShiftedLine,
-    Stretched,
-    add_curvature,
-    identity_map,
-)
+from .contour import ArchContour, ShiftedLine, Stretched, identity_map, normal_form
 from .errors import (
     InvalidParameters,
     MetricVanishing,
@@ -167,7 +161,7 @@ class DiscretizedHamiltonian:
     `A` and `M` each hold the three bands (diag, lower, upper) of the
     interior rows, with no coupling to the (Dirichlet-zero) end nodes: a
     solve holds them at zero and `residual` leaves out the rows next to
-    them. `samples` holds the node samples (xi, Q, xi') a Numerov
+    them. `samples` holds the node samples (xi, xi', W, Q) a Numerov
     pencil was built from, on every node of the grid. `norms` holds
     (||A||_inf, ||M||_inf), taken once when the pencil is built.
     """
@@ -200,37 +194,41 @@ def require_finite(x, columns, what) -> None:
         raise InvalidParameters(f"{what} not finite at x = {x[np.argmin(finite)]:g}")
 
 
+def _normal_form_samples(evaluator, contour, x):
+    """(xi, xi', W, Q) at the path parameters x: the contour's jet (the real
+    line's for None) and its `normal_form` with V = `evaluator(xi)`, formed
+    with numpy's warnings off. MetricVanishing where |xi'| < _METRIC_FLOOR;
+    InvalidParameters naming the first x at which xi, Q or W is not finite,
+    past the far field that the path or the potential can represent."""
+    with np.errstate(all="ignore"):  # a non-finite sample is refused below
+        jet = [np.asarray(c, dtype=complex) for c in
+               (identity_map(x) if contour is None else contour.jet(x))]
+        xi, xp = jet[:2]
+        small = float(np.min(np.abs(xp)))
+        if small < _METRIC_FLOOR:
+            raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e}")
+        W, Q = normal_form(jet, np.asarray(evaluator(xi), dtype=complex))
+    require_finite(x, (xi, Q, W), _PENCIL_SAMPLES)
+    return xi, xp, W, Q
+
+
 def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
     """The Numerov pencil of -d^2/dxi^2 + V(xi) along the grid's contour.
 
     In Liouville normal form, u = psi / sqrt(xi'), the equation in the path
-    parameter is -u'' + Q u = E W u with W = xi'^2 and
-    Q = xi'^2 V + (3/4)(xi''/xi')^2 - (1/2) xi'''/xi', from the contour's
-    closed-form `jet`. Numerov's O(h^4) stencil gives A = L + B diag(Q) and
-    M = B diag(W), with L = tridiag(-1, 2, -1)/h^2 and
-    B = tridiag(1, 10, 1)/12, as the bands of the interior rows.
-    `grid.contour=None` means the real line; there and on a ShiftedLine
-    xi' = 1, so Q = V and W = 1. MetricVanishing when |xi'| falls below
-    _METRIC_FLOOR at a node. InvalidParameters naming the first node at
-    which xi, Q or W is not finite: the window reaches past the far field
-    that the path or the potential can represent.
+    parameter is -u'' + Q u = E W u, with W and Q the `contour.normal_form`
+    of the contour's closed-form `jet` and V = `evaluator`. Numerov's
+    O(h^4) stencil gives A = L + B diag(Q) and M = B diag(W), with
+    L = tridiag(-1, 2, -1)/h^2 and B = tridiag(1, 10, 1)/12, as the bands
+    of the interior rows. `grid.contour=None` means the real line. Raises
+    as `_normal_form_samples` does, at the nodes.
     """
-    x = grid.points()
-    with np.errstate(all="ignore"):  # a non-finite sample is refused below
-        jet = identity_map(x) if grid.contour is None else grid.contour.jet(x)
-        xi, xp, xp2, xp3 = (np.asarray(c, dtype=complex) for c in jet)
-        small = float(np.min(np.abs(xp)))
-        if small < _METRIC_FLOOR:
-            raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e} on the grid")
-        W = xp ** 2
-        Q = add_curvature(W * np.asarray(evaluator(xi), dtype=complex), xp, xp2, xp3)
-    require_finite(x, (xi, Q, W), _PENCIL_SAMPLES)
-    return _numerov_pencil(xi, Q, xp, grid)
+    return _numerov_pencil(*_normal_form_samples(evaluator, grid.contour, grid.points()), grid)
 
 
-def _numerov_pencil(xi, Q, xp, grid: Grid) -> DiscretizedHamiltonian:
-    """A = L + B diag(Q) and M = B diag(xp^2) from the node samples Q and
-    xi' on every node of `grid`; the path points xi are kept with them."""
+def _numerov_pencil(xi, xp, W, Q, grid: Grid) -> DiscretizedHamiltonian:
+    """A = L + B diag(Q) and M = B diag(W) from the node samples W and Q
+    on every node of `grid`; the path's xi and xi' are kept with them."""
     off, b0, b1 = -1.0 / grid.h ** 2, 10.0 / 12.0, 1.0 / 12.0
 
     def weighted(F):  # the rows of B diag(F)
@@ -238,8 +236,8 @@ def _numerov_pencil(xi, Q, xp, grid: Grid) -> DiscretizedHamiltonian:
 
     laplacian = (2.0 / grid.h ** 2, off, off)
     return DiscretizedHamiltonian(
-        tuple(l + b for l, b in zip(laplacian, weighted(Q))), weighted(xp ** 2), grid,
-        (xi, Q, xp))
+        tuple(l + b for l, b in zip(laplacian, weighted(Q))), weighted(W), grid,
+        (xi, xp, W, Q))
 
 
 def _stated_pencil(Hf: DiscretizedHamiltonian, grid: Grid) -> DiscretizedHamiltonian:
@@ -260,6 +258,7 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
+@np.errstate(over="ignore")  # a norm that overflows is refused as such
 def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult:
     """Shifted inverse iteration for the eigenpair of A u = lambda M u
     nearest `target`.
@@ -481,9 +480,10 @@ def _step_limits(k2, envelope, ranges, x, w, tol_residual):
     probe points x within the level's range. k2 and envelope are
     (level, probe) and w = a^2 + x^2 is (stretch, probe). The levels are
     taken _LEVEL_BLOCK at a time, which bounds the (level, stretch, probe)
-    arrays on a long spectrum."""
+    arrays on a long spectrum. Where k2^3 overflows the bound is 0, its limit."""
     w34 = w ** 0.75
-    bound = (240 * tol_residual / (_RESIDUAL_SAFETY * envelope * k2 ** 3)) ** 0.25
+    with np.errstate(over="ignore"):
+        bound = (240 * tol_residual / (_RESIDUAL_SAFETY * envelope * k2 ** 3)) ** 0.25
     ds = np.empty((len(k2), len(w)))
     for i in range(0, len(k2), _LEVEL_BLOCK):
         b = slice(i, i + _LEVEL_BLOCK)
@@ -512,7 +512,7 @@ def _rule_grid(fam, params, levels, kappa, ranges, tol_residual):
       points.
     Levels with a range beyond the reach or more points than the cap do
     not size the grid, unless no level can. `verify_family` types the rest.
-    A probe that is not finite raises InvalidParameters (`require_finite`).
+    The probe raises as `build_hamiltonian` does (`_normal_form_samples`).
     """
     contour = fam.contour(params)
     if not levels:
@@ -521,16 +521,11 @@ def _rule_grid(fam, params, levels, kappa, ranges, tol_residual):
     reach = min(fam.reach(l) for l in levels)
     far = min(_RANGE_FACTOR * ranges.max(), reach)
     x = d * np.sinh(np.linspace(0.0, math.asinh(far / d), _PROBE_POINTS))
-    with np.errstate(all="ignore"):  # a non-finite sample is refused below
-        xi, xp, xp2, xp3 = contour.jet(x)
-        W = xp ** 2
-        qv = W * fam.potential(params, xi)
-        Q = add_curvature(qv, xp, xp2, xp3)
-    require_finite(x, (xi, Q, W), _PENCIL_SAMPLES)
+    _, _, W, Q = _normal_form_samples(lambda xi: fam.potential(params, xi), contour, x)
     stretch = far * _STRETCHES[:, None]
     w = stretch ** 2 + x ** 2
     energy = np.array([l.energy for l in levels])[:, None]
-    k2 = np.abs(add_curvature(qv - energy * W, xp, xp2, xp3)) + 1 / (x * x + d * d)
+    k2 = np.abs(Q - energy * W) + 1 / (x * x + d * d)
     envelope = np.exp(-np.minimum(kappa[:, None] * x, 700.0))
     ds = _step_limits(k2, envelope, ranges, x, w, tol_residual)
 
@@ -615,7 +610,7 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     evaluator = lambda xi: fam.potential(params, xi)
     Hf = build_hamiltonian(evaluator, grid.refined())
     H = _stated_pencil(Hf, grid)
-    xi_fine, _, xp_fine = Hf.samples
+    xi_fine, xp_fine, W_fine, _ = Hf.samples
     x_fine, h_fine = Hf.grid.points(), Hf.grid.h
     path = _sp.SampledPath(xi_fine)  # the factors every level's wave function shares
     scale = None  # the Liouville scale exp(-log(xi')/2) on the refined grid
@@ -647,7 +642,7 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             # Green's identity: the Dirichlet ends move the eigenvalue by 2|u u'| / |int W u^2|
             v = u_f / np.max(np.abs(u_f))  # scaled so that v * v stays finite
             ends = abs(v[0] * (v[1] - v[0])) + abs(v[-1] * (v[-1] - v[-2]))
-            norm = abs(np.dot(xp_fine ** 2 * v, v)) * h_fine
+            norm = abs(np.dot(W_fine * v, v)) * h_fine
             shift = 2 * ends / (h_fine * norm) if norm else math.inf
             step = abs(fine_res.eigenvalue - coarse.eigenvalue)
             falls = (_ORDERS[0] <= order <= _ORDERS[1]

@@ -316,6 +316,7 @@ def test_sample_rejects_missing_level(capsys):
     code, _, err = _run(capsys, ["sample", "--family", "rpt", "--N", "9"])
     assert code == 2
     assert "invalid level" in err
+    assert err == "ptspectra: InvalidParameters: invalid level: no rpt level matches --N 9\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -329,6 +330,7 @@ def test_sample_level_flags_must_all_match(capsys, argv):
     assert code == 2
     assert out == ""
     assert "invalid level" in err
+    assert err.startswith("ptspectra: InvalidParameters: invalid level: ")
 
 
 def test_sample_sigma_and_tau_select_a_level_without_N(capsys):
@@ -479,6 +481,22 @@ def test_transform_requires_hulthen_and_valid_level(capsys):
     code, _, err = _run(capsys, ["transform", "--family", "hulthen", "--N", "7"])
     assert code == 2
     assert "level" in err
+    assert err == "ptspectra: InvalidParameters: invalid level: no hulthen level matches --N 7\n"
+
+
+def test_an_out_path_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, ["spectrum", "--family", "eckart", "--out", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("ptspectra: FileNotFoundError: ") and str(path) in err
+
+
+def test_a_near_zero_arch_angle_fails_verification_quietly(capsys):
+    # the level is typed, not a numpy warning: exit 1 and nothing on stderr
+    code, out, err = _run(capsys, ["verify", "--family", "hulthen", "--epsilon", "1e-100"])
+    assert code == 1
+    assert err == ""
+    assert out.startswith("N,sigma,tau,")
 
 
 def test_out_files_are_deterministic(tmp_path, capsys):

@@ -778,6 +778,44 @@ def test_subnormal_residual_tolerance_is_a_resolution_limit_without_a_warning():
         assert "; the tolerance is below its rounding floor" in e.note
 
 
+@pytest.mark.parametrize("eps", [1e-54, 1e-100])
+def test_a_near_zero_arch_angle_is_typed_without_a_warning(eps):
+    # the probe's k2 reaches about 1e200 at the apex, so k2^3 overflows in
+    # the step bound (its limit, a step of 0, is taken), and the sweep norm
+    # overflows in the solve (refused as an overflowed solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_family(HulthenParams(2.0, 2.0, eps))
+    (e,) = rep.entries
+    assert not rep.passed and e.diagnostic is not None
+
+
+def test_the_probe_checks_the_metric_before_the_potential():
+    # |xi'| at the apex is cot(eps) ~ 1e-12, below the pencil's metric floor,
+    # where the Hulthen potential itself is singular
+    fam = FAMILIES["hulthen"]
+    params = HulthenParams(2.0, 2.0, math.pi / 2 - 1e-12)
+    levels = fam.spectrum(params)
+    kappa = np.array([l.aux["kappa"] for l in levels])
+    ranges = math.log(1 / fam.tol_energy) / kappa
+    with pytest.raises(MetricVanishing, match="below 1.0e-10$"):
+        numeric._rule_grid(fam, params, levels, kappa, ranges, fam.tol_residual)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_the_pencil_samples_are_the_normal_form_of_the_jet(name):
+    # W and Q have one home, contour.normal_form, whose W = xi'^2 the pencil's
+    # M reads: the stored samples are its output bit for bit
+    fam = FAMILIES[name]
+    grid = verify_family(fam.canonical).grid
+    H = build_hamiltonian(lambda xi: fam.potential(fam.canonical, xi), grid)
+    jet = grid.contour.jet(grid.points())
+    W, Q = contour.normal_form(jet, fam.potential(fam.canonical, jet[0]))
+    for ours, direct in zip(H.samples, (jet[0], jet[1], W, Q)):
+        assert np.array_equal(ours, direct)
+    assert np.array_equal(H.M[0], 10.0 / 12.0 * W[1:-1])
+
+
 @pytest.mark.parametrize("tol_residual, reason", [
     (1e-10, "it needs a step of about"),
     (1e-12, "the tolerance is below its rounding floor"),
