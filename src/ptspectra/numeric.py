@@ -17,20 +17,23 @@ line and the real line xi' = 1, so Q = V and W = 1.
 the pencil near `target` from `start`, factoring A - target M once and
 stopping when the eigenpair has settled relative to
 ||A||_inf + |target| ||M||_inf, or when the measured rate of its residual
-cannot get it there within the sweep budget. It loads scipy's LAPACK at
-the first solve, so importing this module does not.
+cannot get it there within the sweep budget. Each sweep applies M once
+and takes A v from the shifted solve's own equation. It loads scipy's
+LAPACK at the first solve, so importing this module does not.
 
-Verification solves the Numerov pencil on the once refined grid (same
-endpoints, halved step) and then on the stated grid, for every family; the
-stated-grid solve starts from the even nodes of the refined eigenvector.
+Verification samples each level's analytic wave function first, then
+solves the Numerov pencil on the once refined grid (same endpoints, halved
+step) and then on the stated grid, for every family; the refined solve
+starts from the analytic Liouville unknown, and the stated-grid solve from
+the even nodes of the refined eigenvector.
 The reported eigenvalue is the Richardson combination
 (16*lambda_fine - lambda_coarse)/15, which removes the O(h^4) truncation
 term of the stencil, and the refined pass also yields each level's
 convergence order of the Numerov residuals.
 The refined grid's even nodes are the stated grid's nodes, bit for bit.
-So each report samples the path, the potential and the Liouville scale
-exp(-log(xi')/2) once, on the refined grid, and the stated-grid pencil
-reads their even nodes. The path's factors are sampled once per report,
+So each report samples the path, the potential and the Liouville root
+`contour.metric_root(xi')` once, on the refined grid, and the stated-grid
+pencil reads their even nodes. The path's factors are sampled once per report,
 in one `spectra.SampledPath` of the refined grid's points that every
 level's analytic wave function reads; each wave function is scaled to the
 Liouville unknown, and the stated-grid residual reads its even nodes too.
@@ -136,11 +139,12 @@ class Grid:
         return Grid(self.x_min, self.x_max, 2 * self.n_points - 1, self.contour)
 
 
-def _band_product(bands, v):
+def _band_product(bands, v, out=None):
     """The tridiagonal rows `bands` = (diag, lower, upper) applied to the
-    interior vector v, the boundary nodes held at zero."""
+    interior vector v, the boundary nodes held at zero; written into `out`
+    when given."""
     diag, lower, upper = bands
-    w = diag * v
+    w = np.multiply(diag, v, out=out)
     w[1:] += lower * v[:-1]
     w[:-1] += upper * v[1:]
     return w
@@ -266,9 +270,14 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
     Starts from `start`, a vector on the interior nodes, or by default from
     a seeded random unit vector, drawn once per size for the last
     _START_VECTORS sizes; A - shift M is factored once (LAPACK gttrf) and
-    each sweep is one gttrs solve of (A - shift M) w = M v. The eigenvalue
-    is the Rayleigh quotient v^H A v / v^H M v and the residual
-    max|A v - lambda M v| / max|v|. A sweep stops when the residual and the
+    each sweep is one gttrs solve of (A - shift M) w = M v_prev and one band
+    product M v of v = w / ||w||. The solve's equation gives
+    A v = shift M v + g with g = M v_prev / ||w||, so no sweep applies A:
+    the eigenvalue is the Rayleigh quotient
+    v^H A v / v^H M v = shift + v^H g / v^H M v, and the residual
+    max|A v - lambda M v| / max|v| is max|g - (lambda - shift) M v| / max|v|,
+    which differs from the one formed from the bands by rounding, a few
+    eps (||A|| + |lambda| ||M||). A sweep stops when the residual and the
     change of the Rayleigh quotient since the previous sweep are both
     within tol = _SWEEP_TOL * (||A||_inf + |target| ||M||_inf): a small
     residual alone can be a pseudo-eigenpair of this non-normal pencil whose
@@ -295,6 +304,7 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
         raise InvalidParameters(f"{n} interior nodes; inverse iteration needs at least 3")
     tol = _SWEEP_TOL * (H.norms[0] + abs(target) * H.norms[1])
     Mv = _band_product(H.M, _start_vector(n) if start is None else start)
+    Mw = np.empty(n, dtype=complex)  # where a sweep puts M v; it then swaps with Mv
     u = np.zeros(n + 2, dtype=complex)  # the iterate with its Dirichlet ends
     v = u[1:-1]
     lam_prev, best_residual, it, q = None, math.inf, 0, math.nan
@@ -310,10 +320,15 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
                 failure = "shifted solve overflowed"
                 break
             it += 1
-            np.divide(w, nw, out=v)
-            Av, Mv = _band_product(H.A, v), _band_product(H.M, v)
-            lam = complex(np.vdot(v, Av) / np.vdot(v, Mv))
-            res = float(np.max(np.abs(Av - lam * Mv)) / np.max(np.abs(v)))
+            # numpy divides a complex array by a real scalar as a product with
+            # its reciprocal; written so, it skips the complex division loop
+            scale = 1.0 / nw
+            np.multiply(w, scale, out=v)
+            g = np.multiply(Mv, scale, out=Mv)  # A v = shift M v + g, by the solve's equation
+            Mv, Mw = _band_product(H.M, v, out=Mw), g
+            step = complex(np.vdot(v, g) / np.vdot(v, Mv))
+            lam = shift + step
+            res = float(np.abs(g - step * Mv).max() / np.abs(v).max())
             best_residual = min(best_residual, res)
             if res <= tol and lam_prev is not None and abs(lam - lam_prev) <= tol:
                 return EigenResult(lam, u, res, it)
@@ -549,9 +564,11 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
                   tol_residual: float = None) -> VerificationReport:
     """End-to-end check of a family's closed forms on the grid's contour.
 
-    Enumerates the analytic spectrum, inverse-iterates the Numerov pencil
-    at each analytic energy on the grid's refinement and then on the grid,
-    from the even nodes of the refined eigenvector, and reports the
+    Enumerates the analytic spectrum, samples each level's wave function as
+    the Liouville unknown u = psi / `metric_root(xi')` and inverse-iterates
+    the Numerov pencil at its energy on the grid's refinement, from u scaled
+    to a peak of 1, and then on the grid, from the even nodes of the refined
+    eigenvector; it reports the
     PT defect (on 201 points of the grid's range) and a `LevelRecord` per
     level: the Richardson eigenvalue (16 lambda_fine - lambda_coarse)/15,
     and the Numerov residuals of the analytic wave function at both steps
@@ -583,7 +600,9 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
        within them (see `solve_targeted`).
     Other failures are plain. Constituent errors become failed entries,
     not exceptions, typed by their diagnostic and counting the sweeps run,
-    a wave function that is not finite among them (`require_finite`).
+    a wave function that is not finite among them (`require_finite`): a
+    level whose wave function cannot be sampled fails before any solve,
+    with 0 sweeps.
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, type(f.canonical))), None)
     if fam is None:
@@ -613,25 +632,27 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     xi_fine, xp_fine, W_fine, _ = Hf.samples
     x_fine, h_fine = Hf.grid.points(), Hf.grid.h
     path = _sp.SampledPath(xi_fine)  # the factors every level's wave function shares
-    scale = None  # the Liouville scale exp(-log(xi')/2) on the refined grid
+    root = None  # the Liouville root sqrt(xi') on the refined grid
 
     entries = []
     for level, L in zip(levels, ranges):
         qn, E = level.qn, level.energy
         iters, limit = 0, ""  # limit: why the grid does not resolve the level
         try:
-            fine_res = solve_targeted(Hf, E)
-            iters = fine_res.iterations
-            # the refined grid's even interior nodes are the stated grid's
-            coarse = solve_targeted(H, E, fine_res.eigenvector[2:-2:2])
-            iters += coarse.iterations
-            lam = (16 * fine_res.eigenvalue - coarse.eigenvalue) / 15
             with np.errstate(all="ignore"):  # a non-finite sample is refused below
                 psi = fam.wavefunction(params, level, path)
             require_finite(x_fine, (psi,), "the wave function is")
-            if scale is None:
-                scale = np.exp(-0.5 * _contour.continuous_log(xp_fine))
-            u_f = psi * scale
+            if root is None:
+                root = _contour.metric_root(xp_fine)
+            u_f = psi / root
+            v = u_f / np.max(np.abs(u_f))  # scaled so that v * v stays finite
+            # the analytic unknown starts the refined solve, and the refined
+            # grid's even interior nodes are the stated grid's
+            fine_res = solve_targeted(Hf, E, v[1:-1])
+            iters = fine_res.iterations
+            coarse = solve_targeted(H, E, fine_res.eigenvector[2:-2:2])
+            iters += coarse.iterations
+            lam = (16 * fine_res.eigenvalue - coarse.eigenvalue) / 15
             res_c = residual(u_f[::2], E, H)
             res_f = residual(u_f, E, Hf)
             order = math.log2(res_c / res_f) if res_f > 0 else float("nan")
@@ -640,7 +661,6 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
             record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E, lam, abs_err,
                                  abs(lam.imag), res_c, res_f, order, iters, ok)
             # Green's identity: the Dirichlet ends move the eigenvalue by 2|u u'| / |int W u^2|
-            v = u_f / np.max(np.abs(u_f))  # scaled so that v * v stays finite
             ends = abs(v[0] * (v[1] - v[0])) + abs(v[-1] * (v[-1] - v[-2]))
             norm = abs(np.dot(W_fine * v, v)) * h_fine
             shift = 2 * ends / (h_fine * norm) if norm else math.inf
