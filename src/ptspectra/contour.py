@@ -39,7 +39,7 @@ from .errors import (
     SingularPoint,
 )
 
-_METRIC_FLOOR = 1e-12
+_METRIC_FLOOR = 1e-10  # a smaller |r'| vanishes: SingularPoint here, MetricVanishing in `numeric`
 _FD_STEP = 1e-5
 _FD_TOL = 1e-6
 

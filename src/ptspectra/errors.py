@@ -62,8 +62,8 @@ class NoConvergence(SpectraError):
 class ResolutionLimit(SpectraError):
     """The verify grid cannot resolve a failing level: the grid's ends, its
     step or its rounding floor measurably account for the miss, or the
-    level's inverse iteration does not settle. `verify_family` lists the
-    reasons and reports the level with this diagnostic on any grid."""
+    level's inverse iteration does not settle, on any grid; the reasons
+    are numbered in `numeric._resolution_limit`."""
 
 
 class ShiftSingular(SpectraError):

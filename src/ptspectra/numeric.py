@@ -3,7 +3,7 @@
 The one discrete operator is a complex tridiagonal pencil A u = lambda M u
 on the grid's interior nodes, with Dirichlet truncation at the ends;
 `DiscretizedHamiltonian` stores A and M alike, as three-band tuples. The
-contour is part of the `Grid` (None is the real line).
+contour is part of the `Grid`; there is no implicit real line.
 
 `build_hamiltonian(evaluator, grid)` is the fourth-order Numerov pencil
 of the Liouville normal form along `grid.contour`. With the contour's jet
@@ -12,37 +12,35 @@ equation in the path parameter reads -u'' + Q u = E W u with W and Q
 from `contour.normal_form`, sampled as the rule grid's probe is. Numerov's
 stencil turns it into A = L + B diag(Q) and M = B diag(W), where
 L = tridiag(-1, 2, -1)/h^2 and B = tridiag(1, 10, 1)/12. On the shifted
-line and the real line xi' = 1, so Q = V and W = 1.
+line xi' = 1, so Q = V and W = 1. A |xi'| below `contour`'s one metric
+floor, 1e-10, raises MetricVanishing here and SingularPoint in `contour`.
 `solve_targeted(H, target, start=None)` inverse-iterates one eigenpair of
-the pencil near `target` from `start`, factoring A - target M once and
-stopping when the eigenpair has settled relative to
-||A||_inf + |target| ||M||_inf, or when the measured rate of its residual
-cannot get it there within the sweep budget. Each sweep applies M once
-and takes A v from the shifted solve's own equation. It loads scipy's
-LAPACK at the first solve, so importing this module does not.
+the pencil near `target` from `start` (by default a seeded random vector,
+drawn on each call), factoring A - target M once and stopping when the
+eigenpair has settled relative to ||A||_inf + |target| ||M||_inf, or when
+the measured rate of its residual cannot get it there within the sweep
+budget. Each sweep applies M once and takes A v from the shifted solve's
+own equation. It loads scipy's LAPACK at the first solve, so importing
+this module does not.
 
-Verification samples each level's analytic wave function first, then
-solves the Numerov pencil on the once refined grid (same endpoints, halved
-step) and then on the stated grid, for every family; the refined solve
-starts from the analytic Liouville unknown, and the stated-grid solve from
-the even nodes of the refined eigenvector.
-The reported eigenvalue is the Richardson combination
+Verification (`_verify_level`, one level at a time) samples each level's
+analytic wave function first, then solves the Numerov pencil on the once
+refined grid (same endpoints, halved step), from the analytic Liouville
+unknown, and then on the stated grid, from the even nodes of the refined
+eigenvector. The reported eigenvalue is the Richardson combination
 (16*lambda_fine - lambda_coarse)/15, which removes the O(h^4) truncation
-term of the stencil, and the refined pass also yields each level's
-convergence order of the Numerov residuals.
-The refined grid's even nodes are the stated grid's nodes, bit for bit.
-So each report samples the path, the potential and the Liouville root
-`contour.metric_root(xi')` once, on the refined grid, and the stated-grid
-pencil reads their even nodes. The path's factors are sampled once per report,
-in one `spectra.SampledPath` of the refined grid's points that every
-level's analytic wave function reads; each wave function is scaled to the
-Liouville unknown, and the stated-grid residual reads its even nodes too.
+term of the stencil, and the two passes give each level's convergence
+order of the Numerov residuals. The refined grid's even nodes are the
+stated grid's nodes, bit for bit, so each report samples the path, the
+potential, the Liouville root `contour.metric_root(xi')` and the path's
+factors (one `spectra.SampledPath`) once, on the refined grid; the
+stated-grid pencil and residual read their even nodes.
 
 Without a given grid, `verify_family` sizes a stretched grid from the
 closed forms and each level's decay rate `aux["kappa"]` (`_rule_grid`).
-On every grid, given or sized, one rule types a failing level the grid
-does not resolve ResolutionLimit. `require_finite` refuses every sampled
-window past the far field, the CLI's included.
+On every grid, given or sized, `_resolution_limit` types a failing level
+the grid does not resolve ResolutionLimit. `require_finite` refuses every
+sampled window past the far field, the CLI's included.
 
 `FAMILIES` holds one `Family` record per parameter type; `verify_family`
 and the CLI dispatch through it.
@@ -56,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import ArchContour, ShiftedLine, Stretched, identity_map, normal_form
+from .contour import ArchContour, ShiftedLine, Stretched, normal_form
 from .errors import (
     InvalidParameters,
     MetricVanishing,
@@ -77,9 +75,7 @@ from .potentials import (
 from . import contour as _contour
 from . import spectra as _sp
 
-_METRIC_FLOOR = 1e-10
 _START_SEED = 42
-_START_VECTORS = 8
 _SWEEP_TOL = 1e-14
 _MAX_SWEEPS = 200
 _RATE_FROM = 16  # the first sweep at which a measured rate can stop a solve
@@ -104,9 +100,8 @@ class Grid:
     """`n_points` equally spaced path parameters x on [x_min, x_max], ends
     included, and the contour that maps them to path points. ValueError for
     non-finite bounds, a non-integer `n_points`, fewer than 3 or more than
-    _MAX_POINTS points, or x_max <= x_min. `contour=None` is the real line
-    to `build_hamiltonian` and the family's canonical contour to
-    `verify_family`."""
+    _MAX_POINTS points, or x_max <= x_min. `contour=None` is the family's
+    canonical contour to `verify_family`; `build_hamiltonian` refuses it."""
 
     x_min: float
     x_max: float
@@ -199,18 +194,18 @@ def require_finite(x, columns, what) -> None:
 
 
 def _normal_form_samples(evaluator, contour, x):
-    """(xi, xi', W, Q) at the path parameters x: the contour's jet (the real
-    line's for None) and its `normal_form` with V = `evaluator(xi)`, formed
-    with numpy's warnings off. MetricVanishing where |xi'| < _METRIC_FLOOR;
+    """(xi, xi', W, Q) at the path parameters x: the contour's jet and its
+    `normal_form` with V = `evaluator(xi)`, formed with numpy's warnings
+    off. MetricVanishing where |xi'| is below `contour`'s metric floor;
     InvalidParameters naming the first x at which xi, Q or W is not finite,
     past the far field that the path or the potential can represent."""
+    floor = _contour._METRIC_FLOOR
     with np.errstate(all="ignore"):  # a non-finite sample is refused below
-        jet = [np.asarray(c, dtype=complex) for c in
-               (identity_map(x) if contour is None else contour.jet(x))]
+        jet = [np.asarray(c, dtype=complex) for c in contour.jet(x)]
         xi, xp = jet[:2]
         small = float(np.min(np.abs(xp)))
-        if small < _METRIC_FLOOR:
-            raise MetricVanishing(f"|xi'| = {small:.3e} below {_METRIC_FLOOR:.1e}")
+        if small < floor:
+            raise MetricVanishing(f"|xi'| = {small:.3e} below {floor:.1e}")
         W, Q = normal_form(jet, np.asarray(evaluator(xi), dtype=complex))
     require_finite(x, (xi, Q, W), _PENCIL_SAMPLES)
     return xi, xp, W, Q
@@ -224,9 +219,11 @@ def build_hamiltonian(evaluator, grid: Grid) -> DiscretizedHamiltonian:
     of the contour's closed-form `jet` and V = `evaluator`. Numerov's
     O(h^4) stencil gives A = L + B diag(Q) and M = B diag(W), with
     L = tridiag(-1, 2, -1)/h^2 and B = tridiag(1, 10, 1)/12, as the bands
-    of the interior rows. `grid.contour=None` means the real line. Raises
+    of the interior rows. ValueError for a grid without a contour; raises
     as `_normal_form_samples` does, at the nodes.
     """
+    if grid.contour is None:
+        raise ValueError("build_hamiltonian needs a grid with a contour")
     return _numerov_pencil(*_normal_form_samples(evaluator, grid.contour, grid.points()), grid)
 
 
@@ -251,14 +248,12 @@ def _stated_pencil(Hf: DiscretizedHamiltonian, grid: Grid) -> DiscretizedHamilto
     return _numerov_pencil(*(sample[::2] for sample in Hf.samples), grid)
 
 
-@functools.lru_cache(maxsize=_START_VECTORS)
 def _start_vector(n: int) -> np.ndarray:
     """The unit start vector of inverse iteration on n nodes, seeded with
-    _START_SEED; read-only, since every solve on n nodes shares it."""
+    _START_SEED and drawn on each call."""
     rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    v.flags.writeable = False
     return v
 
 
@@ -268,12 +263,11 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
     nearest `target`.
 
     Starts from `start`, a vector on the interior nodes, or by default from
-    a seeded random unit vector, drawn once per size for the last
-    _START_VECTORS sizes; A - shift M is factored once (LAPACK gttrf) and
-    each sweep is one gttrs solve of (A - shift M) w = M v_prev and one band
-    product M v of v = w / ||w||. The solve's equation gives
-    A v = shift M v + g with g = M v_prev / ||w||, so no sweep applies A:
-    the eigenvalue is the Rayleigh quotient
+    a seeded random unit vector drawn on each call; A - shift M is factored
+    once (LAPACK gttrf) and each sweep is one gttrs solve of
+    (A - shift M) w = M v_prev and one band product M v of v = w / ||w||.
+    The solve's equation gives A v = shift M v + g with g = M v_prev / ||w||,
+    so no sweep applies A: the eigenvalue is the Rayleigh quotient
     v^H A v / v^H M v = shift + v^H g / v^H M v, and the residual
     max|A v - lambda M v| / max|v| is max|g - (lambda - shift) M v| / max|v|,
     which differs from the one formed from the bands by rounding, a few
@@ -385,7 +379,7 @@ class LevelRecord:
     False); the name stays for the verify CSV header and report readers.
     `note` is the human text of a failure ("" on a pass), and `diagnostic`
     the `SpectraError` subclass that typed it: the error's type, or
-    ResolutionLimit for one of `verify_family`'s reasons. It is None on a
+    ResolutionLimit for one of `_resolution_limit`'s reasons. It is None on a
     pass and on a plain failure, which misses a tolerance for no reason
     the grid explains.
     """
@@ -560,49 +554,117 @@ def _rule_grid(fam, params, levels, kappa, ranges, tol_residual):
     return Grid(-math.asinh(X / a), math.asinh(X / a), n, Stretched(contour, a))
 
 
-def verify_family(params, grid: Grid = None, tol_energy: float = None,
-                  tol_residual: float = None) -> VerificationReport:
-    """End-to-end check of a family's closed forms on the grid's contour.
-
-    Enumerates the analytic spectrum, samples each level's wave function as
-    the Liouville unknown u = psi / `metric_root(xi')` and inverse-iterates
-    the Numerov pencil at its energy on the grid's refinement, from u scaled
-    to a peak of 1, and then on the grid, from the even nodes of the refined
-    eigenvector; it reports the
-    PT defect (on 201 points of the grid's range) and a `LevelRecord` per
-    level: the Richardson eigenvalue (16 lambda_fine - lambda_coarse)/15,
-    and the Numerov residuals of the analytic wave function at both steps
-    with their observed order. Each report samples its grid, and the
-    factors its levels' wave functions share, once, on the refined grid
-    (see the module docstring). A missing grid is the stretched grid
-    `_rule_grid` sizes on the canonical contour for the tighter of each
-    tolerance and the family's default. A
-    given grid is used as it is; one without a contour gets the canonical
-    contour. A level passes when its eigenvalue is within `tol_energy` of
-    its energy and its stated-grid residual within `tol_residual`; both
-    must be finite and > 0 (InvalidParameters). On any grid, the first of
-    these reasons that applies types a failing level ResolutionLimit:
-    1. its eigenvalue misses `tol_energy`, it decays to the tighter energy
-       tolerance only past the grid's reach (the smaller |x| of the ends,
-       x = a sinh s if Stretched), and the analytic unknown u at the ends
-       moves the eigenvalue by 2 |u u'| / |integral of W u^2| (Green's
-       identity), more than `tol_energy`;
-    2. its Richardson correction |lambda_fine - lambda_coarse|/15 exceeds
-       `tol_energy`;
+def _resolution_limit(record, step, v, L, Hf, H, tol_energy, tol_residual) -> str:
+    """Why `H.grid` does not resolve a failing level, or "": `record` holds
+    its verdict figures, `step` is |lambda_fine - lambda_coarse|, `v` the
+    analytic unknown u on the refined grid of `Hf` scaled to a peak of 1,
+    and L the range at which it decays to the tighter energy tolerance.
+    The first of these reasons that applies types the level ResolutionLimit:
+    1. its eigenvalue misses `tol_energy`, L lies past the grid's reach (the
+       smaller |x| of the ends, x = a sinh s if Stretched), and the analytic
+       unknown at the ends moves the eigenvalue by 2 |u u'| / |integral of
+       W u^2| (Green's identity), more than `tol_energy`;
+    2. its Richardson correction step/15 exceeds `tol_energy`;
     3. its residual exceeds `tol_residual` but falls, at a measured order
        in _ORDERS or, on at least _VERIFY_POINTS points, at order >= 1; the
        note names the step h (tol_residual/residual)^(1/order) that meets
        it, or the rounding floor eps (||A|| + |E| ||M||) above it;
-    4. an inverse iteration does not settle (NoConvergence): the refined
-       solve, which then skips the stated-grid solve, or the stated-grid
-       solve, whose record counts the refined solve's sweeps too; each
-       stops at _MAX_SWEEPS or as soon as its measured rate cannot settle
-       within them (see `solve_targeted`).
-    Other failures are plain. Constituent errors become failed entries,
-    not exceptions, typed by their diagnostic and counting the sweeps run,
-    a wave function that is not finite among them (`require_finite`): a
-    level whose wave function cannot be sampled fails before any solve,
-    with 0 sweeps.
+    4. an inverse iteration does not settle (NoConvergence at _MAX_SWEEPS,
+       or at a measured rate that cannot settle within them; see
+       `solve_targeted`), typed by `_verify_level`; a failed stated-grid
+       solve's record counts the refined solve's sweeps too.
+    """
+    grid, res_c, order = H.grid, record.residual, record.order
+    # the grid's extent along the canonical path parameter x
+    extent = min(abs(grid.x_min), abs(grid.x_max))
+    if isinstance(grid.contour, Stretched):
+        extent = grid.contour.a * float(np.sinh(extent))
+    if record.abs_err > tol_energy and L > extent:
+        # Green's identity: the Dirichlet ends move the eigenvalue by 2|u u'| / |int W u^2|
+        h_fine = Hf.grid.h
+        ends = abs(v[0] * (v[1] - v[0])) + abs(v[-1] * (v[-1] - v[-2]))
+        norm = abs(np.dot(Hf.samples[2] * v, v)) * h_fine
+        if (2 * ends / (h_fine * norm) if norm else math.inf) > tol_energy:
+            # the measured truncation shift explains the energy miss
+            return f"needs |x| up to {L:.3g}, the grid reaches {extent:.3g}"
+    if step / 15 > tol_energy:
+        # the Richardson correction itself misses the tolerance
+        return (f"halving the step moves the eigenvalue by {step:.3g} "
+                f"and the residual from {res_c:.3g} to {record.residual_fine:.3g}")
+    if res_c > tol_residual and (_ORDERS[0] <= order <= _ORDERS[1]
+                                 or grid.n_points >= _VERIFY_POINTS and order >= 1):
+        # a finer step lowers the residual, down to its rounding floor
+        floor = np.finfo(float).eps * (H.norms[0] + abs(record.E_analytic) * H.norms[1])
+        need = grid.h * (tol_residual / res_c) ** (1 / order)
+        return f"the residual {res_c:.3g} falls at order {order:.3g}; " + (
+            f"the tolerance is below its rounding floor {floor:.3g}" if tol_residual < floor
+            else f"it needs a step of about {need:.3g}, the grid has {grid.h:.3g}")
+    return ""
+
+
+def _verify_level(fam, params, level, L, Hf, H, x_fine, path, root,
+                  tol_energy, tol_residual) -> LevelRecord:
+    """One level's `LevelRecord`: its wave function sampled on `path`, the
+    refined grid's points `x_fine`, as the Liouville unknown u = psi /
+    `root()` starts the solve of `Hf` at its energy, whose eigenvector's
+    even nodes start the solve of `H`. A `SpectraError` becomes a failed
+    record typed by the error and counting the sweeps run, 0 for a sample
+    that fails, a wave function that is not finite among them
+    (`require_finite`); `_resolution_limit` types a failing level."""
+    qn, E = level.qn, level.energy
+    iters, limit = 0, ""  # limit: why the grid does not resolve the level
+    try:
+        with np.errstate(all="ignore"):  # a non-finite sample is refused below
+            psi = fam.wavefunction(params, level, path)
+        require_finite(x_fine, (psi,), "the wave function is")
+        u_f = psi / root()
+        v = u_f / np.max(np.abs(u_f))  # scaled so that v * v stays finite
+        # the refined grid's even interior nodes are the stated grid's
+        fine = solve_targeted(Hf, E, v[1:-1])
+        iters = fine.iterations
+        coarse = solve_targeted(H, E, fine.eigenvector[2:-2:2])
+        iters += coarse.iterations
+        lam = (16 * fine.eigenvalue - coarse.eigenvalue) / 15
+        res_c = residual(u_f[::2], E, H)
+        res_f = residual(u_f, E, Hf)
+        order = math.log2(res_c / res_f) if res_f > 0 else float("nan")
+        abs_err = abs(lam - E)
+        ok = abs_err <= tol_energy and res_c <= tol_residual
+        record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E, lam, abs_err,
+                             abs(lam.imag), res_c, res_f, order, iters, ok)
+        if not ok:
+            limit = _resolution_limit(record, abs(fine.eigenvalue - coarse.eigenvalue), v, L,
+                                      Hf, H, tol_energy, tol_residual)
+    except SpectraError as exc:
+        record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E,
+                             iterations=iters + getattr(exc, "iterations", 0),
+                             note=f"{type(exc).__name__}: {exc}", diagnostic=type(exc))
+        if isinstance(exc, NoConvergence):
+            # reason 4: an unsettled eigenpair is below what the grid resolves
+            limit = f"no settled eigenpair on {H.grid.n_points} points ({record.note})"
+    if limit:
+        record.diagnostic = ResolutionLimit
+        record.note = f"{ResolutionLimit.__name__}: {limit}"
+    return record
+
+
+def verify_family(params, grid: Grid = None, tol_energy: float = None,
+                  tol_residual: float = None) -> VerificationReport:
+    """End-to-end check of a family's closed forms on the grid's contour.
+
+    Enumerates the analytic spectrum and reports the PT defect (on 201
+    points of the grid's range) and a `_verify_level` record per level: the
+    Richardson eigenvalue and the Numerov residuals of the analytic wave
+    function on the grid and its refinement, with their observed order
+    (see the module docstring). A missing grid is the stretched grid
+    `_rule_grid` sizes on the canonical contour for the tighter of each
+    tolerance and the family's default; a given grid is used as it is, and
+    one without a contour gets the canonical contour. A level passes when
+    its eigenvalue is within `tol_energy` of its energy and its stated-grid
+    residual within `tol_residual`; both must be finite and > 0
+    (InvalidParameters). A failing level the grid does not resolve is typed
+    ResolutionLimit (`_resolution_limit`); other failures are plain, and
+    constituent errors become failed entries, not exceptions.
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, type(f.canonical))), None)
     if fam is None:
@@ -620,79 +682,17 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
                           min(tol_residual, fam.tol_residual))
     if grid.contour is None:
         grid = replace(grid, contour=fam.contour(params))
-    contour = grid.contour
-    # the grid's extent along the canonical path parameter x
-    extent = min(abs(grid.x_min), abs(grid.x_max))
-    if isinstance(contour, Stretched):
-        extent = contour.a * float(np.sinh(extent))
 
     evaluator = lambda xi: fam.potential(params, xi)
     Hf = build_hamiltonian(evaluator, grid.refined())
     H = _stated_pencil(Hf, grid)
-    xi_fine, xp_fine, W_fine, _ = Hf.samples
-    x_fine, h_fine = Hf.grid.points(), Hf.grid.h
-    path = _sp.SampledPath(xi_fine)  # the factors every level's wave function shares
-    root = None  # the Liouville root sqrt(xi') on the refined grid
+    path = _sp.SampledPath(Hf.samples[0])  # the factors every level's wave function shares
+    # sqrt(xi') on the refined grid, formed once a level needs it; one that raises fails each level
+    root = functools.cache(lambda: _contour.metric_root(Hf.samples[1]))
+    x_fine = Hf.grid.points()
+    entries = [_verify_level(fam, params, level, L, Hf, H, x_fine, path, root,
+                             tol_energy, tol_residual) for level, L in zip(levels, ranges)]
 
-    entries = []
-    for level, L in zip(levels, ranges):
-        qn, E = level.qn, level.energy
-        iters, limit = 0, ""  # limit: why the grid does not resolve the level
-        try:
-            with np.errstate(all="ignore"):  # a non-finite sample is refused below
-                psi = fam.wavefunction(params, level, path)
-            require_finite(x_fine, (psi,), "the wave function is")
-            if root is None:
-                root = _contour.metric_root(xp_fine)
-            u_f = psi / root
-            v = u_f / np.max(np.abs(u_f))  # scaled so that v * v stays finite
-            # the analytic unknown starts the refined solve, and the refined
-            # grid's even interior nodes are the stated grid's
-            fine_res = solve_targeted(Hf, E, v[1:-1])
-            iters = fine_res.iterations
-            coarse = solve_targeted(H, E, fine_res.eigenvector[2:-2:2])
-            iters += coarse.iterations
-            lam = (16 * fine_res.eigenvalue - coarse.eigenvalue) / 15
-            res_c = residual(u_f[::2], E, H)
-            res_f = residual(u_f, E, Hf)
-            order = math.log2(res_c / res_f) if res_f > 0 else float("nan")
-            abs_err = abs(lam - E)
-            ok = abs_err <= tol_energy and res_c <= tol_residual
-            record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E, lam, abs_err,
-                                 abs(lam.imag), res_c, res_f, order, iters, ok)
-            # Green's identity: the Dirichlet ends move the eigenvalue by 2|u u'| / |int W u^2|
-            ends = abs(v[0] * (v[1] - v[0])) + abs(v[-1] * (v[-1] - v[-2]))
-            norm = abs(np.dot(W_fine * v, v)) * h_fine
-            shift = 2 * ends / (h_fine * norm) if norm else math.inf
-            step = abs(fine_res.eigenvalue - coarse.eigenvalue)
-            falls = (_ORDERS[0] <= order <= _ORDERS[1]
-                     or grid.n_points >= _VERIFY_POINTS and order >= 1)
-            if abs_err > tol_energy and shift > tol_energy and L > extent:
-                # the measured truncation shift explains the energy miss
-                limit = f"needs |x| up to {L:.3g}, the grid reaches {extent:.3g}"
-            elif not ok and step / 15 > tol_energy:
-                # the Richardson correction itself misses the tolerance
-                limit = (f"halving the step moves the eigenvalue by {step:.3g} "
-                         f"and the residual from {res_c:.3g} to {res_f:.3g}")
-            elif res_c > tol_residual and falls:
-                # a finer step lowers the residual, down to its rounding floor
-                floor = np.finfo(float).eps * (H.norms[0] + abs(E) * H.norms[1])
-                need = grid.h * (tol_residual / res_c) ** (1 / order)
-                limit = f"the residual {res_c:.3g} falls at order {order:.3g}; " + (
-                    f"the tolerance is below its rounding floor {floor:.3g}" if tol_residual < floor
-                    else f"it needs a step of about {need:.3g}, the grid has {grid.h:.3g}")
-        except SpectraError as exc:
-            record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E,
-                                 iterations=iters + getattr(exc, "iterations", 0),
-                                 note=f"{type(exc).__name__}: {exc}", diagnostic=type(exc))
-            if isinstance(exc, NoConvergence):
-                # an unsettled eigenpair is below what the grid resolves
-                limit = f"no settled eigenpair on {grid.n_points} points ({record.note})"
-        if limit:
-            record.diagnostic = ResolutionLimit
-            record.note = f"{ResolutionLimit.__name__}: {limit}"
-        entries.append(record)
-
-    defect = pt_defect(evaluator, contour, np.linspace(grid.x_min, grid.x_max, 201))
+    defect = pt_defect(evaluator, grid.contour, np.linspace(grid.x_min, grid.x_max, 201))
     passed = all(e.converged for e in entries)
     return VerificationReport(fam.name, entries, passed, defect, grid, tol_energy, tol_residual)

@@ -499,6 +499,17 @@ def test_a_near_zero_arch_angle_fails_verification_quietly(capsys):
     assert out.startswith("N,sigma,tau,")
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["transform", "--n", "5"], "on the requested points"),
+    (["sample", "--N", "0", "--n", "5"], "along the sample path"),
+], ids=["transform", "sample"])
+def test_an_arch_map_below_the_metric_floor_is_an_input_error(capsys, argv, where):
+    # tan(eps) ~ 1e-11: the arch map's r' at the apex is below the 1e-10 floor
+    code, out, err = _run(capsys, argv + ["--family", "hulthen", "--epsilon", "1e-11"])
+    assert code == 2 and out == ""
+    assert err == f"ptspectra: SingularPoint: r'(xi) vanishes {where}\n"
+
+
 def test_out_files_are_deterministic(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

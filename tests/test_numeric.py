@@ -20,6 +20,7 @@ from ptspectra import (
     ResolutionLimit,
     ShiftedLine,
     ShiftSingular,
+    SingularPoint,
     Stretched,
     build_hamiltonian,
     check_derivatives,
@@ -29,6 +30,7 @@ from ptspectra import (
     eval_hulthen,
     eval_rpt,
     hulthen_spectrum,
+    identity_map,
     residual,
     rpt_spectrum,
     rpt_wavefunction,
@@ -40,6 +42,8 @@ from ptspectra.numeric import FAMILIES
 
 ECK = EckartParams(3.0, 1.0, 0.5)
 RPT = PoschlTellerParams(3.5, 1.5, 0.3)
+# the oscillator's spectrum does not depend on the shift of the line
+LINE = ShiftedLine(0.3)
 
 
 def _ham(params, eps, a, b, n):
@@ -101,7 +105,7 @@ def test_stated_pencil_from_the_refined_samples_is_build_hamiltonian(name):
 
 
 def test_harmonic_ground_state():
-    g = Grid(-10.0, 10.0, 2001, None)
+    g = Grid(-10.0, 10.0, 2001, LINE)
     H = build_hamiltonian(lambda z: z ** 2, g)
     r = solve_targeted(H, 1.0)
     assert abs(r.eigenvalue - 1.0) <= 1e-4
@@ -117,6 +121,12 @@ def test_complex_symmetric_discretization():
     assert np.array_equal(m_lower, m_upper)
     assert np.array_equal(a_lower[1:], a_upper[:-1])
     assert np.any(a_diag.imag)
+
+
+def test_a_grid_without_a_contour_is_refused():
+    # there is no implicit real line; only verify_family fills in a contour
+    with pytest.raises(ValueError, match="needs a grid with a contour"):
+        build_hamiltonian(lambda z: z ** 2, Grid(-10.0, 10.0, 401))
 
 
 def test_metric_vanishing_guard():
@@ -199,17 +209,10 @@ def _dense(bands):
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
-def _real_pencil(H):
-    """Dense (A, M) of a pencil with real bands; M is symmetric."""
-    assert not any(np.any(np.imag(b)) for b in H.A + H.M)
-    assert np.array_equal(H.M[1], H.M[2])
-    return _dense(H.A).real, _dense(H.M).real
-
-
 def test_targeted_shift_on_exact_eigenvalue():
-    g = Grid(-4.0, 4.0, 41, None)
+    g = Grid(-4.0, 4.0, 41, LINE)
     H = build_hamiltonian(lambda z: z ** 2, g)
-    lams = eig(*_real_pencil(H), right=False)
+    lams = eig(_dense(H.A), _dense(H.M), right=False)
     lam = lams[np.argmin(lams.real)]
     r = solve_targeted(H, lam)
     assert abs(r.eigenvalue - lam) <= 1e-8
@@ -304,7 +307,7 @@ def _diagonal(d):
     return DiscretizedHamiltonian((d, z, z.copy()), identity, Grid(-1.0, 1.0, len(d) + 2))
 
 
-def test_start_vector_memo_is_shared_read_only_and_bounded():
+def test_a_callers_write_does_not_reach_the_next_default_start_solve():
     H, _, _ = _ham(ECK, 0.5, -18.0, 18.0, 401)
     E = eckart_spectrum(ECK)[0].energy
     first = solve_targeted(H, E)
@@ -314,12 +317,6 @@ def test_start_vector_memo_is_shared_read_only_and_bounded():
     assert (second.eigenvalue, second.residual, second.iterations) == (
         first.eigenvalue, first.residual, first.iterations)
     assert np.array_equal(second.eigenvector, kept)
-    assert not numeric._start_vector(len(H.A[0])).flags.writeable
-    maxsize = numeric._start_vector.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 8
-    for n in range(3, 3 + 2 * maxsize):
-        numeric._start_vector(n)
-    assert numeric._start_vector.cache_info().currsize <= maxsize
 
 
 @pytest.mark.parametrize("patched", ["wavefunction", "liouville_scale"])
@@ -448,7 +445,7 @@ def test_the_reported_residual_is_the_formed_one(name):
 
 
 def test_targeted_needs_three_interior_nodes():
-    H = build_hamiltonian(lambda z: z ** 2, Grid(-1.0, 1.0, 4))
+    H = build_hamiltonian(lambda z: z ** 2, Grid(-1.0, 1.0, 4, LINE))
     with pytest.raises(InvalidParameters):
         solve_targeted(H, 0.0)
 
@@ -464,9 +461,9 @@ def test_dense_rpt_coarse_spectrum():
 
 
 def test_residual_of_exact_eigenvector():
-    g = Grid(-8.0, 8.0, 161, None)
+    g = Grid(-8.0, 8.0, 161, LINE)
     H = build_hamiltonian(lambda z: z ** 2, g)
-    lams, vecs = eig(*_real_pencil(H))
+    lams, vecs = eig(_dense(H.A), _dense(H.M))
     k = np.argmin(np.abs(lams - 1.0))
     assert residual(np.pad(vecs[:, k], 1), lams[k], H) <= 1e-12
 
@@ -488,14 +485,14 @@ def test_residual_reads_the_end_nodes_only_through_the_peak(refined):
 
 
 def test_residual_without_a_core_node_is_a_typed_error():
-    g = Grid(-1.0, 1.0, 4, None)  # two interior nodes, both buffered out
+    g = Grid(-1.0, 1.0, 4, LINE)  # two interior nodes, both buffered out
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
     with pytest.raises(InvalidParameters):
         residual(np.ones(4), 0.0, H)
 
 
 def test_residual_needs_a_sample_on_the_full_grid():
-    g = Grid(-1.0, 1.0, 11, None)
+    g = Grid(-1.0, 1.0, 11, LINE)
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
     for n in (9, 10, 12):
         with pytest.raises(ValueError, match="psi must be sampled on the full grid"):
@@ -641,7 +638,14 @@ def test_unresolved_levels_on_a_given_grid_are_resolution_limits():
     assert passing.converged and passing.diagnostic is None and not passing.note
 
 
-@pytest.mark.parametrize("contour", [None, ShiftedLine(0.5)], ids=["real_line", "shifted_line"])
+class _RealLine:
+    """The real line as a path, xi = x: its jet is that of `identity_map`."""
+
+    jet = staticmethod(identity_map)
+
+
+@pytest.mark.parametrize("contour", [_RealLine(), ShiftedLine(0.5)],
+                         ids=["real_line", "shifted_line"])
 def test_laplacian_stencil_row(contour):
     g = Grid(-0.5, 0.5, 11, contour)  # h = 0.1
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
@@ -826,6 +830,16 @@ def test_a_near_zero_arch_angle_is_typed_without_a_warning(eps):
         rep = verify_family(HulthenParams(2.0, 2.0, eps))
     (e,) = rep.entries
     assert not rep.passed and e.diagnostic is not None
+
+
+def test_an_arch_map_below_the_one_metric_floor_fails_its_level():
+    # tan(eps) ~ 1e-11 is below the 1e-10 floor that the pencil shares with
+    # `contour.metric_root`: the arch map's r' vanishes at the apex, so the
+    # wave-function sample raises before any solve
+    rep = verify_family(HulthenParams(2.0, 2.0, 1e-11))
+    (e,) = rep.entries
+    assert not rep.passed and e.diagnostic is SingularPoint and e.iterations == 0
+    assert e.note == "SingularPoint: r'(xi) vanishes along the sample path"
 
 
 def test_the_probe_checks_the_metric_before_the_potential():

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import ptspectra
-from ptspectra import Grid, build_hamiltonian, solve_targeted
+from ptspectra import Grid, ShiftedLine, build_hamiltonian, solve_targeted
 from ptspectra.cli import main
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -19,14 +19,14 @@ SRC = Path(ptspectra.__file__).resolve().parent.parent
 CHILD = """
 import contextlib, io, json, sys
 import ptspectra
-from ptspectra import Grid, build_hamiltonian, solve_targeted
+from ptspectra import Grid, ShiftedLine, build_hamiltonian, solve_targeted
 from ptspectra.cli import main
 
 seen = {"after_import": "scipy.linalg" in sys.modules}
 with contextlib.redirect_stdout(io.StringIO()):
     seen["closed_form_codes"] = [main(argv) for argv in json.loads(sys.argv[1])]
 seen["after_closed_forms"] = "scipy.linalg" in sys.modules
-H = build_hamiltonian(lambda z: z ** 2, Grid(-10.0, 10.0, 401, None))
+H = build_hamiltonian(lambda z: z ** 2, Grid(-10.0, 10.0, 401, ShiftedLine(0.3)))
 seen["first_solve"] = repr(solve_targeted(H, 1.0).eigenvalue)
 seen["after_solve"] = "scipy.linalg.lapack" in sys.modules
 out = io.StringIO()
@@ -64,7 +64,7 @@ def test_closed_form_commands_never_load_lapack(capsys):
 
     # the first solve of a fresh interpreter, and verify through it, give
     # the numbers of this process bit for bit
-    H = build_hamiltonian(lambda z: z ** 2, Grid(-10.0, 10.0, 401, None))
+    H = build_hamiltonian(lambda z: z ** 2, Grid(-10.0, 10.0, 401, ShiftedLine(0.3)))
     assert seen["first_solve"] == repr(solve_targeted(H, 1.0).eigenvalue)
     capsys.readouterr()
     assert main(["verify", "--family", "eckart"]) == 0
