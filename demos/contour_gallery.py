@@ -16,7 +16,6 @@ from ptspectra import (
     ArchContour,
     HulthenParams,
     ShiftedLine,
-    arch_map,
     eval_hulthen,
     hulthen_spectrum,
     liouville_potential,
@@ -64,7 +63,7 @@ def liouville_roundtrip():
         return (tb ** 2 - 0.25) / np.sinh(r) ** 2 - (p.alpha ** 2 - 0.25) / np.cosh(r) ** 2
 
     xi = ArchContour(EPS).point(np.linspace(-3, 3, 101))
-    image = liouville_potential(parent, kappa, arch_map, xi)
+    image = liouville_potential(parent, kappa, xi)
     target = eval_hulthen(p, xi) - kappa ** 2
     print("Liouville image of the parent potential vs the closed form:")
     print(f"  kappa = {kappa}, max |difference| = {np.max(np.abs(image - target)):.2e}")

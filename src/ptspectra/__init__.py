@@ -12,9 +12,7 @@ from .contour import (
     ShiftedLine,
     Stretched,
     arch_map,
-    check_derivatives,
     continuous_log,
-    identity_map,
     liouville_potential,
     power_along_path,
     transport_wavefunction,
@@ -24,7 +22,6 @@ from .errors import (
     BranchDiscontinuity,
     DegenerateRecurrence,
     DegenerateSWarning,
-    DerivativeInconsistency,
     InternalConsistencyError,
     InvalidParameters,
     MetricVanishing,
@@ -83,7 +80,6 @@ __all__ = [
     "BranchDiscontinuity",
     "DegenerateRecurrence",
     "DegenerateSWarning",
-    "DerivativeInconsistency",
     "DiscretizedHamiltonian",
     "EckartParams",
     "EigenResult",
@@ -109,7 +105,6 @@ __all__ = [
     "VerificationReport",
     "arch_map",
     "build_hamiltonian",
-    "check_derivatives",
     "continuous_log",
     "eckart_spacing",
     "eckart_spectrum",
@@ -120,7 +115,6 @@ __all__ = [
     "gauss2f1_terminating",
     "hulthen_spectrum",
     "hulthen_wavefunction",
-    "identity_map",
     "jacobi_p_hyp",
     "jacobi_p_rec",
     "liouville_potential",

@@ -48,7 +48,7 @@ import sys
 
 import numpy as np
 
-from .contour import arch_map, liouville_potential
+from .contour import liouville_potential
 from .errors import InvalidParameters, SpectraError
 from .numeric import FAMILIES, Grid, require_finite, verify_family
 from .potentials import PoschlTellerParams
@@ -326,7 +326,7 @@ def cmd_transform(args) -> int:
         xi = contour.point(x)
         # closed form of the same V - E object: Hulthen potential minus E = kappa^2
         v_closed = fam.potential(params, xi) - kappa ** 2
-        v_liou = liouville_potential(lambda r: eval_rpt(parent, r), kappa, arch_map, xi)
+        v_liou = liouville_potential(lambda r: eval_rpt(parent, r), kappa, xi)
         diff = np.abs(v_liou - v_closed)
     require_finite(x, (xi, v_liou, v_closed, diff), _SAMPLED)
     header = ["x", "xi_re", "xi_im", "V_liouville_re", "V_liouville_im",

@@ -7,12 +7,13 @@ by `point(x)` and its closed-form jet by `jet(x)`, the tuple (xi, xi',
 xi'', xi''') in the path parameter x, whose entry 0 is `point(x)`.
 `Stretched(contour, a)` re-parametrises any path by x = a sinh(s).
 
-A Liouville coordinate map is one function `lmap(xi)` returning
-(r, r', r'', r''') at xi, so one evaluation shares the work of all four
-(`arch_map`, `identity_map`); `check_derivatives` cross-checks any such
-map against finite differences. `normal_form(jet, V)` forms the weight W
-and potential Q of the Liouville normal form from any such jet, a path's
-or a map's.
+The one Liouville coordinate map is the arch's: `arch_map(xi)` returns
+(r, r', r'', r''') at xi from closed forms, so one evaluation shares the
+work of all four, and nothing cross-checks them at run time.
+`normal_form(jet, V)` forms the weight W and potential Q of the Liouville
+normal form from such a jet, a path's or the map's, and
+`liouville_potential(parent, kappa, xi)` carries a Poschl-Teller parent
+to the arch with it.
 
 `power_along_path(logs, exponents)` raises bases to complex powers from
 their continuous logs, and `transport_wavefunction(chi, r, root)` carries
@@ -32,16 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BranchDiscontinuity,
-    DerivativeInconsistency,
-    InvalidParameters,
-    SingularPoint,
-)
+from .errors import BranchDiscontinuity, InvalidParameters, SingularPoint
 
 _METRIC_FLOOR = 1e-10  # a smaller |r'| vanishes: SingularPoint here, MetricVanishing in `numeric`
-_FD_STEP = 1e-5
-_FD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -185,30 +179,6 @@ def arch_map(xi):
     return r, 1j * t, -t / c2, 1j * t * s2 * (2 * t ** 2 - s2)
 
 
-def identity_map(xi):
-    """r(xi) = xi as (r, r', r'', r''') = (xi, 1, 0, 0); curvature terms vanish."""
-    r = np.asarray(xi, dtype=complex)
-    return r, np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
-
-
-def check_derivatives(lmap, xi):
-    """`lmap(xi)`, after a central finite-difference cross-check of its
-    entries 1-3 against entries 0-2: step _FD_STEP, relative tolerance
-    _FD_TOL. Raises DerivativeInconsistency naming the derivative that
-    disagrees."""
-    h = _FD_STEP
-    plus, minus, at = lmap(xi + h), lmap(xi - h), lmap(xi)
-    for k, name in enumerate(("r'", "r''", "r'''")):
-        fd = (np.asarray(plus[k]) - np.asarray(minus[k])) / (2 * h)
-        an = np.asarray(at[k + 1])
-        err = np.max(np.abs(fd - an) / (1.0 + np.abs(an)))
-        if err > _FD_TOL:
-            raise DerivativeInconsistency(
-                f"analytic {name} disagrees with finite differences by {float(err):.3e} relative"
-            )
-    return at
-
-
 def normal_form(jet, V):
     """(W, Q) = (r'^2, r'^2 V + (3/4)(r''/r')^2 - (1/2) r'''/r'), left to
     right: u = psi / sqrt(r') solves -u'' + Q u = E W u where psi solves
@@ -219,24 +189,23 @@ def normal_form(jet, V):
     return W, W * V + 0.75 * (r2 / rp) ** 2 - 0.5 * (r3 / rp)
 
 
-def liouville_potential(W, kappa, lmap, xi):
-    """V(xi) - E for the transformed problem: the Q of `normal_form` for
-    the map `lmap(xi)`, which gives (r, r', r'', r'''), and the base
-    potential W[r(xi)] + kappa^2, -kappa^2 being the base problem's
+def liouville_potential(parent, kappa, xi):
+    """V(xi) - E for the transformed problem on the arch: the Q of
+    `normal_form` for `arch_map(xi)` and the base potential
+    parent[r(xi)] + kappa^2, -kappa^2 being the parent problem's
     bound-state energy. The caller separates V from the
     transformed energy E using the target family's closed form. Raises
     InvalidParameters unless kappa is finite and > 0 and kappa^2 is finite,
-    SingularPoint when r' vanishes at xi and DerivativeInconsistency when
-    the map's analytic derivatives fail their finite-difference cross-check.
+    and SingularPoint when r' vanishes at xi.
     """
     if not (math.isfinite(kappa) and kappa > 0):
         raise InvalidParameters("kappa must be real and > 0")
     if not math.isfinite(float(kappa) * float(kappa)):
         raise InvalidParameters(f"kappa^2 overflows for kappa = {kappa:g}")
-    jet = check_derivatives(lmap, xi)
+    jet = arch_map(xi)
     if np.min(np.abs(jet[1])) < _METRIC_FLOOR:
         raise SingularPoint("r'(xi) vanishes on the requested points")
-    return normal_form(jet, W(jet[0]) + kappa ** 2)[1]
+    return normal_form(jet, parent(jet[0]) + kappa ** 2)[1]
 
 
 def metric_root(rp):

@@ -27,11 +27,6 @@ class SingularPoint(SpectraError):
     """Evaluation requested too close to a potential or map singularity."""
 
 
-class DerivativeInconsistency(SpectraError):
-    """Analytic map derivatives disagree with their finite-difference
-    cross-check beyond tolerance."""
-
-
 class BranchDiscontinuity(SpectraError):
     """Adjacent path samples force a phase jump larger than pi/2; the
     sampling is too coarse for branch-continuous evaluation."""

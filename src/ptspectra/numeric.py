@@ -130,8 +130,13 @@ class Grid:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
     def refined(self) -> "Grid":
-        """Same endpoints, halved step."""
-        return Grid(self.x_min, self.x_max, 2 * self.n_points - 1, self.contour)
+        """Same endpoints, halved step: the 2n - 1 points `verify_family`
+        also solves on. ValueError, stated for n, when they pass _MAX_POINTS."""
+        n = 2 * self.n_points - 1
+        if n > _MAX_POINTS:
+            raise ValueError(f"verifying refines {self.n_points} points to 2n - 1 = {n}, past "
+                             f"the cap of {_MAX_POINTS}, so n may be at most {(_MAX_POINTS + 1) // 2}")
+        return Grid(self.x_min, self.x_max, n, self.contour)
 
 
 def _band_product(bands, v, out=None):

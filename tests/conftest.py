@@ -5,6 +5,8 @@ from ptspectra import jacobi_p_hyp
 from ptspectra.spectra import SampledPath
 
 _LINES = []
+_FD_STEP = 1e-5
+_FD_TOL = 1e-6
 
 
 @pytest.fixture
@@ -26,6 +28,25 @@ def printed_eckart_wavefunction():
         poly = jacobi_p_hyp(level.qn.N, u / 2, v / 2, path.coth)
         return np.exp((v - u) * path.points - (u + v) * path.log_sinh) * poly
     return wave
+
+
+@pytest.fixture
+def check_jet():
+    """`check(jet, t)`: `jet(t)`, after a central finite-difference check of
+    its entries 1-3 against entries 0-2, step _FD_STEP, each within _FD_TOL
+    relative to 1 + |analytic|. An AssertionError names the derivative,
+    r', r'' or r''', that disagrees."""
+    def check(jet, t):
+        h = _FD_STEP
+        plus, minus, at = jet(t + h), jet(t - h), jet(t)
+        for k, name in enumerate(("r'", "r''", "r'''")):
+            fd = (np.asarray(plus[k]) - np.asarray(minus[k])) / (2 * h)
+            an = np.asarray(at[k + 1])
+            err = float(np.max(np.abs(fd - an) / (1.0 + np.abs(an))))
+            assert err <= _FD_TOL, \
+                f"analytic {name} disagrees with finite differences by {err:.3e} relative"
+        return at
+    return check
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -19,7 +19,6 @@ from ptspectra import (
     PoleInC,
     PoschlTellerParams,
     ShiftedLine,
-    arch_map,
     eckart_spacing,
     eckart_spectrum,
     eckart_wavefunction,
@@ -119,7 +118,7 @@ def test_liouville_transform_reproduces_hulthen(accept_log):
             - (HUL.alpha ** 2 - 0.25) / np.cosh(r) ** 2
 
     xi = ArchContour(math.pi / 6).point(np.linspace(-3.0, 3.0, 101))
-    v_liou = liouville_potential(parent, kappa, arch_map, xi)
+    v_liou = liouville_potential(parent, kappa, xi)
     v_closed = eval_hulthen(HUL, xi) - kappa ** 2
     worst = float(np.max(np.abs(v_liou - v_closed)))
     ok = level.qn.sigma == -1 and level.qn.N == 0 and worst <= 1e-6

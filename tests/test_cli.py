@@ -395,6 +395,9 @@ def test_sample_every_canonical_level_as_the_benchmark_asks(capsys, name):
      "grid of 100000000000 points exceeds the cap of 10000000"),
     (["verify", "--family", "eckart", "--n", "100000000000"],
      "grid of 100000000000 points exceeds the cap of 10000000"),
+    (["verify", "--family", "eckart", "--n", "6000000"],
+     "verifying refines 6000000 points to 2n - 1 = 11999999, past the cap of 10000000, "
+     "so n may be at most 5000000"),
 ])
 def test_sample_and_transform_windows_are_grids(capsys, argv, message):
     code, out, err = _run(capsys, argv)
@@ -464,6 +467,20 @@ def test_transform_matches_closed_form(capsys):
     assert float(rows[0][0]) == pytest.approx(-3.0)
     assert float(rows[-1][0]) == pytest.approx(3.0)
     assert max(float(r[-1]) for r in rows) <= 1e-6
+
+
+@pytest.mark.parametrize("eps", [1e-5, 0.01, math.pi / 6, 1.0, 1.42, 1.5, 1.55])
+def test_transform_holds_over_the_whole_angle_range(capsys, eps):
+    # the arch map's central differences lose accuracy near pi/2; the
+    # transform itself does not
+    code, out, err = _run(capsys, ["transform", "--family", "hulthen", "--epsilon", repr(eps)])
+    assert code == 0 and err == ""
+    header, rows = _rows(out)
+    assert len(rows) == 101
+    col = {name: header.index(name) for name in ("V_closed_re", "V_closed_im", "abs_diff")}
+    for r in rows:
+        v_closed = abs(complex(float(r[col["V_closed_re"]]), float(r[col["V_closed_im"]])))
+        assert float(r[col["abs_diff"]]) <= 1e-10 * max(1.0, v_closed)
 
 
 def test_transform_window_falls_back_per_field(capsys):

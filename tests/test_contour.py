@@ -6,7 +6,6 @@ import pytest
 from ptspectra import (
     ArchContour,
     BranchDiscontinuity,
-    DerivativeInconsistency,
     EckartParams,
     HulthenParams,
     InvalidParameters,
@@ -19,7 +18,6 @@ from ptspectra import (
     eval_eckart,
     eval_hulthen,
     eval_rpt,
-    identity_map,
     liouville_potential,
     power_along_path,
     transport_wavefunction,
@@ -101,39 +99,31 @@ def test_power_along_path_keeps_branch():
 
 
 def test_liouville_map_validation():
-    xi = np.linspace(0.2, 1.0, 5) - 0.3j
+    xi = ArchContour(math.pi / 6).point(np.linspace(0.2, 1.0, 5))
     with pytest.raises(InvalidParameters):
-        liouville_potential(lambda r: r ** 2, -1.0, identity_map, xi)
+        liouville_potential(lambda r: r ** 2, -1.0, xi)
     with pytest.raises(InvalidParameters):
-        liouville_potential(lambda r: r ** 2, 0.0, identity_map, xi)
+        liouville_potential(lambda r: r ** 2, 0.0, xi)
     # kappa^2 is not a float past about 1e154
     with pytest.raises(InvalidParameters, match="kappa\\^2 overflows for kappa = 1e\\+300"):
-        liouville_potential(lambda r: r ** 2, 1e300, identity_map, xi)
+        liouville_potential(lambda r: r ** 2, 1e300, xi)
 
 
-def test_liouville_identity_map():
-    xi = np.linspace(0.2, 1.0, 5) - 0.3j
-    out = liouville_potential(lambda r: r ** 2, 1.5, identity_map, xi)
-    assert np.allclose(out, xi ** 2 + 2.25, atol=1e-12)
+def test_arch_map_jet_matches_finite_differences(check_jet):
+    # the pi/6 arch over `ptspectra transform`'s default window (-3, 3, 101)
+    xi = ArchContour(math.pi / 6).point(np.linspace(-3.0, 3.0, 101))
+    assert np.array_equal(check_jet(arch_map, xi)[0], arch_map(xi)[0])
 
 
-def test_liouville_linear_map():
-    # r = 2 xi: pure rescaling, curvature terms vanish
-    linear = lambda z: (2.0 * z, np.full_like(z, 2.0), np.zeros_like(z), np.zeros_like(z))
-    xi = np.linspace(-1.0, 1.0, 9) + 0.1j
-    out = liouville_potential(lambda r: np.cos(r), 0.7, linear, xi)
-    assert np.allclose(out, 4.0 * (np.cos(2 * xi) + 0.49), atol=1e-12)
-
-
-def test_liouville_derivative_cross_check_catches_lies():
+def test_liouville_derivative_cross_check_catches_lies(check_jet):
     def bad(z):
         r, r1, r2, r3 = arch_map(z)
         return r, r1, 1.1 * r2, r3
 
     xi = ArchContour(math.pi / 6).point(np.linspace(-2, 2, 21))
-    liouville_potential(lambda r: np.sinh(r) ** -2, 1.5, arch_map, xi)
-    with pytest.raises(DerivativeInconsistency, match="r''"):
-        liouville_potential(lambda r: np.sinh(r) ** -2, 1.5, bad, xi)
+    check_jet(arch_map, xi)
+    with pytest.raises(AssertionError, match="analytic r'' disagrees"):
+        check_jet(bad, xi)
 
 
 def test_scalars_equal_one_element_arrays():
@@ -151,7 +141,7 @@ def test_scalars_equal_one_element_arrays():
         (lambda r: eval_eckart(EckartParams(3.0, 1.0), r), 0.4 - 0.5j),
         (lambda r: eval_rpt(PoschlTellerParams(3.5, 1.5), r), 0.4 - 0.3j),
         (lambda z: eval_hulthen(HulthenParams(2.0, 2.0), z), xi),
-        (lambda z: liouville_potential(lambda r: np.sinh(r) ** -2, 1.5, arch_map, z), xi),
+        (lambda z: liouville_potential(lambda r: np.sinh(r) ** -2, 1.5, z), xi),
     ]
     for f, x in calls:
         scalar, array = np.asarray(f(x)), f(np.array([x]))
@@ -179,8 +169,7 @@ def test_arch_chain_rule():
 def test_transport_trivial_and_branch():
     xi = np.linspace(-1, 1, 11).astype(complex)
     chi = lambda r: np.exp(-r ** 2)
-    r, rp = identity_map(xi)[:2]
-    out = transport_wavefunction(chi, r, metric_root(rp))
+    out = transport_wavefunction(chi, xi, metric_root(np.ones_like(xi)))
     assert np.allclose(out, chi(xi), atol=1e-14)
 
     # r' = -1 everywhere: 1/sqrt(-1) is one fixed branch, no sign flips

@@ -23,14 +23,12 @@ from ptspectra import (
     SingularPoint,
     Stretched,
     build_hamiltonian,
-    check_derivatives,
     eckart_spectrum,
     eckart_wavefunction,
     eval_eckart,
     eval_hulthen,
     eval_rpt,
     hulthen_spectrum,
-    identity_map,
     residual,
     rpt_spectrum,
     rpt_wavefunction,
@@ -77,6 +75,22 @@ def test_grid_point_cap():
     for n in (10 ** 7 + 1, 10 ** 11):
         with pytest.raises(ValueError, match=f"grid of {n} points exceeds the cap of 10000000"):
             Grid(-1.0, 1.0, n)
+
+
+def test_verify_states_the_refinement_cap_before_building(monkeypatch):
+    # verifying also solves on the 2n - 1 refined points: n = 5000000 refines
+    # to 9999999, within the cap, and n = 5000001 to 10000001, past it
+    assert Grid(-1.0, 1.0, 5_000_000).refined().n_points == numeric._MAX_POINTS - 1
+    message = ("verifying refines 5000001 points to 2n - 1 = 10000001, past the cap "
+               "of 10000000, so n may be at most 5000000")
+
+    def build(*args):
+        raise AssertionError("a pencil was built")
+
+    monkeypatch.setattr(numeric, "build_hamiltonian", build)
+    monkeypatch.setattr(Grid, "points", build)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_family(ECK, Grid(-18.0, 18.0, 5_000_001))
 
 
 @pytest.mark.parametrize("grid", [
@@ -639,9 +653,12 @@ def test_unresolved_levels_on_a_given_grid_are_resolution_limits():
 
 
 class _RealLine:
-    """The real line as a path, xi = x: its jet is that of `identity_map`."""
+    """The real line as a path, xi = x, with the identity jet (x, 1, 0, 0)."""
 
-    jet = staticmethod(identity_map)
+    @staticmethod
+    def jet(x):
+        xi = np.asarray(x, dtype=complex)
+        return xi, np.ones_like(xi), np.zeros_like(xi), np.zeros_like(xi)
 
 
 @pytest.mark.parametrize("contour", [_RealLine(), ShiftedLine(0.5)],
@@ -690,9 +707,9 @@ def test_numerov_pencil_carries_the_potential_on_the_neighbours():
     ArchContour(math.pi / 6), ShiftedLine(0.5),
     Stretched(ArchContour(math.pi / 6), 0.7), Stretched(ShiftedLine(0.5), 2.0),
 ], ids=["arch", "shifted_line", "stretched_arch", "stretched_line"])
-def test_contour_jets_match_finite_differences(contour):
+def test_contour_jets_match_finite_differences(contour, check_jet):
     x = np.linspace(-4.0, 4.0, 33)
-    jet = check_derivatives(contour.jet, x)
+    jet = check_jet(contour.jet, x)
     assert np.array_equal(jet[0], contour.point(x))
 
 
