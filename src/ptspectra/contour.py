@@ -26,6 +26,13 @@ to sample (unwrapping by whole turns). An adjacent phase jump that stays
 above pi/2 after unwrapping means the sampling cannot fix a branch and
 raises BranchDiscontinuity. Sample sequences are ordered by increasing
 parameter and must not be reordered mid-stream.
+
+The complex elementary functions of a sampled path are formed from real
+kernels, which numpy vectorises: `continuous_log` from log|v| and
+atan2, `sinh_cosh(r)` from sinh and cosh of Re r / 2 and sin and cos of
+Im r, and `arch_map`'s tanh r and cosh^2 r from sinh r = -i e^{i xi}.
+They agree with numpy's complex log, sinh, cosh and tanh to rounding;
+those run the C library's scalar routines.
 """
 
 import math
@@ -130,19 +137,33 @@ class Stretched:
         return c, c1 * x1, c2 * x1 ** 2 + c1 * x, c3 * x1 ** 3 + 3 * c2 * x1 * x + c1 * x1
 
 
+def _complex(re, im):
+    """The complex array re + i im with each part stored as it is
+    (re + 1j * im turns an infinite im into a nan real part); 0-d parts
+    give a numpy scalar, as a ufunc does."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out[()]
+
+
 def continuous_log(values):
     """log along a sample path: principal at the first sample, then
     phase-continuous (unwrapped by whole turns).
 
-    Raises BranchDiscontinuity when adjacent samples are separated by more
-    than pi/2 in phase even after unwrapping.
+    Formed from real kernels as log|v| + i atan2(Im v, Re v), with the
+    phase unwrapped on the real array. numpy's complex log agrees to
+    rounding but runs the C library's scalar routine, which takes an
+    extended-precision path near |v| = 1. Raises SingularPoint at an exact
+    zero, and BranchDiscontinuity when adjacent samples are separated by
+    more than pi/2 in phase even after unwrapping.
     """
     vals = np.asarray(values, dtype=complex)
-    if np.min(np.abs(vals)) == 0.0:
+    mag = np.abs(vals)
+    if np.min(mag) == 0.0:
         raise SingularPoint("continuous_log hit an exact zero")
-    logs = np.log(vals)
-    if logs.size > 1:
-        dphi = np.diff(logs.imag)
+    phase = np.arctan2(vals.imag, vals.real)
+    if phase.size > 1:
+        dphi = np.diff(phase)
         turns = np.round(dphi / (2 * math.pi))
         residual = dphi - 2 * math.pi * turns
         worst = float(np.max(np.abs(residual)))
@@ -150,8 +171,29 @@ def continuous_log(values):
             raise BranchDiscontinuity(
                 f"adjacent phase jump {worst:.3f} rad exceeds pi/2; sampling too coarse"
             )
-        logs[1:] = logs[1:] - 2j * math.pi * np.cumsum(turns)
-    return logs
+        if turns.any():
+            phase[1:] -= 2 * math.pi * np.cumsum(turns)
+    return _complex(np.log(mag), phase)
+
+
+def sinh_cosh(r):
+    """(sinh r, cosh r) at complex r = x + iy from real kernels:
+    sinh r = sinh x cos y + i cosh x sin y and
+    cosh r = cosh x cos y + i sinh x sin y. numpy's complex sinh and cosh
+    agree to rounding but run the C library's scalar routines.
+
+    sinh x = 2 sinh(x/2) cosh(x/2) and cosh x = cosh^2(x/2) + sinh^2(x/2)
+    are multiplied into cos y and sin y factor by factor, so a part
+    overflows only where its value passes the float range, as in the C
+    library (sinh x alone overflows sooner, past |x| of about 710.5), and a
+    zero sin y gives a zero part.
+    """
+    r = np.asarray(r, dtype=complex)
+    h, y = 0.5 * r.real, r.imag
+    sh, ch, s, c = np.sinh(h), np.cosh(h), np.sin(y), np.cos(y)
+    chc, chs = ch * c, ch * s
+    return (_complex(2 * sh * chc, ch * chs + sh * (sh * s)),
+            _complex(ch * chc + sh * (sh * c), 2 * sh * chs))
 
 
 def power_along_path(logs, exponents):
@@ -170,13 +212,17 @@ def arch_map(xi):
     Derivatives follow from r' = i tanh r by repeated differentiation:
     r'' = -tanh r sech^2 r, r''' = i tanh r sech^2 r (2 tanh^2 r - sech^2 r).
     The principal arcsinh branch reproduces r(xi(x)) = x - i*eps along the
-    whole arch.
+    whole arch. On it cosh r = sqrt(1 + sinh^2 r), principal root, so
+    tanh r and cosh^2 r come from sinh r itself, which real kernels give
+    as e^{-Im xi} (sin Re xi - i cos Re xi).
     """
-    r = np.arcsinh(-1j * np.exp(1j * np.asarray(xi, dtype=complex)))
-    t = np.tanh(r)
-    c2 = np.cosh(r) ** 2
+    xi = np.asarray(xi, dtype=complex)
+    a, v = np.exp(-xi.imag), xi.real
+    sh = _complex(a * np.sin(v), -(a * np.cos(v)))
+    c2 = 1 + sh * sh
+    t = sh / np.sqrt(c2)
     s2 = 1.0 / c2
-    return r, 1j * t, -t / c2, 1j * t * s2 * (2 * t ** 2 - s2)
+    return np.arcsinh(sh), 1j * t, -t / c2, 1j * t * s2 * (2 * t ** 2 - s2)
 
 
 def normal_form(jet, V):

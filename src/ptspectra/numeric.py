@@ -508,7 +508,8 @@ def _step_limits(k2, envelope, ranges, x, w, tol_residual):
 
 def _rule_grid(fam, params, levels, kappa, ranges, tol_residual):
     """The stretched verify grid for `levels`, sized from the closed forms,
-    their decay rates `kappa` and their `ranges` L = log(1/tol_energy)/kappa.
+    their decay rates `kappa` and their `ranges` L = log(1/tol_energy)/kappa,
+    and the points each level's own rule grid needs.
 
     The grid is Grid(-S, S, n, Stretched(contour, a)) on the canonical
     contour, so the local step in x is h(x) = sqrt(a^2 + x^2) ds.
@@ -525,12 +526,13 @@ def _rule_grid(fam, params, levels, kappa, ranges, tol_residual):
       _VERIFY_POINTS, and a level whose ds underflows to 0 needs unbounded
       points.
     Levels with a range beyond the reach or more points than the cap do
-    not size the grid, unless no level can. `verify_family` types the rest.
+    not size the grid, unless no level can. `verify_family` types the rest
+    (`_resolution_limit`'s reasons 1 and 5).
     The probe raises as `build_hamiltonian` does (`_normal_form_samples`).
     """
     contour = fam.contour(params)
     if not levels:
-        return Grid(*fam.grid, contour)
+        return Grid(*fam.grid, contour), np.zeros(0)
     d = min(contour.epsilon, math.pi / 2 - contour.epsilon)
     reach = min(fam.reach(l) for l in levels)
     far = min(_RANGE_FACTOR * ranges.max(), reach)
@@ -556,14 +558,15 @@ def _rule_grid(fam, params, levels, kappa, ranges, tol_residual):
     j = int(np.argmin(need.max(axis=0)))
     a = float(stretch[j, 0])
     n = int(min(need[:, j].max(), _VERIFY_POINTS))
-    return Grid(-math.asinh(X / a), math.asinh(X / a), n, Stretched(contour, a))
+    return Grid(-math.asinh(X / a), math.asinh(X / a), n, Stretched(contour, a)), own
 
 
-def _resolution_limit(record, step, v, L, Hf, H, tol_energy, tol_residual) -> str:
+def _resolution_limit(record, step, v, L, own, Hf, H, tol_energy, tol_residual) -> str:
     """Why `H.grid` does not resolve a failing level, or "": `record` holds
     its verdict figures, `step` is |lambda_fine - lambda_coarse|, `v` the
     analytic unknown u on the refined grid of `Hf` scaled to a peak of 1,
-    and L the range at which it decays to the tighter energy tolerance.
+    L the range at which it decays to the tighter energy tolerance, and
+    `own` the points its own rule grid needs (0 on a given grid).
     The first of these reasons that applies types the level ResolutionLimit:
     1. its eigenvalue misses `tol_energy`, L lies past the grid's reach (the
        smaller |x| of the ends, x = a sinh s if Stretched), and the analytic
@@ -577,7 +580,9 @@ def _resolution_limit(record, step, v, L, Hf, H, tol_energy, tol_residual) -> st
     4. an inverse iteration does not settle (NoConvergence at _MAX_SWEEPS,
        or at a measured rate that cannot settle within them; see
        `solve_targeted`), typed by `_verify_level`; a failed stated-grid
-       solve's record counts the refined solve's sweeps too.
+       solve's record counts the refined solve's sweeps too;
+    5. its own rule grid needs more than _VERIFY_POINTS points (`_rule_grid`
+       caps the grid there); the note names the points it needs.
     """
     grid, res_c, order = H.grid, record.residual, record.order
     # the grid's extent along the canonical path parameter x
@@ -604,10 +609,13 @@ def _resolution_limit(record, step, v, L, Hf, H, tol_energy, tol_residual) -> st
         return f"the residual {res_c:.3g} falls at order {order:.3g}; " + (
             f"the tolerance is below its rounding floor {floor:.3g}" if tol_residual < floor
             else f"it needs a step of about {need:.3g}, the grid has {grid.h:.3g}")
+    if own > _VERIFY_POINTS:
+        return (f"its rule grid needs {own:.3g} points, past the cap of {_VERIFY_POINTS}; "
+                f"the grid has {grid.n_points}")
     return ""
 
 
-def _verify_level(fam, params, level, L, Hf, H, x_fine, path, root,
+def _verify_level(fam, params, level, L, own, Hf, H, x_fine, path, root,
                   tol_energy, tol_residual) -> LevelRecord:
     """One level's `LevelRecord`: its wave function sampled on `path`, the
     refined grid's points `x_fine`, as the Liouville unknown u = psi /
@@ -615,7 +623,8 @@ def _verify_level(fam, params, level, L, Hf, H, x_fine, path, root,
     even nodes start the solve of `H`. A `SpectraError` becomes a failed
     record typed by the error and counting the sweeps run, 0 for a sample
     that fails, a wave function that is not finite among them
-    (`require_finite`); `_resolution_limit` types a failing level."""
+    (`require_finite`); `_resolution_limit` types a failing level, given L
+    and `own`, the points its own rule grid needs."""
     qn, E = level.qn, level.energy
     iters, limit = 0, ""  # limit: why the grid does not resolve the level
     try:
@@ -639,7 +648,7 @@ def _verify_level(fam, params, level, L, Hf, H, x_fine, path, root,
                              abs(lam.imag), res_c, res_f, order, iters, ok)
         if not ok:
             limit = _resolution_limit(record, abs(fine.eigenvalue - coarse.eigenvalue), v, L,
-                                      Hf, H, tol_energy, tol_residual)
+                                      own, Hf, H, tol_energy, tol_residual)
     except SpectraError as exc:
         record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E,
                              iterations=iters + getattr(exc, "iterations", 0),
@@ -682,9 +691,10 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     levels = fam.spectrum(params)
     kappa = np.array([l.aux["kappa"] for l in levels])
     ranges = math.log(1 / min(tol_energy, fam.tol_energy)) / kappa
+    own = np.zeros(len(levels))  # a given grid is the caller's choice
     if grid is None:
-        grid = _rule_grid(fam, params, levels, kappa, ranges,
-                          min(tol_residual, fam.tol_residual))
+        grid, own = _rule_grid(fam, params, levels, kappa, ranges,
+                               min(tol_residual, fam.tol_residual))
     if grid.contour is None:
         grid = replace(grid, contour=fam.contour(params))
 
@@ -695,8 +705,9 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     # sqrt(xi') on the refined grid, formed once a level needs it; one that raises fails each level
     root = functools.cache(lambda: _contour.metric_root(Hf.samples[1]))
     x_fine = Hf.grid.points()
-    entries = [_verify_level(fam, params, level, L, Hf, H, x_fine, path, root,
-                             tol_energy, tol_residual) for level, L in zip(levels, ranges)]
+    entries = [_verify_level(fam, params, level, L, n, Hf, H, x_fine, path, root,
+                             tol_energy, tol_residual)
+               for level, L, n in zip(levels, ranges, own)]
 
     defect = pt_defect(evaluator, grid.contour, np.linspace(grid.x_min, grid.x_max, 201))
     passed = all(e.converged for e in entries)

@@ -5,6 +5,9 @@ an ndarray of complex coordinates; a scalar coordinate follows numpy's
 0-d rules and comes back as a numpy scalar. Evaluators raise
 SingularPoint instead of returning huge values when the coordinate drifts
 within SING_FLOOR of a pole; contour code must fail loudly there.
+Eckart and Poschl-Teller take sinh r and cosh r from `contour.sinh_cosh`,
+and Eckart's coth r, like Hulthen's 1/(1 - e^{2i xi}), goes through a
+decaying exponential, so every evaluator stays finite far out on its path.
 
 PT-symmetry bookkeeping lives in :func:`pt_defect`, which measures
 max |V(xi(-x)) - conj(V(xi(x)))| along any PT-symmetric path.
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contour import sinh_cosh
 from .errors import InvalidParameters, SingularPoint
 
 SING_FLOOR = 1e-12
@@ -96,24 +100,41 @@ def _check_floor(mag, what: str) -> None:
         raise SingularPoint(f"|{what}| = {float(np.min(mag)):.3e} below floor {SING_FLOOR:.1e}")
 
 
+def _coth(r):
+    """coth r at complex r = x + iy from real kernels, through q = e^{-2|x|}
+    <= 1 and m = q - 1, taken as expm1(-2|x|):
+    coth r = (sign(x) (1 - q^2) - 2i q sin 2y) / ((1 - q)^2 + 4 q sin^2 y).
+    Each part is a product over a sum of positive terms, so it keeps its
+    relative accuracy, the far-field Im coth r of about -2 e^{-2|x|} sin 2y
+    and the exact 0 of Re coth r on the imaginary axis alike, at any |x|."""
+    x, y = r.real, r.imag
+    q, m = np.exp(-2 * np.abs(x)), np.expm1(-2 * np.abs(x))
+    s, c = np.sin(y), np.cos(y)
+    return (-np.sign(x) * m * (2 + m) - 4j * q * s * c) / (m * m + 4 * q * s * s)
+
+
 def eval_eckart(p: EckartParams, r):
     """A(A-1)/sinh^2 r - 2i*beta cosh r / sinh r at complex r.
 
-    Formed as A(A-1) (1/sinh r)^2 - 2i*beta / tanh r: finite out to |Re r|
-    of about 710, where sinh r overflows (sinh^2 r overflows at half that),
-    and exactly real on the imaginary axis.
+    Formed as A(A-1) (1/sinh r)^2 - 2i*beta coth r, with sinh r from
+    `contour.sinh_cosh` and coth r from `_coth`: cosh r / sinh r would
+    lose the far-field Re V, which is as small as Im coth r, to the
+    rounding of Re coth r. Finite out to |Re r| of about 710, where sinh r
+    overflows (sinh^2 r overflows at half that), and exactly real on the
+    imaginary axis.
     """
     r = np.asarray(r, dtype=complex)
-    sh = np.sinh(r)
+    sh = sinh_cosh(r)[0]
     _check_floor(np.abs(sh), "sinh r")
-    return p.A * (p.A - 1) * (1 / sh) ** 2 - 2j * p.beta / np.tanh(r)
+    return p.A * (p.A - 1) * (1 / sh) ** 2 - 2j * p.beta * _coth(r)
 
 
 def eval_rpt(p: PoschlTellerParams, r):
     """(beta^2 - 1/4)/sinh^2 r - (alpha^2 - 1/4)/cosh^2 r at complex r,
-    formed through (1/sinh r)^2 and (1/cosh r)^2 like `eval_eckart`."""
+    formed through (1/sinh r)^2 and (1/cosh r)^2 like `eval_eckart`, with
+    sinh r and cosh r from `contour.sinh_cosh`."""
     r = np.asarray(r, dtype=complex)
-    sh, ch = np.sinh(r), np.cosh(r)
+    sh, ch = sinh_cosh(r)
     _check_floor(np.abs(sh), "sinh r")
     _check_floor(np.abs(ch), "cosh r")
     return (p.beta ** 2 - 0.25) * (1 / sh) ** 2 - (p.alpha ** 2 - 0.25) * (1 / ch) ** 2

@@ -17,9 +17,10 @@ Every level of a family is sinh and cosh powers of r times a Jacobi
 polynomial, with r = xi on the shifted line and r = arch_map(xi) on the
 arch, so the levels sampled on one path share every transcendental
 factor. A `SampledPath` holds one ordered sample of path points and
-computes each factor on first use: sinh r and cosh r with their
-SingularPoint guards, their logs, the Jacobi arguments coth r and
-cosh 2r, and on the arch r itself and the Liouville root
+computes each factor on first use: sinh r and cosh r from one
+`contour.sinh_cosh` call, with their SingularPoint guards, their logs,
+the Jacobi arguments coth r (their quotient) and cosh 2r (the same
+kernel at 2r), and on the arch r itself and the Liouville root
 exp(continuous_log(r')/2). Its logs follow the contour module's branch
 policy, principal at the first sample and continuous thereafter. The wave
 functions take an array of points or a SampledPath; given an array they
@@ -94,12 +95,16 @@ class SampledPath:
         return np.array(self.points, dtype=dtype, copy=copy)
 
     @cached_property
+    def _sinh_cosh(self):
+        return _contour.sinh_cosh(self.points)
+
+    @cached_property
     def sinh(self):
-        return _nonvanishing(np.sinh(self.points), "sinh r")
+        return _nonvanishing(self._sinh_cosh[0], "sinh r")
 
     @cached_property
     def cosh(self):
-        return _nonvanishing(np.cosh(self.points), "cosh r")
+        return _nonvanishing(self._sinh_cosh[1], "cosh r")
 
     @cached_property
     def log_sinh(self):
@@ -113,12 +118,12 @@ class SampledPath:
     def coth(self):
         """coth r, Eckart's Jacobi argument; cosh r is not guarded here,
         since coth r is finite where it vanishes."""
-        return np.cosh(self.points) / self.sinh
+        return self._sinh_cosh[1] / self.sinh
 
     @cached_property
     def cosh2(self):
         """cosh 2r, the Poschl-Teller Jacobi argument."""
-        return np.cosh(2 * self.points)
+        return _contour.sinh_cosh(2 * self.points)[1]
 
     @cached_property
     def arch(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from ptspectra import ArchContour, Grid, HulthenParams, SampledPath, verify_family
@@ -89,13 +90,15 @@ _PENCIL = "the path, Q or W is"
      "-1000"),
     (["transform", "--family", "hulthen", "--xmin", "-1e3", "--n", "3"], _SAMPLED, "-1000"),
     (["sample", "--family", "rpt", "--xmin", "-1e3", "--n", "3"], _SAMPLED, "-1000"),
+    (["sample", "--family", "eckart", "--xmin", "-712", "--xmax", "712", "--n", "4001",
+      "--N", "0"], _SAMPLED, "-712"),
     (["verify", "--family", "eckart", "--xmin", "-1e3"], _PENCIL, "-1000"),
     (["verify", "--family", "hulthen", "--xmin", "-1e3"], _PENCIL, "-1000"),
     # an arch angle of 1e-300 puts the apex at infinity: the probe that
     # sizes the rule grid refuses it before any grid is built
     (["verify", "--family", "hulthen", "--epsilon", "1e-300"], _PENCIL, "0"),
-], ids=["sample", "sample_psi", "transform", "sample_rpt", "verify", "verify_hulthen",
-        "verify_probe"])
+], ids=["sample", "sample_psi", "transform", "sample_rpt", "sample_eckart_edge", "verify",
+        "verify_hulthen", "verify_probe"])
 def test_a_window_past_the_far_field_is_an_input_error(capsys, argv, what, x):
     # the arch's sinh^2 overflows past |x| of about 355 and the line's sinh
     # past 710; the error, not a numpy warning, reaches the caller. A verify
@@ -104,6 +107,15 @@ def test_a_window_past_the_far_field_is_an_input_error(capsys, argv, what, x):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"ptspectra: InvalidParameters: {what} not finite at x = {x}\n"
+
+
+def test_a_window_inside_the_far_field_samples_without_a_warning(capsys):
+    # sinh x and cosh x are finite out to |x| of about 710
+    code, out, err = _run(capsys, ["sample", "--family", "eckart", "--xmin", "-700",
+                                   "--xmax", "700", "--n", "4001", "--N", "0"])
+    assert code == 0 and err == ""
+    _, rows = _rows(out)
+    assert len(rows) == 4001 and np.isfinite(np.array(rows, dtype=float)).all()
 
 
 def test_a_level_past_its_far_field_fails_without_a_warning(capsys):
@@ -382,6 +394,85 @@ def test_sample_every_canonical_level_as_the_benchmark_asks(capsys, name):
         contour = fam.contour(params)
         psi = fam.wavefunction(params, level, SampledPath(contour.point(x)))
         assert [r[-2:] for r in rows] == [[f"{v.real:.11e}", f"{v.imag:.11e}"] for v in psi]
+
+
+_LC, _LD = np.clongdouble, np.longdouble  # the extended-precision reference
+
+
+def _long_jacobi(n, a, b, y):
+    """P_n^{(a, b)}(y) = sum_s (a+s+1)_{n-s} (a+b+n+1)_s / (s! (n-s)!) ((y-1)/2)^s."""
+    total = np.zeros_like(y)
+    for s in range(n + 1):
+        c = _LC(1)
+        for j in range(s + 1, n + 1):
+            c *= _LC(a) + j
+        for j in range(1, s + 1):
+            c *= _LC(a) + _LC(b) + n + j
+        total = total + c / (math.factorial(s) * math.factorial(n - s)) * ((y - 1) / 2) ** s
+    return total
+
+
+def _long_log(z):
+    """log z continued along the samples, from the principal value at the first."""
+    logs = np.log(z)
+    phase = logs.imag.astype(float)
+    return logs + 2j * np.pi * np.round((np.unwrap(phase) - phase) / (2 * math.pi))
+
+
+def _long_parent(n, tb, sa, r):
+    return np.exp((_LD(tb) + 0.5) * _long_log(np.sinh(r)) + (_LD(sa) + 0.5) * _long_log(np.cosh(r))
+                  ) * _long_jacobi(n, tb, sa, np.cosh(2 * r))
+
+
+def _long_closed_forms(name, p, level, xi):
+    """(V, psi) at the points xi from the closed forms, in extended precision."""
+    z, qn = xi.astype(_LC), level.qn
+    if name == "eckart":
+        A, u, v = _LD(p.A), _LC(level.aux["u"]), _LC(level.aux["v"])
+        V = A * (A - 1) / np.sinh(z) ** 2 - 2j * _LD(p.beta) / np.tanh(z)
+        psi = np.exp((v - u) * z - (u + v) * _long_log(np.sinh(z))) \
+            * _long_jacobi(qn.N, 2 * u, 2 * v, 1 / np.tanh(z))
+    elif name == "rpt":
+        V = (_LD(p.beta) ** 2 - 0.25) / np.sinh(z) ** 2 \
+            - (_LD(p.alpha) ** 2 - 0.25) / np.cosh(z) ** 2
+        psi = _long_parent(qn.N, qn.tau * p.beta, qn.sigma * p.alpha, z)
+    else:
+        g = 1 / (1 - np.exp(2j * z))
+        V = _LD(p.A) * g ** 2 + _LD(p.B) * g
+        r = np.arcsinh(-1j * np.exp(1j * z))
+        psi = _long_parent(qn.N, level.aux["tau_beta"], qn.sigma * p.alpha, r) \
+            / np.exp(_long_log(1j * np.tanh(r)) / 2)
+    return V, psi
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_sample_cells_match_extended_precision(capsys, name):
+    # every V and psi cell of every canonical level, on 201 points, lies within
+    # one unit of its 12th significant digit of the extended-precision value.
+    # A part that vanishes in exact arithmetic (Im V at x = 0, where xi is
+    # imaginary, and Im psi of the real Hulthen level) is rounding noise: it
+    # is held to 1e-14 of the complex value, above the 15 eps relative error
+    # that the rounding of a far-field exponent leaves in psi
+    fam = FAMILIES[name]
+    params = fam.canonical
+    x = Grid(*fam.grid[:2], 201).points()
+    xi = fam.contour(params).point(x)
+    for level in fam.spectrum(params):
+        qn = level.qn
+        code, out, err = _run(capsys, ["sample", "--family", name, "--n", "201",
+                                       "--N", str(qn.N), "--sigma", str(qn.sigma),
+                                       "--tau", str(qn.tau)])
+        assert code == 0 and err == ""
+        header, rows = _rows(out)
+        cells = np.array(rows, dtype=float)
+        for w, parts in zip(_long_closed_forms(name, params, level, xi), (("V_re", "V_im"),
+                                                                           ("psi_re", "psi_im"))):
+            floor = 1e-14 * np.abs(w)
+            for part, want in zip(parts, (w.real, w.imag)):
+                with np.errstate(divide="ignore"):  # a zero part has no digits
+                    digit = 10.0 ** (np.floor(np.log10(np.abs(want.astype(float)))) - 11)
+                got = cells[:, header.index(part)]
+                assert np.all(np.abs(got - want) <= np.maximum(digit, floor)), (qn.label(), part)
 
 
 @pytest.mark.parametrize("argv, message", [

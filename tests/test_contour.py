@@ -22,7 +22,10 @@ from ptspectra import (
     power_along_path,
     transport_wavefunction,
 )
-from ptspectra.contour import metric_root
+from ptspectra.contour import metric_root, sinh_cosh
+
+_EPS = np.finfo(float).eps
+_LONG = np.clongdouble  # the extended-precision reference
 
 
 def test_map_point_shifted_line():
@@ -88,6 +91,58 @@ def test_continuous_log_rejects_coarse_jumps():
         continuous_log(np.array([1.0, 0.0, -1.0], dtype=complex))
 
 
+@pytest.mark.parametrize("eps", [1e-3, 0.3, 1.2, math.pi / 2 - 1e-3])
+def test_sinh_cosh_match_extended_precision(eps):
+    # component by component on the shifted line out to the far field, to the
+    # few roundings of the half-angle products; a zero component is exactly zero
+    r = np.linspace(-700.0, 700.0, 2801) - 1j * eps
+    for got, want in zip(sinh_cosh(r), (np.sinh(r.astype(_LONG)), np.cosh(r.astype(_LONG)))):
+        for g, w in ((got.real, want.real), (got.imag, want.imag)):
+            assert np.all(np.abs(g - w) <= 4 * _EPS * np.abs(w))
+
+
+def test_sinh_cosh_overflow_where_numpy_complex_sinh_and_cosh_do():
+    # a part overflows where its value passes the float range, not where
+    # sinh x alone does (|x| of about 710.5), and a zero sin y gives a zero part
+    r = np.array([711.0 - 0.5j, -711.0 - 0.5j, 711.0 + 0j, 712.0 - 0.5j])
+    with np.errstate(over="ignore"):
+        got, want = sinh_cosh(r), (np.sinh(r), np.cosh(r))
+    for g, w in zip(got, want):
+        for gp, wp in ((g.real, w.real), (g.imag, w.imag)):
+            fin = np.isfinite(wp)
+            assert np.array_equal(np.isfinite(gp), fin)
+            assert np.all(np.abs(gp[fin] - wp[fin]) <= 4 * _EPS * np.abs(wp[fin]))
+    assert np.isfinite(got[0].imag[0]) and got[0].imag[2] == 0
+
+
+@pytest.mark.parametrize("offset", [1e-12, -1e-12])
+def test_continuous_log_matches_extended_precision(offset):
+    # |v| = 1 +- 1e-12 over five turns: the real part within what the rounding
+    # of v itself allows, 2 eps absolute, and the unwrapped phase to rounding
+    theta = np.linspace(0.0, 10 * math.pi, 3001)
+    v = (1 + offset) * np.exp(1j * theta)
+    logs = continuous_log(v)
+    want = np.log(v.astype(_LONG))
+    turns = np.round((theta - want.imag.astype(float)) / (2 * math.pi))
+    assert turns.max() == 5
+    phase = want.imag + 2 * np.pi * turns.astype(np.longdouble)
+    assert np.all(np.abs(logs.real - want.real) <= 2 * _EPS)
+    assert np.all(np.abs(logs.imag - phase) <= 2 * _EPS * np.maximum(1.0, np.abs(phase)))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.3, math.pi / 6, 1.2, 1.5])
+def test_arch_map_jet_matches_extended_precision(eps):
+    # the jet from r' = i tanh r, with tanh r and cosh^2 r taken in extended
+    # precision from r itself, on the arch out to |x| = 20
+    xi = ArchContour(eps).point(np.linspace(-20.0, 20.0, 801))
+    r = np.arcsinh(-1j * np.exp(1j * xi.astype(_LONG)))
+    t, c2 = np.tanh(r), np.cosh(r) ** 2
+    want = (r, 1j * t, -t / c2, 1j * t / c2 * (2 * t ** 2 - 1 / c2))
+    tol = 1e-13 if eps < 1.5 else 1e-12  # the pole cosh r = 0 nears the arch
+    for got, w in zip(arch_map(xi), want):
+        assert np.all(np.abs(got - w) <= tol * np.abs(w))
+
+
 def test_power_along_path_keeps_branch():
     theta = np.linspace(0.0, 2 * math.pi, 300)
     z = np.exp(1j * theta)
@@ -142,6 +197,9 @@ def test_scalars_equal_one_element_arrays():
         (lambda r: eval_rpt(PoschlTellerParams(3.5, 1.5), r), 0.4 - 0.3j),
         (lambda z: eval_hulthen(HulthenParams(2.0, 2.0), z), xi),
         (lambda z: liouville_potential(lambda r: np.sinh(r) ** -2, 1.5, z), xi),
+        (lambda r: sinh_cosh(r)[0], 0.4 - 0.5j),
+        (lambda r: sinh_cosh(r)[1], 0.4 - 0.5j),
+        (continuous_log, 0.4 - 0.5j),
     ]
     for f, x in calls:
         scalar, array = np.asarray(f(x)), f(np.array([x]))

@@ -899,6 +899,20 @@ def test_a_residual_still_falling_on_the_point_cap_is_a_resolution_limit(tol_res
     assert f"; {reason}" in e.note
 
 
+@pytest.mark.parametrize("eps, points", [(1.2e-10, "4.47e+12"), (3e-10, "1.13e+12")])
+def test_a_level_past_the_cap_of_its_own_rule_grid_is_a_resolution_limit(eps, points):
+    # an arch just above the metric floor: the level's own rule grid needs
+    # about 1e12 points, the grid stops at the 1001-point cap, and there the
+    # level meets tol_energy but not tol_residual, at an order that no other
+    # reason reads
+    (e,) = verify_family(HulthenParams(2.0, 2.0, eps)).entries
+    assert e.abs_err <= FAMILIES["hulthen"].tol_energy
+    assert e.residual > FAMILIES["hulthen"].tol_residual and e.order <= 0
+    assert not e.converged and e.diagnostic is ResolutionLimit
+    assert e.note == (f"ResolutionLimit: its rule grid needs {points} points, "
+                      f"past the cap of 1001; the grid has 1001")
+
+
 def test_level_record_defaults_are_the_failure_values():
     record = numeric.LevelRecord("(-,-,0)", 0, -1, -1, -2.0)
     values = dataclasses.astuple(record)[5:]

@@ -107,6 +107,19 @@ def test_eval_eckart_pt_pair():
     assert b == pytest.approx(np.conj(a), abs=1e-13)
 
 
+def test_eval_eckart_far_field_real_part_matches_extended_precision():
+    # at |x| = 18 Re V is about 1e-16 |V|, as small as Im coth r, so
+    # cosh r / sinh r would lose it to the rounding of Re coth r; the
+    # reference takes 1/tanh r (its cosh/sinh form is off by 5e-6 itself)
+    p = EckartParams(2.2577311588649476, 1.6803787172842317, 1.1471301707026471)
+    r = np.array([-18.0, 18.0]) - 1j * p.epsilon
+    rl, A = r.astype(np.clongdouble), np.longdouble(p.A)
+    want = A * (A - 1) / np.sinh(rl) ** 2 - 2j * np.longdouble(p.beta) / np.tanh(rl)
+    got = eval_eckart(p, r)
+    assert np.all(np.abs(got.real - want.real) <= 1e-12 * np.abs(want.real))
+    assert np.all(np.abs(got.imag - want.imag) <= 1e-12 * np.abs(want.imag))
+
+
 def test_eval_eckart_singularity_floor():
     with pytest.raises(SingularPoint):
         eval_eckart(EckartParams(3.0, 1.0), 1e-13 + 0j)
