@@ -20,8 +20,10 @@ drawn on each call), factoring A - target M once and stopping when the
 eigenpair has settled relative to ||A||_inf + |target| ||M||_inf, or when
 the measured rate of its residual cannot get it there within the sweep
 budget. Each sweep applies M once and takes A v from the shifted solve's
-own equation. It loads scipy's LAPACK at the first solve, so importing
-this module does not.
+own equation. Its two LAPACK routines, zgttrf and zgttrs, come from
+scipy's compiled wrapper `scipy.linalg._flapack`, loaded alone at the
+first solve (`_lapack`): importing this module loads no scipy, and no
+solve runs the `scipy.linalg` package's init.
 
 Verification (`_verify_level`, one level at a time) samples each level's
 analytic wave function first, then solves the Numerov pencil on the once
@@ -47,8 +49,12 @@ and the CLI dispatch through it.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -93,6 +99,7 @@ _STRETCHES = 2.0 ** -np.arange(14)
 _LEVEL_BLOCK = 64
 _ORDERS = (3.5, 4.5)  # measured residual orders near Numerov's 4
 _PENCIL_SAMPLES = "the path, Q or W is"  # what a non-finite pencil sample names
+_FLAPACK = "scipy.linalg._flapack"
 
 
 @dataclass(frozen=True)
@@ -262,6 +269,36 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
+@functools.cache
+def _lapack():
+    """(zgttrf, zgttrs) from scipy's compiled LAPACK wrapper, the extension
+    module scipy.linalg._flapack, loaded without running the `scipy` or
+    `scipy.linalg` package init.
+
+    A wrapper module already in sys.modules (scipy.linalg imported first)
+    is reused. Otherwise the extension is found in scipy's `linalg`
+    directory, located by `importlib.util.find_spec("scipy")`, which runs no
+    package code, and registered in sys.modules under its full name, so a
+    later `import scipy.linalg` reuses this module object. ImportError names
+    what was looked for when scipy or the extension is missing.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None or not scipy.submodule_search_locations:
+            raise ImportError("the eigen-solver needs scipy's LAPACK wrappers, "
+                              "and no scipy package was found", name="scipy")
+        linalg = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, linalg)
+        if spec is None:
+            raise ImportError(f"no extension module {_FLAPACK} in "
+                              f"{os.pathsep.join(linalg)}", name=_FLAPACK)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module.zgttrf, module.zgttrs
+
+
 @np.errstate(over="ignore")  # a norm that overflows is refused as such
 def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult:
     """Shifted inverse iteration for the eigenpair of A u = lambda M u
@@ -292,9 +329,9 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
     the shift nudged by _SHIFT_NUDGE before ShiftSingular is raised. Fewer
     than 3 interior nodes raise InvalidParameters.
     """
-    # imported here, not with the module: scipy.linalg outweighs the rest of
-    # start-up, and the closed-form commands never solve
-    from scipy.linalg.lapack import zgttrf, zgttrs
+    # loaded at the first solve, not with the module: the closed-form
+    # commands never solve
+    zgttrf, zgttrs = _lapack()
 
     a_diag, a_lower, a_upper = H.A
     m_diag, m_lower, m_upper = H.M

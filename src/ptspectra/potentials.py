@@ -159,9 +159,10 @@ def pt_defect(evaluator, contour, x_samples) -> float:
     """max over samples of |V(xi(-x)) - conj(V(xi(x)))|.
 
     `evaluator` maps complex coordinates to potential values; `contour`
-    provides the PT-symmetric path through its point() method.
+    provides the PT-symmetric path through its point() method. Both sides
+    are evaluated in one call, on -x followed by x.
     """
     x = np.asarray(x_samples, dtype=float)
-    v_neg = evaluator(contour.point(-x))
-    v_pos = evaluator(contour.point(x))
+    v = evaluator(contour.point(np.concatenate((-x, x), axis=None)))
+    v_neg, v_pos = v[:x.size], v[x.size:]
     return float(np.max(np.abs(v_neg - np.conj(v_pos))))

@@ -1,10 +1,13 @@
 import dataclasses
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import eig, eigvals
+from scipy.linalg import eig, eigvals, lapack
 
 from ptspectra import (
     ArchContour,
@@ -378,6 +381,33 @@ def test_targeted_singular_shift_is_nudged_once():
     # the nudged shift lands on the second diagonal entry: singular again
     with pytest.raises(ShiftSingular, match="shifted system singular"):
         solve_targeted(_diagonal([1.0, 1.0 + 1e-8 * (1 + 1j), 3.0]), 1.0)
+
+
+@pytest.fixture
+def uncached_lapack():
+    """`numeric._lapack` with its cache emptied before and after the test."""
+    numeric._lapack.cache_clear()
+    yield numeric._lapack
+    numeric._lapack.cache_clear()
+
+
+def test_the_solver_takes_scipys_own_lapack_routines(uncached_lapack):
+    # this process imported scipy.linalg first: its wrapper module is reused
+    zgttrf, zgttrs = uncached_lapack()
+    assert zgttrf is lapack.zgttrf and zgttrs is lapack.zgttrs
+
+
+@pytest.mark.parametrize("finder, looked_for", [
+    (importlib.util, "scipy"),
+    (importlib.machinery.PathFinder, "scipy.linalg._flapack"),
+])
+def test_a_missing_lapack_wrapper_fails_the_first_solve(uncached_lapack, monkeypatch,
+                                                        finder, looked_for):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(finder, "find_spec", lambda *args: None)
+    with pytest.raises(ImportError, match=looked_for) as info:
+        solve_targeted(_diagonal([1.0, 2.0, 3.0]), 1.0)
+    assert info.value.name == looked_for
 
 
 def test_targeted_stops_an_equidistant_pair_by_its_rate():

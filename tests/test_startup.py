@@ -1,6 +1,7 @@
 """Start-up stays free of scipy.linalg: the closed-form commands never solve
-a pencil, and LAPACK is loaded at the first eigen-solve. Each check runs in
-one fresh interpreter, since this test process has scipy loaded already."""
+a pencil, and the first eigen-solve loads scipy's compiled LAPACK wrapper
+alone, never the scipy.linalg package. The checks run in one fresh
+interpreter, since this test process has scipy loaded already."""
 
 import json
 import os
@@ -8,6 +9,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ptspectra
 from ptspectra import Grid, ShiftedLine, build_hamiltonian, solve_targeted
@@ -28,12 +31,18 @@ with contextlib.redirect_stdout(io.StringIO()):
 seen["after_closed_forms"] = "scipy.linalg" in sys.modules
 H = build_hamiltonian(lambda z: z ** 2, Grid(-10.0, 10.0, 401, ShiftedLine(0.3)))
 seen["first_solve"] = repr(solve_targeted(H, 1.0).eigenvalue)
-seen["after_solve"] = "scipy.linalg.lapack" in sys.modules
+seen["after_solve"] = "scipy.linalg" in sys.modules
+seen["wrapper_after_solve"] = "scipy.linalg._flapack" in sys.modules
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     seen["verify_code"] = main(["verify", "--family", "eckart"])
 seen["verify_out"] = out.getvalue()
-seen["after_verify"] = "scipy.linalg.lapack" in sys.modules
+seen["after_verify"] = "scipy.linalg" in sys.modules
+# a later import of the package reuses the wrapper module the solver loaded
+import scipy.linalg.lapack
+from ptspectra import numeric
+seen["shared_routines"] = [a is b for a, b in zip(
+    (scipy.linalg.lapack.zgttrf, scipy.linalg.lapack.zgttrs), numeric._lapack())]
 print(json.dumps(seen))
 """
 
@@ -48,19 +57,23 @@ def _closed_form_commands():
     return [first[name] for name in ("spectrum", "sample", "transform")]
 
 
-def test_closed_form_commands_never_load_lapack(capsys):
-    commands = _closed_form_commands()
+@pytest.fixture(scope="module")
+def seen():
+    """What the fresh interpreter of CHILD saw, as a dict."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)],
+    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(_closed_form_commands())],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_closed_form_commands_never_load_lapack(seen, capsys):
     assert seen["after_import"] is False
     assert seen["closed_form_codes"] == [0, 0, 0]
     assert seen["after_closed_forms"] is False
-    assert seen["after_solve"] is True
-    assert seen["verify_code"] == 0 and seen["after_verify"] is True
+    assert seen["after_solve"] is False and seen["wrapper_after_solve"] is True
+    assert seen["verify_code"] == 0 and seen["after_verify"] is False
 
     # the first solve of a fresh interpreter, and verify through it, give
     # the numbers of this process bit for bit
@@ -69,3 +82,7 @@ def test_closed_form_commands_never_load_lapack(capsys):
     capsys.readouterr()
     assert main(["verify", "--family", "eckart"]) == 0
     assert seen["verify_out"] == capsys.readouterr().out
+
+
+def test_a_later_scipy_linalg_import_shares_the_solvers_routines(seen):
+    assert seen["shared_routines"] == [True, True]
