@@ -35,7 +35,10 @@ through `Grid`, so each rejects the same windows. `sample` and
 `transform` refuse a window on which a sampled column is not finite
 (`numeric.require_finite`, exit 2), and select the first level, in
 spectrum order, that matches every one of `--N`, `--sigma` and `--tau`
-given; InvalidParameters (exit 2) if none does.
+given; InvalidParameters (exit 2) if none does. `sample`'s `psi_re` and
+`psi_im` are the level's closed form, unnormalised, and scaled by one
+positive constant where its powers would overflow
+(`contour.power_along_path`).
 """
 
 import argparse

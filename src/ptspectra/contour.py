@@ -16,7 +16,8 @@ normal form from such a jet, a path's or the map's, and
 to the arch with it.
 
 `power_along_path(logs, exponents)` raises bases to complex powers from
-their continuous logs, and `transport_wavefunction(chi, r, root)` carries
+their continuous logs, scaled by a positive constant only where the
+product would overflow, and `transport_wavefunction(chi, r, root)` carries
 a function of r to xi, given the map's r and `metric_root` of its r' on
 the samples; both take what a caller holds, not the bases or the map.
 
@@ -201,8 +202,14 @@ def power_along_path(logs, exponents):
     logs (`continuous_log`) in order, so the powers follow the
     branch-continuity policy along the samples. The product is formed in
     the log domain, one exp of the summed exponent * log, so it stays
-    finite where a factor alone would overflow or underflow."""
-    return np.exp(sum(e * log for e, log in zip(exponents, logs)))
+    finite where a factor alone would overflow or underflow. Where the
+    largest real part of that sum passes 700, near where exp overflows,
+    it is subtracted before the exp: the product is then scaled by a
+    positive constant, its shape kept and its peak modulus 1. Below 700
+    the product is unscaled."""
+    total = sum(e * log for e, log in zip(exponents, logs))
+    top = np.max(np.real(total), initial=-math.inf)
+    return np.exp(total - top if 700.0 < top < math.inf else total)
 
 
 def arch_map(xi):

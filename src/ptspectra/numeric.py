@@ -28,15 +28,19 @@ solve runs the `scipy.linalg` package's init.
 Verification (`_verify_level`, one level at a time) samples each level's
 analytic wave function first, then solves the Numerov pencil on the once
 refined grid (same endpoints, halved step), from the analytic Liouville
-unknown, and then on the stated grid, from the even nodes of the refined
-eigenvector. The reported eigenvalue is the Richardson combination
-(16*lambda_fine - lambda_coarse)/15, which removes the O(h^4) truncation
-term of the stencil, and the two passes give each level's convergence
-order of the Numerov residuals. The refined grid's even nodes are the
-stated grid's nodes, bit for bit, so each report samples the path, the
-potential, the Liouville root `contour.metric_root(xi')` and the path's
-factors (one `spectra.SampledPath`) once, on the refined grid; the
-stated-grid pencil and residual read their even nodes.
+unknown. The stated grid's eigenvalue is not solved for: it is the
+two-sided quotient y^T A v / y^T M v of the stated pencil at v, the even
+nodes of the refined eigenvector, with y = B^{-1} v the pencil's exact
+left eigenvector wherever v is a right one (`_two_sided_quotient`), so
+its error is second order in that of v. The reported eigenvalue is the
+Richardson combination (16*lambda_fine - lambda_coarse)/15, which removes
+the O(h^4) truncation term of the stencil, and the two grids give each
+level's convergence order of the Numerov residuals. The refined grid's
+even nodes are the stated grid's nodes, bit for bit, so each report
+samples the path, the potential, the Liouville root
+`contour.metric_root(xi')` and the path's factors (one
+`spectra.SampledPath`) once, on the refined grid; the stated-grid pencil
+and residual read their even nodes.
 
 Without a given grid, `verify_family` sizes a stretched grid from the
 closed forms and each level's decay rate `aux["kappa"]` (`_rule_grid`).
@@ -173,8 +177,7 @@ class DiscretizedHamiltonian:
     interior rows, with no coupling to the (Dirichlet-zero) end nodes: a
     solve holds them at zero and `residual` leaves out the rows next to
     them. `samples` holds the node samples (xi, xi', W, Q) a Numerov
-    pencil was built from, on every node of the grid. `norms` holds
-    (||A||_inf, ||M||_inf), taken once when the pencil is built.
+    pencil was built from, on every node of the grid.
     """
 
     A: tuple
@@ -182,8 +185,10 @@ class DiscretizedHamiltonian:
     grid: Grid
     samples: tuple = ()
 
-    def __post_init__(self):
-        self.norms = (_norm_inf(self.A), _norm_inf(self.M))
+    @functools.cached_property
+    def norms(self) -> tuple:
+        """(||A||_inf, ||M||_inf), taken at the first read."""
+        return _norm_inf(self.A), _norm_inf(self.M)
 
 
 @dataclass
@@ -279,8 +284,13 @@ def _lapack():
     is reused. Otherwise the extension is found in scipy's `linalg`
     directory, located by `importlib.util.find_spec("scipy")`, which runs no
     package code, and registered in sys.modules under its full name, so a
-    later `import scipy.linalg` reuses this module object. ImportError names
-    what was looked for when scipy or the extension is missing.
+    later `import scipy.linalg` reuses this module object. That import then
+    binds no `_flapack` attribute on the package, since the import system
+    binds a submodule to its parent only when it loads it:
+    `scipy.linalg._flapack` raises AttributeError, while
+    `from scipy.linalg import _flapack` and scipy's own `lapack` module
+    reach this module object through sys.modules. ImportError names what was
+    looked for when scipy or the extension is missing.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
@@ -385,6 +395,29 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
     raise ShiftSingular(f"{failure} at {shift}")
 
 
+def _two_sided_quotient(H: DiscretizedHamiltonian, v) -> complex:
+    """y^T A v / y^T M v for the Numerov pencil H at v on its interior
+    nodes, with y = B^{-1} v, B = tridiag(1, 10, 1)/12.
+
+    On a uniform step L and B are polynomials in one symmetric Toeplitz
+    matrix, so they commute, and (A - lambda M)^T y = B^{-1}(L + B D) v with
+    D = diag(Q - lambda W): y is a left eigenvector wherever v is a right
+    one, and the quotient's error is second order in the eigenvector error
+    of v (Parlett, Math. Comp. 28, 679, 1974). The one solve is with
+    12 B = tridiag(1, 10, 1), whose factor depends only on n and whose
+    scale the quotient does not see, by the solver's LAPACK gttrf/gttrs.
+    Fewer than 3 interior nodes raise InvalidParameters.
+    """
+    n = len(v)
+    if n < 3:
+        raise InvalidParameters(f"{n} interior nodes; the stated-grid eigenvalue needs at least 3")
+    zgttrf, zgttrs = _lapack()
+    ones = np.ones(n - 1, dtype=complex)
+    *lu, _ = zgttrf(ones, np.full(n, 10.0 + 0j), ones)
+    y, _ = zgttrs(*lu, v)
+    return complex(np.dot(y, _band_product(H.A, v)) / np.dot(y, _band_product(H.M, v)))
+
+
 def residual(psi, E, H: DiscretizedHamiltonian) -> float:
     """max |A psi - E M psi| over interior nodes, ends buffered, / max|psi|.
 
@@ -415,9 +448,10 @@ class LevelRecord:
     its distance from `E_analytic` and `im_abs` its |Im|; `residual` and
     `residual_fine` are the Numerov residuals of the analytic wave function
     on the stated and the refined grid, `order` their log2 ratio, and
-    `iterations` the sweeps run. A level whose solve or sample raised keeps
-    the failure defaults nan+nanj, inf, inf, inf, inf, nan, and the sweeps
-    run before the error. `converged` means "passed the verdict" (default
+    `iterations` the sweeps of the refined solve, the one inverse iteration
+    a level runs. A level whose solve or sample raised keeps the failure
+    defaults nan+nanj, inf, inf, inf, inf, nan, and the sweeps run before
+    the error. `converged` means "passed the verdict" (default
     False); the name stays for the verify CSV header and report readers.
     `note` is the human text of a failure ("" on a pass), and `diagnostic`
     the `SpectraError` subclass that typed it: the error's type, or
@@ -614,10 +648,9 @@ def _resolution_limit(record, step, v, L, own, Hf, H, tol_energy, tol_residual) 
        in _ORDERS or, on at least _VERIFY_POINTS points, at order >= 1; the
        note names the step h (tol_residual/residual)^(1/order) that meets
        it, or the rounding floor eps (||A|| + |E| ||M||) above it;
-    4. an inverse iteration does not settle (NoConvergence at _MAX_SWEEPS,
-       or at a measured rate that cannot settle within them; see
-       `solve_targeted`), typed by `_verify_level`; a failed stated-grid
-       solve's record counts the refined solve's sweeps too;
+    4. the refined grid's inverse iteration does not settle (NoConvergence
+       at _MAX_SWEEPS, or at a measured rate that cannot settle within
+       them; see `solve_targeted`), typed by `_verify_level`;
     5. its own rule grid needs more than _VERIFY_POINTS points (`_rule_grid`
        caps the grid there); the note names the points it needs.
     """
@@ -656,12 +689,13 @@ def _verify_level(fam, params, level, L, own, Hf, H, x_fine, path, root,
                   tol_energy, tol_residual) -> LevelRecord:
     """One level's `LevelRecord`: its wave function sampled on `path`, the
     refined grid's points `x_fine`, as the Liouville unknown u = psi /
-    `root()` starts the solve of `Hf` at its energy, whose eigenvector's
-    even nodes start the solve of `H`. A `SpectraError` becomes a failed
-    record typed by the error and counting the sweeps run, 0 for a sample
-    that fails, a wave function that is not finite among them
-    (`require_finite`); `_resolution_limit` types a failing level, given L
-    and `own`, the points its own rule grid needs."""
+    `root()` starts the solve of `Hf` at its energy, and the two-sided
+    quotient of `H` at that eigenvector's even nodes is the stated grid's
+    eigenvalue. A `SpectraError` becomes a failed record typed by the error
+    and counting the sweeps run, 0 for a sample that fails, a wave function
+    that is not finite among them (`require_finite`); `_resolution_limit`
+    types a failing level, given L and `own`, the points its own rule grid
+    needs."""
     qn, E = level.qn, level.energy
     iters, limit = 0, ""  # limit: why the grid does not resolve the level
     try:
@@ -670,12 +704,11 @@ def _verify_level(fam, params, level, L, own, Hf, H, x_fine, path, root,
         require_finite(x_fine, (psi,), "the wave function is")
         u_f = psi / root()
         v = u_f / np.max(np.abs(u_f))  # scaled so that v * v stays finite
-        # the refined grid's even interior nodes are the stated grid's
         fine = solve_targeted(Hf, E, v[1:-1])
         iters = fine.iterations
-        coarse = solve_targeted(H, E, fine.eigenvector[2:-2:2])
-        iters += coarse.iterations
-        lam = (16 * fine.eigenvalue - coarse.eigenvalue) / 15
+        # the refined grid's even interior nodes are the stated grid's
+        coarse = _two_sided_quotient(H, fine.eigenvector[2:-2:2])
+        lam = (16 * fine.eigenvalue - coarse) / 15
         res_c = residual(u_f[::2], E, H)
         res_f = residual(u_f, E, Hf)
         order = math.log2(res_c / res_f) if res_f > 0 else float("nan")
@@ -684,7 +717,7 @@ def _verify_level(fam, params, level, L, own, Hf, H, x_fine, path, root,
         record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E, lam, abs_err,
                              abs(lam.imag), res_c, res_f, order, iters, ok)
         if not ok:
-            limit = _resolution_limit(record, abs(fine.eigenvalue - coarse.eigenvalue), v, L,
+            limit = _resolution_limit(record, abs(fine.eigenvalue - coarse), v, L,
                                       own, Hf, H, tol_energy, tol_residual)
     except SpectraError as exc:
         record = LevelRecord(qn.label(), qn.N, qn.sigma, qn.tau, E,
@@ -692,7 +725,8 @@ def _verify_level(fam, params, level, L, own, Hf, H, x_fine, path, root,
                              note=f"{type(exc).__name__}: {exc}", diagnostic=type(exc))
         if isinstance(exc, NoConvergence):
             # reason 4: an unsettled eigenpair is below what the grid resolves
-            limit = f"no settled eigenpair on {H.grid.n_points} points ({record.note})"
+            limit = (f"no settled eigenpair on the refined grid's {Hf.grid.n_points} points "
+                     f"({record.note})")
     if limit:
         record.diagnostic = ResolutionLimit
         record.note = f"{ResolutionLimit.__name__}: {limit}"

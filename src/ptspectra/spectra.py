@@ -26,7 +26,8 @@ policy, principal at the first sample and continuous thereafter. The wave
 functions take an array of points or a SampledPath; given an array they
 sample a fresh one. A level then costs one Jacobi sum and one
 `power_along_path` of the path's logs, Eckart's (v-u) r - (u+v) log sinh r
-included; a Hulthen level adds one `transport_wavefunction` of the arch's
+included, which scales a level whose powers would overflow by a positive
+constant; a Hulthen level adds one `transport_wavefunction` of the arch's
 r and root held by the path.
 """
 

@@ -539,6 +539,18 @@ def test_verify_too_few_nodes_is_a_failed_verdict(capsys):
     assert len(rows) == 1 and rows[0][-1] == "0"
 
 
+def test_sample_of_a_large_exponent_level_is_finite(capsys):
+    # tau beta = -6190: unscaled, the closed form overflows on |x| <= 0.684;
+    # scaled by a positive constant, its shape is finite everywhere
+    code, out, err = _run(capsys, ["sample", "--family", "hulthen",
+                                   "--alpha", "4.999153220255224", "--C", "-10.482834084742091",
+                                   "--n", "4001", "--N", "2", "--sigma", "-1", "--tau", "-1"])
+    assert code == 0 and err == ""
+    _, rows = _rows(out)
+    psi = np.array([[float(c) for c in r[5:]] for r in rows])
+    assert np.all(np.isfinite(psi)) and np.abs(psi).max() > 0
+
+
 def test_negative_zero_cell(capsys):
     # V is real at the origin of the shifted line; its imaginary part is -0.0
     code, out, _ = _run(capsys, ["sample", "--family", "eckart",

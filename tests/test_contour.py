@@ -153,6 +153,19 @@ def test_power_along_path_keeps_branch():
     assert abs(naive[-1] - 1.0) < 1e-10
 
 
+def test_power_along_path_scales_only_past_700():
+    logs = (np.linspace(-1.0, 1.0, 9) * (1 + 0.5j),)
+    # a largest real part up to 700 keeps the unscaled product, bit for bit
+    for e in (350.0, 700.0):
+        assert np.array_equal(power_along_path(logs, (e,)), np.exp(e * logs[0]))
+    # past it the product is scaled to a peak modulus of 1, its shape kept
+    for e in (710.0, 7000.0):
+        w = power_along_path(logs, (e,))
+        assert np.all(np.isfinite(w)) and np.max(np.abs(w)) == 1.0
+        ratio = np.exp(e * (logs[0][:-1] - logs[0][-1]))
+        assert np.allclose(w[:-1] / w[-1], ratio, rtol=1e-12, atol=0)
+
+
 def test_liouville_map_validation():
     xi = ArchContour(math.pi / 6).point(np.linspace(0.2, 1.0, 5))
     with pytest.raises(InvalidParameters):

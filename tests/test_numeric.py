@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import eig, eigvals, lapack
+from scipy.linalg import eig, eigvals, lapack, solve_banded
 
 from ptspectra import (
     ArchContour,
@@ -287,34 +287,25 @@ def _analytic_start(fam, params, level, Hf):
     return (u / np.max(np.abs(u)))[1:-1]
 
 
-@pytest.mark.parametrize("stalls", ["coarse", "fine"])
-def test_a_failed_solve_keeps_the_sweeps_run_before_it(monkeypatch, stalls):
-    # the refined solve runs first: a stalled coarse solve keeps its sweeps,
-    # and a stalled refined solve skips the coarse one
+def test_a_failed_solve_keeps_the_sweeps_run_before_it(monkeypatch):
+    # the refined solve is a level's one inverse iteration: a stalled one
+    # types the level and its record keeps the sweeps it ran
     grid = verify_family(ECK).grid
-    Hf = build_hamiltonian(lambda z: eval_eckart(ECK, z), grid.refined())
-    start = {level.qn.label(): _analytic_start(FAMILIES["eckart"], ECK, level, Hf)
-             for level in eckart_spectrum(ECK)}
-    solve = numeric.solve_targeted
     calls = []
 
-    def one_stalls(Hg, target, start=None):
-        fine = Hg.grid.n_points > grid.n_points
-        calls.append(fine)
-        if fine == (stalls == "fine"):
-            raise NoConvergence("stalled", iterations=7)
-        return solve(Hg, target, start)
+    def stalls(Hg, target, start=None):
+        calls.append(Hg.grid.n_points)
+        raise NoConvergence("stalled", iterations=7)
 
-    monkeypatch.setattr(numeric, "solve_targeted", one_stalls)
+    monkeypatch.setattr(numeric, "solve_targeted", stalls)
     entries = verify_family(ECK, grid).entries
     assert entries
-    assert calls == ([True] if stalls == "fine" else [True, False]) * len(entries)
+    assert calls == [grid.refined().n_points] * len(entries)
     for e in entries:
         assert e.diagnostic is ResolutionLimit and not e.converged
-        assert e.note.startswith("ResolutionLimit: no settled eigenpair on")
-        assert e.note.endswith("(NoConvergence: stalled)")
-        ran = 7 if stalls == "fine" else solve(Hf, e.E_analytic, start[e.label]).iterations + 7
-        assert e.iterations == ran
+        assert e.note == (f"ResolutionLimit: no settled eigenpair on the refined grid's "
+                          f"{grid.refined().n_points} points (NoConvergence: stalled)")
+        assert e.iterations == 7
 
 
 def _diagonal(d):
@@ -449,9 +440,9 @@ def test_default_start_is_the_seeded_vector(name):
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_warm_start_from_the_refined_eigenvector(name):
-    # the analytic unknown starts the refined solve and the refined
-    # eigenvector's even interior nodes the stated-grid solve: each gives
-    # the same eigenvalue as a cold start, the analytic start in fewer
+    # the analytic unknown starts the refined solve, and the refined
+    # eigenvector's even interior nodes can start a stated-grid solve: each
+    # gives the same eigenvalue as a cold start, the analytic start in fewer
     # sweeps and the refined eigenvector in no more
     fam = FAMILIES[name]
     grid = verify_family(fam.canonical).grid
@@ -466,6 +457,58 @@ def test_warm_start_from_the_refined_eigenvector(name):
         cold = solve_targeted(H, level.energy)
         assert abs(warm.eigenvalue - cold.eigenvalue) <= 1e-11
         assert warm.iterations <= cold.iterations
+
+
+def _stated_levels(fam, params):
+    """(level, stated pencil, refined eigenvector) for each level of a
+    report on the rule grid, the refined solve started as `verify_family`
+    starts it."""
+    grid = verify_family(params).grid
+    Hf = build_hamiltonian(lambda z: fam.potential(params, z), grid.refined())
+    H = numeric._stated_pencil(Hf, grid)
+    return [(level, H, solve_targeted(Hf, level.energy,
+                                      _analytic_start(fam, params, level, Hf)).eigenvector)
+            for level in fam.spectrum(params)]
+
+
+def _transposed(bands):
+    diag, lower, upper = bands
+    return diag, upper, lower
+
+
+@pytest.mark.parametrize("fam, params", [(f, f.canonical) for f in FAMILIES.values()] + [
+    (FAMILIES["rpt"], PoschlTellerParams(2.482097341632171, 7.429994529557295,
+                                         0.43308273382987594))])
+def test_b_inverse_of_a_right_eigenvector_is_a_left_one(fam, params):
+    # L and B commute on a uniform step, so y = B^{-1} v solves
+    # y^T (A - lambda M) = 0 wherever (A - lambda M) v = 0; y is formed here
+    # by scipy's banded solver, not the verifier's
+    for level, H, fine in _stated_levels(fam, params):
+        right = solve_targeted(H, level.energy, fine[2:-2:2])
+        v, lam = right.eigenvector[1:-1], right.eigenvalue
+        bands = np.zeros((3, len(v)))
+        bands[0, 1:], bands[1], bands[2, :-1] = 1 / 12, 10 / 12, 1 / 12
+        y = solve_banded((1, 1), bands, v)
+        left = (numeric._band_product(_transposed(H.A), y)
+                - lam * numeric._band_product(_transposed(H.M), y))
+        scale = H.norms[0] + abs(lam) * H.norms[1]
+        assert np.max(np.abs(left)) / np.max(np.abs(y)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_the_two_sided_quotient_is_the_stated_grid_eigenvalue(name):
+    # the stated-grid solve from the refined eigenvector's even nodes is the
+    # oracle; the quotient at those nodes is second order in their error
+    fam = FAMILIES[name]
+    for level, H, fine in _stated_levels(fam, fam.canonical):
+        oracle = solve_targeted(H, level.energy, fine[2:-2:2]).eigenvalue
+        assert abs(numeric._two_sided_quotient(H, fine[2:-2:2]) - oracle) <= 1e-10
+
+
+def test_the_two_sided_quotient_needs_three_interior_nodes():
+    H = build_hamiltonian(lambda z: z ** 2, Grid(-1.0, 1.0, 4, LINE))
+    with pytest.raises(InvalidParameters, match="2 interior nodes"):
+        numeric._two_sided_quotient(H, np.ones(2, dtype=complex))
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -609,10 +652,11 @@ def test_verify_family_hulthen_transformed_equation():
 def test_canonical_levels_settle_in_a_few_sweeps(name):
     fam = FAMILIES[name]
     rep = verify_family(fam.canonical)
-    # two sweeps each for the refined solve from the analytic unknown and the
-    # stated-grid solve from the refined eigenvector; the absolute stop took
-    # up to 22 for Hulthen, and a seeded random start 3 on the refined grid
-    assert [e.iterations for e in rep.entries] == [4] * len(rep.entries)
+    # two sweeps for the refined solve from the analytic unknown, the one
+    # solve of a level: the stated grid's eigenvalue is a two-sided quotient;
+    # the absolute stop took up to 22 for Hulthen, and a seeded random start
+    # 3 on the refined grid
+    assert [e.iterations for e in rep.entries] == [2] * len(rep.entries)
 
 
 def test_verify_family_reports_failure_honestly():

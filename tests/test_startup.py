@@ -33,6 +33,7 @@ H = build_hamiltonian(lambda z: z ** 2, Grid(-10.0, 10.0, 401, ShiftedLine(0.3))
 seen["first_solve"] = repr(solve_targeted(H, 1.0).eigenvalue)
 seen["after_solve"] = "scipy.linalg" in sys.modules
 seen["wrapper_after_solve"] = "scipy.linalg._flapack" in sys.modules
+loaded = sys.modules.get("scipy.linalg._flapack")
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     seen["verify_code"] = main(["verify", "--family", "eckart"])
@@ -43,6 +44,10 @@ import scipy.linalg.lapack
 from ptspectra import numeric
 seen["shared_routines"] = [a is b for a, b in zip(
     (scipy.linalg.lapack.zgttrf, scipy.linalg.lapack.zgttrs), numeric._lapack())]
+# the package gets no `_flapack` attribute, but a from-import finds the module
+seen["flapack_attribute"] = hasattr(scipy.linalg, "_flapack")
+from scipy.linalg import _flapack
+seen["from_import_is_loaded"] = _flapack is loaded
 print(json.dumps(seen))
 """
 
@@ -86,3 +91,10 @@ def test_closed_form_commands_never_load_lapack(seen, capsys):
 
 def test_a_later_scipy_linalg_import_shares_the_solvers_routines(seen):
     assert seen["shared_routines"] == [True, True]
+
+
+def test_a_later_from_import_returns_the_loaders_module(seen):
+    # the loader registered the wrapper module without binding it on the
+    # package, which a later `import scipy.linalg` does not do either
+    assert seen["flapack_attribute"] is False
+    assert seen["from_import_is_loaded"] is True
