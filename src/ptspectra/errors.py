@@ -62,8 +62,8 @@ class ResolutionLimit(SpectraError):
 
 
 class ShiftSingular(SpectraError):
-    """Shifted system was numerically singular even after perturbing the
-    shift."""
+    """Inverse iteration's shifted system A - target M was singular at the
+    target, or a sweep's solve with it overflowed."""
 
 
 class InternalConsistencyError(SpectraError):

@@ -16,14 +16,16 @@ line xi' = 1, so Q = V and W = 1. A |xi'| below `contour`'s one metric
 floor, 1e-10, raises MetricVanishing here and SingularPoint in `contour`.
 `solve_targeted(H, target, start=None)` inverse-iterates one eigenpair of
 the pencil near `target` from `start` (by default a seeded random vector,
-drawn on each call), factoring A - target M once and stopping when the
-eigenpair has settled relative to ||A||_inf + |target| ||M||_inf, or when
-the measured rate of its residual cannot get it there within the sweep
-budget. Each sweep applies M once and takes A v from the shifted solve's
-own equation. Its two LAPACK routines, zgttrf and zgttrs, come from
-scipy's compiled wrapper `scipy.linalg._flapack`, loaded alone at the
-first solve (`_lapack`): importing this module loads no scipy, and no
-solve runs the `scipy.linalg` package's init.
+drawn on each call) at the one shift `target`: it factors A - target M
+once, raises ShiftSingular when that factor is singular or a sweep's solve
+overflows, and stops when the eigenpair has settled relative to
+||A||_inf + |target| ||M||_inf, or when the measured rate of its residual
+cannot get it there within the sweep budget. Each sweep applies M once
+and takes A v from the shifted solve's own equation. Its two LAPACK
+routines, zgttrf and zgttrs, come from scipy's compiled wrapper
+`scipy.linalg._flapack`, loaded alone at the first solve (`_lapack`):
+importing this module loads no scipy, and no solve runs the
+`scipy.linalg` package's init.
 
 Verification (`_verify_level`, one level at a time) samples each level's
 analytic wave function first, then solves the Numerov pencil on the once
@@ -90,7 +92,6 @@ _SWEEP_TOL = 1e-14
 _MAX_SWEEPS = 200
 _RATE_FROM = 16  # the first sweep at which a measured rate can stop a solve
 _RATE_SPAN = 8  # sweeps over which the residual's geometric rate is measured
-_SHIFT_NUDGE = 1e-8 * (1 + 1j)
 _RESIDUAL_BUFFER = 0.05
 _MAX_POINTS = 10 ** 7
 # The verify-grid rule; `_rule_grid` says what each constant bounds.
@@ -315,13 +316,14 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
     nearest `target`.
 
     Starts from `start`, a vector on the interior nodes, or by default from
-    a seeded random unit vector drawn on each call; A - shift M is factored
-    once (LAPACK gttrf) and each sweep is one gttrs solve of
-    (A - shift M) w = M v_prev and one band product M v of v = w / ||w||.
-    The solve's equation gives A v = shift M v + g with g = M v_prev / ||w||,
-    so no sweep applies A: the eigenvalue is the Rayleigh quotient
-    v^H A v / v^H M v = shift + v^H g / v^H M v, and the residual
-    max|A v - lambda M v| / max|v| is max|g - (lambda - shift) M v| / max|v|,
+    a seeded random unit vector drawn on each call. The one shift is the
+    target: A - shift M is factored once (LAPACK gttrf), and each sweep is
+    one gttrs solve of (A - shift M) w = M v_prev and one band product M v
+    of v = w / ||w||. The solve's equation gives A v = shift M v + g with
+    g = M v_prev / ||w||, so no sweep applies A: the eigenvalue is the
+    Rayleigh quotient v^H A v / v^H M v = shift + v^H g / v^H M v, and the
+    residual max|A v - lambda M v| / max|v| is
+    max|g - (lambda - shift) M v| / max|v|,
     which differs from the one formed from the bands by rounding, a few
     eps (||A|| + |lambda| ||M||). A sweep stops when the residual and the
     change of the Rayleigh quotient since the previous sweep are both
@@ -335,9 +337,10 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
     its message names the last measured rate. Where rounding keeps the
     Rayleigh quotient moving by more than tol, a found pair never settles:
     the rate stop ends its solve, and `verify_family` types it "no settled
-    eigenpair". A singular factor or an overflowing solve restarts once at
-    the shift nudged by _SHIFT_NUDGE before ShiftSingular is raised. Fewer
-    than 3 interior nodes raise InvalidParameters.
+    eigenpair". A singular factor raises ShiftSingular before any sweep,
+    and a sweep whose solve overflows (a norm ||w|| that is not finite, or
+    0) raises it there; both messages name the shift. Fewer than 3 interior
+    nodes raise InvalidParameters.
     """
     # loaded at the first solve, not with the module: the closed-form
     # commands never solve
@@ -353,46 +356,43 @@ def solve_targeted(H: DiscretizedHamiltonian, target, start=None) -> EigenResult
     Mw = np.empty(n, dtype=complex)  # where a sweep puts M v; it then swaps with Mv
     u = np.zeros(n + 2, dtype=complex)  # the iterate with its Dirichlet ends
     v = u[1:-1]
-    lam_prev, best_residual, it, q = None, math.inf, 0, math.nan
-    for shift in (complex(target), complex(target) + _SHIFT_NUDGE):
-        *lu, info = zgttrf(a_lower - shift * m_lower, a_diag - shift * m_diag,
-                           a_upper - shift * m_upper)
-        failure = "shifted system singular" if info > 0 else None
-        history = []  # the residual of each sweep at this shift
-        while failure is None and it < _MAX_SWEEPS:
-            w, _ = zgttrs(*lu, Mv)
-            nw = np.linalg.norm(w)
-            if not (np.isfinite(nw) and nw != 0.0):
-                failure = "shifted solve overflowed"
+    shift = complex(target)
+    *lu, info = zgttrf(a_lower - shift * m_lower, a_diag - shift * m_diag,
+                       a_upper - shift * m_upper)
+    if info > 0:
+        raise ShiftSingular(f"shifted system singular at {shift}")
+    lam_prev, best_residual, q = None, math.inf, math.nan
+    history = []  # the residual of each sweep
+    for it in range(1, _MAX_SWEEPS + 1):
+        w, _ = zgttrs(*lu, Mv)
+        nw = np.linalg.norm(w)
+        if not (np.isfinite(nw) and nw != 0.0):
+            raise ShiftSingular(f"shifted solve overflowed at {shift}")
+        # numpy divides a complex array by a real scalar as a product with
+        # its reciprocal; written so, it skips the complex division loop
+        scale = 1.0 / nw
+        np.multiply(w, scale, out=v)
+        g = np.multiply(Mv, scale, out=Mv)  # A v = shift M v + g, by the solve's equation
+        Mv, Mw = _band_product(H.M, v, out=Mw), g
+        step = complex(np.vdot(v, g) / np.vdot(v, Mv))
+        lam = shift + step
+        res = float(np.abs(g - step * Mv).max() / np.abs(v).max())
+        best_residual = min(best_residual, res)
+        if res <= tol and lam_prev is not None and abs(lam - lam_prev) <= tol:
+            return EigenResult(lam, u, res, it)
+        lam_prev = lam
+        history.append(res)
+        if it >= _RATE_FROM:
+            past = history[-1 - _RATE_SPAN]
+            q = (res / past) ** (1 / _RATE_SPAN) if past > 0 else math.inf
+            if q >= 1 or res > tol and it + math.log(tol / res) / math.log(q) > _MAX_SWEEPS:
                 break
-            it += 1
-            # numpy divides a complex array by a real scalar as a product with
-            # its reciprocal; written so, it skips the complex division loop
-            scale = 1.0 / nw
-            np.multiply(w, scale, out=v)
-            g = np.multiply(Mv, scale, out=Mv)  # A v = shift M v + g, by the solve's equation
-            Mv, Mw = _band_product(H.M, v, out=Mw), g
-            step = complex(np.vdot(v, g) / np.vdot(v, Mv))
-            lam = shift + step
-            res = float(np.abs(g - step * Mv).max() / np.abs(v).max())
-            best_residual = min(best_residual, res)
-            if res <= tol and lam_prev is not None and abs(lam - lam_prev) <= tol:
-                return EigenResult(lam, u, res, it)
-            lam_prev = lam
-            history.append(res)
-            if len(history) >= _RATE_FROM:
-                past = history[-1 - _RATE_SPAN]
-                q = (res / past) ** (1 / _RATE_SPAN) if past > 0 else math.inf
-                if q >= 1 or res > tol and it + math.log(tol / res) / math.log(q) > _MAX_SWEEPS:
-                    break
-        if failure is None:
-            raise NoConvergence(
-                f"inverse iteration at shift {target} did not settle in {it} sweeps: "
-                f"its residual changed by a factor {q:.3g} per sweep over the last "
-                f"{_RATE_SPAN}; best residual {best_residual:.3e}",
-                best_residual=best_residual, iterations=it,
-            )
-    raise ShiftSingular(f"{failure} at {shift}")
+    raise NoConvergence(
+        f"inverse iteration at shift {target} did not settle in {it} sweeps: "
+        f"its residual changed by a factor {q:.3g} per sweep over the last "
+        f"{_RATE_SPAN}; best residual {best_residual:.3e}",
+        best_residual=best_residual, iterations=it,
+    )
 
 
 def _two_sided_quotient(H: DiscretizedHamiltonian, v) -> complex:
@@ -425,18 +425,23 @@ def residual(psi, E, H: DiscretizedHamiltonian) -> float:
     pencil it is the Liouville unknown u = psi / sqrt(xi'). A
     _RESIDUAL_BUFFER share of interior nodes at each end, at least one, is
     excluded to keep boundary-truncation artifacts out of the norm, so the
-    end nodes count only in max|psi|. InvalidParameters when none is left.
+    end nodes count only in max|psi|. InvalidParameters when none is left,
+    and when the residual is not finite: formed with numpy's overflow
+    warnings off, it overflows for a psi near the float maximum.
     """
     psi = np.asarray(psi, dtype=complex)
     if len(psi) != H.grid.n_points:
         raise ValueError("psi must be sampled on the full grid")
     v = psi[1:-1]
-    r = _band_product(H.A, v) - complex(E) * _band_product(H.M, v)
-    nb = int(math.ceil(_RESIDUAL_BUFFER * len(r)))
-    core = r[nb:len(r) - nb]
-    if not core.size:
-        raise InvalidParameters(f"{len(r)} interior nodes leave no residual core")
-    return float(np.max(np.abs(core)) / np.max(np.abs(psi)))
+    nb = int(math.ceil(_RESIDUAL_BUFFER * len(v)))
+    if len(v) <= 2 * nb:
+        raise InvalidParameters(f"{len(v)} interior nodes leave no residual core")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
+        r = _band_product(H.A, v) - complex(E) * _band_product(H.M, v)
+        res = float(np.max(np.abs(r[nb:len(r) - nb])) / np.max(np.abs(psi)))
+    if not math.isfinite(res):
+        raise InvalidParameters(f"the residual is not finite: {res:g}")
+    return res
 
 
 @dataclass
@@ -692,17 +697,17 @@ def _verify_level(fam, params, level, L, own, Hf, H, x_fine, path, root,
     `root()` starts the solve of `Hf` at its energy, and the two-sided
     quotient of `H` at that eigenvector's even nodes is the stated grid's
     eigenvalue. A `SpectraError` becomes a failed record typed by the error
-    and counting the sweeps run, 0 for a sample that fails, a wave function
-    that is not finite among them (`require_finite`); `_resolution_limit`
-    types a failing level, given L and `own`, the points its own rule grid
-    needs."""
+    and counting the sweeps run, 0 for a sample that fails, a Liouville
+    unknown that is not finite among them (`require_finite`, naming the
+    wave function); a residual that overflows raises in `residual`.
+    `_resolution_limit` types a failing level, given L and `own`, the
+    points its own rule grid needs."""
     qn, E = level.qn, level.energy
     iters, limit = 0, ""  # limit: why the grid does not resolve the level
     try:
         with np.errstate(all="ignore"):  # a non-finite sample is refused below
-            psi = fam.wavefunction(params, level, path)
-        require_finite(x_fine, (psi,), "the wave function is")
-        u_f = psi / root()
+            u_f = fam.wavefunction(params, level, path) / root()
+        require_finite(x_fine, (u_f,), "the wave function is")
         v = u_f / np.max(np.abs(u_f))  # scaled so that v * v stays finite
         fine = solve_targeted(Hf, E, v[1:-1])
         iters = fine.iterations

@@ -366,12 +366,37 @@ def test_a_report_takes_each_path_log_once(monkeypatch, name, logs):
     assert len(calls) == logs
 
 
-def test_targeted_singular_shift_is_nudged_once():
-    r = solve_targeted(_diagonal([1.0, 2.0, 3.0]), 1.0)
-    assert abs(r.eigenvalue - 1.0) <= 1e-12
-    # the nudged shift lands on the second diagonal entry: singular again
-    with pytest.raises(ShiftSingular, match="shifted system singular"):
-        solve_targeted(_diagonal([1.0, 1.0 + 1e-8 * (1 + 1j), 3.0]), 1.0)
+def test_targeted_singular_shift_raises_at_the_target():
+    # the target is an eigenvalue, so A - target M is singular; no other
+    # shift is tried
+    with pytest.raises(ShiftSingular) as info:
+        solve_targeted(_diagonal([1.0, 2.0, 3.0]), 1.0)
+    assert str(info.value) == "shifted system singular at (1+0j)"
+
+
+@pytest.mark.parametrize("start", [np.zeros(3), np.full(3, np.nan)], ids=["zero", "nan"])
+def test_targeted_solve_without_a_finite_nonzero_norm_raises_where_seen(start):
+    with pytest.raises(ShiftSingular) as info:
+        solve_targeted(_diagonal([1.0, 2.0, 3.0]), 1.5, start)
+    assert str(info.value) == "shifted solve overflowed at (1.5+0j)"
+
+
+@pytest.mark.parametrize("d, target, raised", [
+    ([1.0, 2.0, 3.0], 1.1, None),  # settles
+    ([1.0, 3.0, 6.0, 10.0], 2.0, NoConvergence),  # an equidistant pair: the rate stops it
+    ([1.0, 2.0, 3.0], 1.0, ShiftSingular),  # singular at the target
+], ids=["settled", "rate-stopped", "singular"])
+def test_targeted_factors_one_shift_once(monkeypatch, d, target, raised):
+    zgttrf, zgttrs = numeric._lapack()
+    factors = []
+    monkeypatch.setattr(numeric, "_lapack",
+                        lambda: (lambda *bands: factors.append(1) or zgttrf(*bands), zgttrs))
+    if raised is None:
+        assert abs(solve_targeted(_diagonal(d), target).eigenvalue - 1.0) <= 1e-12
+    else:
+        with pytest.raises(raised):
+            solve_targeted(_diagonal(d), target)
+    assert len(factors) == 1
 
 
 @pytest.fixture
@@ -576,6 +601,19 @@ def test_residual_without_a_core_node_is_a_typed_error():
     H = build_hamiltonian(lambda z: np.zeros_like(z), g)
     with pytest.raises(InvalidParameters):
         residual(np.ones(4), 0.0, H)
+
+
+def test_a_residual_that_overflows_is_a_typed_error_without_a_warning():
+    # the band products overflow for a psi near the float maximum
+    grid = Grid(-12.0, 12.0, 601, ShiftedLine(0.3))
+    H = build_hamiltonian(lambda z: eval_rpt(RPT, z), grid)
+    level = rpt_spectrum(RPT)[0]
+    psi = rpt_wavefunction(RPT, level, grid.contour.point(grid.points()))
+    psi *= 1e308 / np.max(np.abs(psi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameters, match="the residual is not finite"):
+            residual(psi, level.energy, H)
 
 
 def test_residual_needs_a_sample_on_the_full_grid():
@@ -914,13 +952,29 @@ def test_subnormal_residual_tolerance_is_a_resolution_limit_without_a_warning():
 @pytest.mark.parametrize("eps", [1e-54, 1e-100])
 def test_a_near_zero_arch_angle_is_typed_without_a_warning(eps):
     # the probe's k2 reaches about 1e200 at the apex, so k2^3 overflows in
-    # the step bound (its limit, a step of 0, is taken), and the sweep norm
-    # overflows in the solve (refused as an overflowed solve)
+    # the step bound (its limit, a step of 0, is taken), and the arch map's
+    # r' vanishes at the apex, so the wave-function sample raises before
+    # any solve
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = verify_family(HulthenParams(2.0, 2.0, eps))
     (e,) = rep.entries
-    assert not rep.passed and e.diagnostic is not None
+    assert not rep.passed and e.diagnostic is SingularPoint and e.iterations == 0
+    assert e.note == "SingularPoint: r'(xi) vanishes along the sample path"
+
+
+def test_a_level_whose_sample_or_residual_overflows_is_typed_without_a_warning():
+    # deep Hulthen levels: some wave functions divided by sqrt(xi') overflow,
+    # and some finite ones reach a residual that does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_family(HulthenParams(20.0, -2e5))
+    failing = [e for e in rep.entries if not e.converged]
+    assert failing and all(e.diagnostic is not None for e in failing)
+    invalid = [e.note for e in failing if e.diagnostic is InvalidParameters]
+    assert any(n.startswith("InvalidParameters: the wave function is not finite at x = ")
+               for n in invalid)
+    assert any(n.startswith("InvalidParameters: the residual is not finite") for n in invalid)
 
 
 def test_an_arch_map_below_the_one_metric_floor_fails_its_level():
