@@ -19,12 +19,10 @@ from .contour import (
 )
 from .errors import (
     BoundaryLevelWarning,
-    BranchDiscontinuity,
     DegenerateRecurrence,
     DegenerateSWarning,
     InternalConsistencyError,
     InvalidParameters,
-    MetricVanishing,
     NoConvergence,
     OutOfRange,
     PoleInC,
@@ -77,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchContour",
     "BoundaryLevelWarning",
-    "BranchDiscontinuity",
     "DegenerateRecurrence",
     "DegenerateSWarning",
     "DiscretizedHamiltonian",
@@ -89,7 +86,6 @@ __all__ = [
     "InvalidParameters",
     "Level",
     "LevelRecord",
-    "MetricVanishing",
     "NoConvergence",
     "OutOfRange",
     "PoleInC",

@@ -16,17 +16,19 @@ normal form from such a jet, a path's or the map's, and
 to the arch with it.
 
 `power_along_path(logs, exponents)` raises bases to complex powers from
-their continuous logs, scaled by a positive constant only where the
-product would overflow, and `transport_wavefunction(chi, r, root)` carries
-a function of r to xi, given the map's r and `metric_root` of its r' on
-the samples; both take what a caller holds, not the bases or the map.
+their logs, scaled by a positive constant only where the product would
+overflow, and `transport_wavefunction(chi, r, root)` carries a function
+of r to xi, given the map's r and `metric_root` of its r' on the
+samples; both take what a caller holds, not the bases or the map.
 
 Branch policy, used everywhere complex powers or roots appear along a
-path: principal value at the first sample, then phase continuity sample
-to sample (unwrapping by whole turns). An adjacent phase jump that stays
-above pi/2 after unwrapping means the sampling cannot fix a branch and
-raises BranchDiscontinuity. Sample sequences are ordered by increasing
-parameter and must not be reordered mid-stream.
+path: the principal branch. Every path this package builds has its shift
+or arch angle eps in 0 < eps < pi/2, and r = x - i eps on the line or
+the arch map's r, so along it sinh r stays in the lower half-plane and
+cosh r, the path's xi' and the arch map's r' in the right half-plane.
+None of these bases crosses the negative real axis, so the principal log
+is their analytic continuation along the path, whatever the sampling. A
+path whose bases crossed that axis would need its phase unwrapped.
 
 The complex elementary functions of a sampled path are formed from real
 kernels, which numpy vectorises: `continuous_log` from log|v| and
@@ -41,9 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchDiscontinuity, InvalidParameters, SingularPoint
+from .errors import InvalidParameters, SingularPoint
 
-_METRIC_FLOOR = 1e-10  # a smaller |r'| vanishes: SingularPoint here, MetricVanishing in `numeric`
+_METRIC_FLOOR = 1e-10  # a smaller |r'| or |xi'| vanishes
+_VALUE_FLOOR = 1e-12  # a smaller |sinh r|, |cosh r| or |1 - e^{2i xi}| vanishes
 
 
 @dataclass(frozen=True)
@@ -147,34 +150,30 @@ def _complex(re, im):
     return out[()]
 
 
-def continuous_log(values):
-    """log along a sample path: principal at the first sample, then
-    phase-continuous (unwrapped by whole turns).
+def nonvanishing(values, floor, what):
+    """`values`, or SingularPoint naming `what` where the smallest |value|
+    is below `floor`: `_METRIC_FLOOR` for a map's derivative, and
+    `_VALUE_FLOOR` for a quantity that a closed form divides by."""
+    m = float(np.min(np.abs(values)))
+    if m < floor:
+        raise SingularPoint(f"{what} vanishes: |{what}| = {m:.3e} below {floor:.1e}")
+    return values
 
-    Formed from real kernels as log|v| + i atan2(Im v, Re v), with the
-    phase unwrapped on the real array. numpy's complex log agrees to
-    rounding but runs the C library's scalar routine, which takes an
-    extended-precision path near |v| = 1. Raises SingularPoint at an exact
-    zero, and BranchDiscontinuity when adjacent samples are separated by
-    more than pi/2 in phase even after unwrapping.
+
+def continuous_log(values):
+    """log along a sample path: the principal branch, which the module's
+    branch policy shows to be continuous along every path it builds.
+
+    Formed from real kernels as log|v| + i atan2(Im v, Re v). numpy's
+    complex log agrees to rounding but runs the C library's scalar
+    routine, which takes an extended-precision path near |v| = 1. Raises
+    SingularPoint at an exact zero.
     """
     vals = np.asarray(values, dtype=complex)
     mag = np.abs(vals)
     if np.min(mag) == 0.0:
         raise SingularPoint("continuous_log hit an exact zero")
-    phase = np.arctan2(vals.imag, vals.real)
-    if phase.size > 1:
-        dphi = np.diff(phase)
-        turns = np.round(dphi / (2 * math.pi))
-        residual = dphi - 2 * math.pi * turns
-        worst = float(np.max(np.abs(residual)))
-        if worst > math.pi / 2:
-            raise BranchDiscontinuity(
-                f"adjacent phase jump {worst:.3f} rad exceeds pi/2; sampling too coarse"
-            )
-        if turns.any():
-            phase[1:] -= 2 * math.pi * np.cumsum(turns)
-    return _complex(np.log(mag), phase)
+    return _complex(np.log(mag), np.arctan2(vals.imag, vals.real))
 
 
 def sinh_cosh(r):
@@ -198,11 +197,11 @@ def sinh_cosh(r):
 
 
 def power_along_path(logs, exponents):
-    """The product of base_k^exponent_k, with `logs` the bases' continuous
-    logs (`continuous_log`) in order, so the powers follow the
-    branch-continuity policy along the samples. The product is formed in
-    the log domain, one exp of the summed exponent * log, so it stays
-    finite where a factor alone would overflow or underflow. Where the
+    """The product of base_k^exponent_k, with `logs` the bases' logs
+    (`continuous_log`) in order, so the powers follow the module's branch
+    policy. The product is formed in the log domain, one exp of the
+    summed exponent * log, so it stays finite where a factor alone would
+    overflow or underflow. Where the
     largest real part of that sum passes 700, near where exp overflows,
     it is subtracted before the exp: the product is then scaled by a
     positive constant, its shape kept and its peak modulus 1. Below 700
@@ -249,30 +248,28 @@ def liouville_potential(parent, kappa, xi):
     bound-state energy. The caller separates V from the
     transformed energy E using the target family's closed form. Raises
     InvalidParameters unless kappa is finite and > 0 and kappa^2 is finite,
-    and SingularPoint when r' vanishes at xi.
+    and SingularPoint when |r'| is below the metric floor at xi.
     """
     if not (math.isfinite(kappa) and kappa > 0):
         raise InvalidParameters("kappa must be real and > 0")
     if not math.isfinite(float(kappa) * float(kappa)):
         raise InvalidParameters(f"kappa^2 overflows for kappa = {kappa:g}")
     jet = arch_map(xi)
-    if np.min(np.abs(jet[1])) < _METRIC_FLOOR:
-        raise SingularPoint("r'(xi) vanishes on the requested points")
+    nonvanishing(jet[1], _METRIC_FLOOR, "r'")
     return normal_form(jet, parent(jet[0]) + kappa ** 2)[1]
 
 
 def metric_root(rp):
-    """sqrt(r'(xi)) along an ordered sample sequence, exp(continuous_log(r')/2),
-    so it follows the branch-continuity policy. Raises SingularPoint where
-    r' vanishes."""
-    rp = np.asarray(rp, dtype=complex)
-    if np.min(np.abs(rp)) < _METRIC_FLOOR:
-        raise SingularPoint("r'(xi) vanishes along the sample path")
+    """sqrt(r'(xi)) on the samples, exp(continuous_log(r')/2): the principal
+    root, continuous along the path since the arch map's r' and a path's
+    xi' stay in the right half-plane, a quarter turn from the cut. Raises
+    SingularPoint where |r'| is below the metric floor."""
+    rp = nonvanishing(np.asarray(rp, dtype=complex), _METRIC_FLOOR, "r'")
     return np.exp(0.5 * continuous_log(rp))
 
 
 def transport_wavefunction(chi, r, root):
-    """Psi(xi) = chi[r(xi)] / sqrt(r'(xi)) along an ordered sample sequence:
+    """Psi(xi) = chi[r(xi)] / sqrt(r'(xi)) on a sample of points:
     `r` is the map's r(xi) on the samples and `root` is `metric_root` of
     its r'(xi), held by a caller that transports several functions along
     the same samples."""

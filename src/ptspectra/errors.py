@@ -24,21 +24,14 @@ class DegenerateRecurrence(SpectraError):
 
 
 class SingularPoint(SpectraError):
-    """Evaluation requested too close to a potential or map singularity."""
-
-
-class BranchDiscontinuity(SpectraError):
-    """Adjacent path samples force a phase jump larger than pi/2; the
-    sampling is too coarse for branch-continuous evaluation."""
+    """Evaluation requested too close to a potential or map singularity:
+    a quantity that a closed form divides by, or a path's or map's
+    derivative that the Liouville normal form divides by, is below its
+    floor (`contour.nonvanishing`), or a log's argument is exactly 0."""
 
 
 class OutOfRange(SpectraError):
     """Quantum number outside the family's admissible range."""
-
-
-class MetricVanishing(SpectraError):
-    """|xi'(x)| fell below floor at a grid node; the Liouville normal form
-    of the Numerov pencil would divide by (near) zero."""
 
 
 class NoConvergence(SpectraError):

@@ -13,7 +13,8 @@ from `contour.normal_form`, sampled as the rule grid's probe is. Numerov's
 stencil turns it into A = L + B diag(Q) and M = B diag(W), where
 L = tridiag(-1, 2, -1)/h^2 and B = tridiag(1, 10, 1)/12. On the shifted
 line xi' = 1, so Q = V and W = 1. A |xi'| below `contour`'s one metric
-floor, 1e-10, raises MetricVanishing here and SingularPoint in `contour`.
+floor, 1e-10, raises SingularPoint through `contour.nonvanishing`, the
+one vanishing guard, as an arch map's r' below it does in `contour`.
 `solve_targeted(H, target, start=None)` inverse-iterates one eigenpair of
 the pencil near `target` from `start` (by default a seeded random vector,
 drawn on each call) at the one shift `target`: it factors A - target M
@@ -69,7 +70,6 @@ import numpy as np
 from .contour import ArchContour, ShiftedLine, Stretched, normal_form
 from .errors import (
     InvalidParameters,
-    MetricVanishing,
     NoConvergence,
     ResolutionLimit,
     ShiftSingular,
@@ -214,16 +214,13 @@ def require_finite(x, columns, what) -> None:
 def _normal_form_samples(evaluator, contour, x):
     """(xi, xi', W, Q) at the path parameters x: the contour's jet and its
     `normal_form` with V = `evaluator(xi)`, formed with numpy's warnings
-    off. MetricVanishing where |xi'| is below `contour`'s metric floor;
+    off. SingularPoint where |xi'| is below `contour`'s metric floor;
     InvalidParameters naming the first x at which xi, Q or W is not finite,
     past the far field that the path or the potential can represent."""
-    floor = _contour._METRIC_FLOOR
     with np.errstate(all="ignore"):  # a non-finite sample is refused below
         jet = [np.asarray(c, dtype=complex) for c in contour.jet(x)]
         xi, xp = jet[:2]
-        small = float(np.min(np.abs(xp)))
-        if small < floor:
-            raise MetricVanishing(f"|xi'| = {small:.3e} below {floor:.1e}")
+        _contour.nonvanishing(xp, _contour._METRIC_FLOOR, "xi'")
         W, Q = normal_form(jet, np.asarray(evaluator(xi), dtype=complex))
     require_finite(x, (xi, Q, W), _PENCIL_SAMPLES)
     return xi, xp, W, Q

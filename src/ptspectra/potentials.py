@@ -3,8 +3,9 @@
 Each family is a frozen parameter record plus a pointwise evaluator of
 an ndarray of complex coordinates; a scalar coordinate follows numpy's
 0-d rules and comes back as a numpy scalar. Evaluators raise
-SingularPoint instead of returning huge values when the coordinate drifts
-within SING_FLOOR of a pole; contour code must fail loudly there.
+SingularPoint instead of returning huge values where a quantity they
+divide by is below `contour._VALUE_FLOOR` (`contour.nonvanishing`); contour
+code must fail loudly near a pole.
 Eckart and Poschl-Teller take sinh r and cosh r from `contour.sinh_cosh`,
 and Eckart's coth r, like Hulthen's 1/(1 - e^{2i xi}), goes through a
 decaying exponential, so every evaluator stays finite far out on its path.
@@ -18,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import sinh_cosh
-from .errors import InvalidParameters, SingularPoint
-
-SING_FLOOR = 1e-12
+from .contour import _VALUE_FLOOR, nonvanishing, sinh_cosh
+from .errors import InvalidParameters
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -95,11 +94,6 @@ class HulthenParams:
         return self.C - self.A
 
 
-def _check_floor(mag, what: str) -> None:
-    if np.min(mag) < SING_FLOOR:
-        raise SingularPoint(f"|{what}| = {float(np.min(mag)):.3e} below floor {SING_FLOOR:.1e}")
-
-
 def _coth(r):
     """coth r at complex r = x + iy from real kernels, through q = e^{-2|x|}
     <= 1 and m = q - 1, taken as expm1(-2|x|):
@@ -125,7 +119,7 @@ def eval_eckart(p: EckartParams, r):
     """
     r = np.asarray(r, dtype=complex)
     sh = sinh_cosh(r)[0]
-    _check_floor(np.abs(sh), "sinh r")
+    nonvanishing(sh, _VALUE_FLOOR, "sinh r")
     return p.A * (p.A - 1) * (1 / sh) ** 2 - 2j * p.beta * _coth(r)
 
 
@@ -135,8 +129,8 @@ def eval_rpt(p: PoschlTellerParams, r):
     sinh r and cosh r from `contour.sinh_cosh`."""
     r = np.asarray(r, dtype=complex)
     sh, ch = sinh_cosh(r)
-    _check_floor(np.abs(sh), "sinh r")
-    _check_floor(np.abs(ch), "cosh r")
+    nonvanishing(sh, _VALUE_FLOOR, "sinh r")
+    nonvanishing(ch, _VALUE_FLOOR, "cosh r")
     return (p.beta ** 2 - 0.25) * (1 / sh) ** 2 - (p.alpha ** 2 - 0.25) * (1 / ch) ** 2
 
 
@@ -150,8 +144,7 @@ def eval_hulthen(p: HulthenParams, xi):
     z = 2j * np.asarray(xi, dtype=complex)
     up = np.real(z) >= 0
     q = np.exp(np.where(up, -z, z))
-    _check_floor(np.abs(1 - q), "1 - e^{2i xi}")
-    g = np.where(up, -q, 1.0) / (1 - q)
+    g = np.where(up, -q, 1.0) / nonvanishing(1 - q, _VALUE_FLOOR, "1 - e^{2i xi}")
     return p.A * g ** 2 + p.B * g
 
 

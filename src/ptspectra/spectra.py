@@ -16,15 +16,15 @@ not in the caller's input, and InternalConsistencyError says so.
 Every level of a family is sinh and cosh powers of r times a Jacobi
 polynomial, with r = xi on the shifted line and r = arch_map(xi) on the
 arch, so the levels sampled on one path share every transcendental
-factor. A `SampledPath` holds one ordered sample of path points and
-computes each factor on first use: sinh r and cosh r from one
+factor. A `SampledPath` holds one sample of path points and computes
+each factor on first use: sinh r and cosh r from one
 `contour.sinh_cosh` call, with their SingularPoint guards, their logs,
 the Jacobi arguments coth r (their quotient) and cosh 2r (the same
 kernel at 2r), and on the arch r itself and the Liouville root
 exp(continuous_log(r')/2). Its logs follow the contour module's branch
-policy, principal at the first sample and continuous thereafter. The wave
-functions take an array of points or a SampledPath; given an array they
-sample a fresh one. A level then costs one Jacobi sum and one
+policy: principal, which is continuous along every path it builds. The
+wave functions take an array of points or a SampledPath; given an array
+they sample a fresh one. A level then costs one Jacobi sum and one
 `power_along_path` of the path's logs, Eckart's (v-u) r - (u+v) log sinh r
 included, which scales a level whose powers would overflow by a positive
 constant; a Hulthen level adds one `transport_wavefunction` of the arch's
@@ -45,7 +45,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameters,
     OutOfRange,
-    SingularPoint,
 )
 from .potentials import EckartParams, HulthenParams, PoschlTellerParams
 from .special import jacobi_p_hyp
@@ -82,7 +81,7 @@ class Level:
 
 
 class SampledPath:
-    """One ordered sample of path points and the level-independent factors
+    """One sample of path points and the level-independent factors
     of the closed-form wave functions on it, each computed on first use and
     kept for the object's lifetime. A factor that raises is not kept, so it
     raises again for the next level that asks. `np.asarray(path)` gives the
@@ -101,11 +100,11 @@ class SampledPath:
 
     @cached_property
     def sinh(self):
-        return _nonvanishing(self._sinh_cosh[0], "sinh r")
+        return _contour.nonvanishing(self._sinh_cosh[0], _contour._VALUE_FLOOR, "sinh r")
 
     @cached_property
     def cosh(self):
-        return _nonvanishing(self._sinh_cosh[1], "cosh r")
+        return _contour.nonvanishing(self._sinh_cosh[1], _contour._VALUE_FLOOR, "cosh r")
 
     @cached_property
     def log_sinh(self):
@@ -132,12 +131,6 @@ class SampledPath:
         as a SampledPath, and `contour.metric_root` of r'(xi)."""
         r, rp = arch_map(self.points)[:2]
         return SampledPath(r), metric_root(rp)
-
-
-def _nonvanishing(values, name):
-    if np.min(np.abs(values)) < 1e-12:
-        raise SingularPoint(f"{name} vanishes on the requested points")
-    return values
 
 
 def _sampled(points):
@@ -213,9 +206,9 @@ def eckart_wavefunction(p: EckartParams, level: Level, points):
 
     The Jacobi pair (2u, 2v) is the one forced by matching the terminating
     Gauss series (c = 1+2u, a+b = 2u+2v+1); the discrete Schrodinger
-    residual rejects the printed pair (u/2, v/2). Complex powers are
-    branch-continuous along the points, an array or a `SampledPath`. A
-    level of another family raises InvalidParameters.
+    residual rejects the printed pair (u/2, v/2). Complex powers follow
+    the contour module's branch policy on the points, an array or a
+    `SampledPath`. A level of another family raises InvalidParameters.
     """
     _check_family(level, "eckart")
     u, v = level.aux["u"], level.aux["v"]
@@ -223,8 +216,8 @@ def eckart_wavefunction(p: EckartParams, level: Level, points):
     poly = jacobi_p_hyp(level.qn.N, 2 * u, 2 * v, path.coth)
     # y -+ 1 = e^{-+r}/sinh r, so u log(y-1) + v log(y+1) = (v-u) r - (u+v) log sinh r:
     # one exp in the log domain, finite where y - 1 itself underflows. On a
-    # shifted line, -r - log sinh r is the principal log of y - 1 at every
-    # first sample, so the branch is that of the two continued powers.
+    # shifted line sinh r stays in the lower half-plane, so its principal log
+    # is continuous and -r - log sinh r continues log(y - 1) along the path.
     return power_along_path((path.points, path.log_sinh), (v - u, -(u + v))) * poly
 
 
@@ -255,7 +248,7 @@ def rpt_spectrum(p: PoschlTellerParams) -> list:
 
 
 def _parent_eigenfunction(N, tb, sa, r):
-    """sinh^{tb+1/2}(r) cosh^{sa+1/2}(r) P_N^{(tb, sa)}(cosh 2r), branch-continuous:
+    """sinh^{tb+1/2}(r) cosh^{sa+1/2}(r) P_N^{(tb, sa)}(cosh 2r), principal powers:
     the Poschl-Teller eigenfunction with tb = tau*beta, sa = sigma*alpha, on
     the points r, an array or a `SampledPath`."""
     path = _sampled(r)
@@ -266,7 +259,7 @@ def _parent_eigenfunction(N, tb, sa, r):
 
 def rpt_wavefunction(p: PoschlTellerParams, level: Level, points):
     """psi = sinh^{tau*beta+1/2}(r) cosh^{sigma*alpha+1/2}(r)
-    P_N^{(tau*beta, sigma*alpha)}(cosh 2r), branch-continuous along the
+    P_N^{(tau*beta, sigma*alpha)}(cosh 2r), principal powers on the
     points, an array or a `SampledPath`. A level of another family raises
     InvalidParameters."""
     _check_family(level, "rpt")
@@ -334,8 +327,9 @@ def hulthen_wavefunction(p: HulthenParams, level: Level, arch, x_samples):
     chi is the parent eigenfunction rebuilt from the level's derived
     parameters (beta = |tau*beta|, tau = sign), and carried to the arch by
     `transport_wavefunction` with the path's `arch`: r(xi) = x - i*eps and
-    the root of r'(xi), both from one `arch_map` call, the root following
-    the branch policy. `x_samples` are path parameters of `arch`, or a
+    the root of r'(xi), both from one `arch_map` call. The root is
+    principal, which is continuous along the arch since r' stays in the
+    right half-plane there. `x_samples` are path parameters of `arch`, or a
     `SampledPath` of its points xi(x), which `arch` then need not supply.
     """
     _check_family(level, "hulthen")

@@ -324,6 +324,26 @@ def test_sample_with_eigenfunction_columns(capsys):
     assert mag(rows[-1]) < 1e-6 * peak
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "eckart", "--A", "8.686103921662461", "--beta", "-1.9281520710906568",
+     "--epsilon", "1.2933940650984754e-06", "--xmin", "-5", "--xmax", "5", "--N", "2"],
+    ["--family", "rpt", "--alpha", "3.8061195630110416", "--beta", "8.970781561799656",
+     "--epsilon", "1.5707901150575891", "--xmin", "-0.14", "--xmax", "0.14", "--N", "0",
+     "--sigma", "-1", "--tau", "-1"],
+], ids=["eckart", "rpt"])
+def test_a_coarse_window_across_the_axis_samples_its_refinement_nodes(capsys, argv):
+    # at a small shift sinh r turns by about pi between the nodes either side
+    # of x = 0 (cosh r does at a shift near pi/2), yet its principal log is
+    # the continued one, so the 10 nodes give the 19-node window's rows there
+    code, coarse, err = _run(capsys, ["sample"] + argv + ["--n", "10"])
+    assert code == 0 and err == ""
+    code, fine, _ = _run(capsys, ["sample"] + argv + ["--n", "19"])
+    assert code == 0
+    header, rows = _rows(coarse)
+    assert header[-2:] == ["psi_re", "psi_im"]
+    assert rows == _rows(fine)[1][::2]
+
+
 def test_sample_rejects_missing_level(capsys):
     code, _, err = _run(capsys, ["sample", "--family", "rpt", "--N", "9"])
     assert code == 2
@@ -619,15 +639,16 @@ def test_a_near_zero_arch_angle_fails_verification_quietly(capsys):
     assert out.startswith("N,sigma,tau,")
 
 
-@pytest.mark.parametrize("argv, where", [
-    (["transform", "--n", "5"], "on the requested points"),
-    (["sample", "--N", "0", "--n", "5"], "along the sample path"),
+@pytest.mark.parametrize("argv", [
+    ["transform", "--n", "5"],
+    ["sample", "--N", "0", "--n", "5"],
 ], ids=["transform", "sample"])
-def test_an_arch_map_below_the_metric_floor_is_an_input_error(capsys, argv, where):
-    # tan(eps) ~ 1e-11: the arch map's r' at the apex is below the 1e-10 floor
+def test_an_arch_map_below_the_metric_floor_is_an_input_error(capsys, argv):
+    # tan(eps) ~ 1e-11: the arch map's r' at the apex is below the 1e-10
+    # floor, and both commands name it in the one guard's message
     code, out, err = _run(capsys, argv + ["--family", "hulthen", "--epsilon", "1e-11"])
     assert code == 2 and out == ""
-    assert err == f"ptspectra: SingularPoint: r'(xi) vanishes {where}\n"
+    assert err == "ptspectra: SingularPoint: r' vanishes: |r'| = 1.000e-11 below 1.0e-10\n"
 
 
 def test_out_files_are_deterministic(tmp_path, capsys):

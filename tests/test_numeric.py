@@ -11,13 +11,11 @@ from scipy.linalg import eig, eigvals, lapack, solve_banded
 
 from ptspectra import (
     ArchContour,
-    BranchDiscontinuity,
     DiscretizedHamiltonian,
     EckartParams,
     Grid,
     HulthenParams,
     InvalidParameters,
-    MetricVanishing,
     NoConvergence,
     PoschlTellerParams,
     ResolutionLimit,
@@ -153,7 +151,7 @@ def test_metric_vanishing_guard():
             return np.asarray(x, dtype=complex), zero + 1e-12, zero, zero
 
     g = Grid(-1.0, 1.0, 11, _Pinched())
-    with pytest.raises(MetricVanishing):
+    with pytest.raises(SingularPoint, match="^xi' vanishes: "):
         build_hamiltonian(lambda z: np.zeros_like(z), g)
 
 
@@ -334,7 +332,7 @@ def test_a_failed_sample_is_a_failed_entry_per_level(monkeypatch, patched):
     good = verify_family(ECK)
 
     def broken(*args, **kwargs):
-        raise BranchDiscontinuity("patched")
+        raise SingularPoint("patched")
 
     if patched == "wavefunction":
         monkeypatch.setattr(spectra, "eckart_wavefunction", broken)
@@ -345,8 +343,8 @@ def test_a_failed_sample_is_a_failed_entry_per_level(monkeypatch, patched):
     rep = verify_family(ECK)
     assert not rep.passed and len(rep.entries) == len(good.entries) > 1
     for e in rep.entries:
-        assert not e.converged and e.diagnostic is BranchDiscontinuity
-        assert e.note == "BranchDiscontinuity: patched"
+        assert not e.converged and e.diagnostic is SingularPoint
+        assert e.note == "SingularPoint: patched"
         assert e.iterations == 0  # no solve ran
 
 
@@ -960,7 +958,7 @@ def test_a_near_zero_arch_angle_is_typed_without_a_warning(eps):
         rep = verify_family(HulthenParams(2.0, 2.0, eps))
     (e,) = rep.entries
     assert not rep.passed and e.diagnostic is SingularPoint and e.iterations == 0
-    assert e.note == "SingularPoint: r'(xi) vanishes along the sample path"
+    assert e.note == f"SingularPoint: r' vanishes: |r'| = {eps:.3e} below 1.0e-10"
 
 
 def test_a_level_whose_sample_or_residual_overflows_is_typed_without_a_warning():
@@ -984,7 +982,7 @@ def test_an_arch_map_below_the_one_metric_floor_fails_its_level():
     rep = verify_family(HulthenParams(2.0, 2.0, 1e-11))
     (e,) = rep.entries
     assert not rep.passed and e.diagnostic is SingularPoint and e.iterations == 0
-    assert e.note == "SingularPoint: r'(xi) vanishes along the sample path"
+    assert e.note == "SingularPoint: r' vanishes: |r'| = 1.000e-11 below 1.0e-10"
 
 
 def test_the_probe_checks_the_metric_before_the_potential():
@@ -995,7 +993,7 @@ def test_the_probe_checks_the_metric_before_the_potential():
     levels = fam.spectrum(params)
     kappa = np.array([l.aux["kappa"] for l in levels])
     ranges = math.log(1 / fam.tol_energy) / kappa
-    with pytest.raises(MetricVanishing, match="below 1.0e-10$"):
+    with pytest.raises(SingularPoint, match="^xi' vanishes: .* below 1.0e-10$"):
         numeric._rule_grid(fam, params, levels, kappa, ranges, fam.tol_residual)
 
 
