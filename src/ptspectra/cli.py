@@ -27,11 +27,12 @@ the record's epsilon: the line shift for Eckart and Poschl-Teller, the
 arch angle for Hulthen. `verify` without `--xmin`, `--xmax` or `--n`
 verifies on the library's stretched rule grid, as
 `verify_family(params)` does; with any of them it verifies on the
-uniform window. Each subcommand
-registers only the flags it reads; any other flag is an input error.
-`spectrum` prints every level's `aux["kappa"]`, then the record's
-`aux_columns`. `verify`, `sample` and `transform` all take their window
-through `Grid`, so each rejects the same windows. `sample` and
+uniform window. Each subcommand registers only the flags it reads; any
+other flag is an input error. `spectrum` prints every level's
+`aux["kappa"]`, then its other aux entries in dict order, a complex one
+as `<key>_re` and `<key>_im` (an empty table reads the keys off the
+canonical setup). `verify`, `sample` and `transform` all take their
+window through `Grid`, so each rejects the same windows. `sample` and
 `transform` refuse a window on which a sampled column is not finite
 (`numeric.require_finite`, exit 2), and select the first level, in
 spectrum order, that matches every one of `--N`, `--sigma` and `--tau`
@@ -255,16 +256,16 @@ def _bounds(args, default):
 def cmd_spectrum(args) -> int:
     fam, params, _ = _setup(args)
     levels = fam.spectrum(params)
-    header = ["family", "sigma", "tau", "N", "E", "kappa", *fam.aux_columns]
+    header = ["family", "sigma", "tau", "N", "E"]
     columns = [[fam.name] * len(levels)]
     columns += [[str(getattr(l.qn, k)) for l in levels] for k in ("sigma", "tau", "N")]
     columns.append([l.energy for l in levels])
-    # aux entries: a `_re`/`_im` suffix takes that part of a complex entry
-    for column in header[5:]:
-        key, part = column, "real"
-        if column.endswith(("_re", "_im")):
-            key, part = column[:-3], "real" if column.endswith("_re") else "imag"
-        columns.append([getattr(l.aux[key], part) for l in levels])
+    aux = (levels or fam.spectrum(fam.canonical))[0].aux
+    for key in ["kappa", *(k for k in aux if k != "kappa")]:
+        split = isinstance(aux[key], complex)  # a complex entry prints as its two parts
+        for suffix, part in (("_re", "real"), ("_im", "imag")) if split else (("", "real"),):
+            header.append(key + suffix)
+            columns.append([getattr(l.aux[key], part) for l in levels])
     _emit(header, columns, args.out)
     return 0
 

@@ -151,10 +151,10 @@ def _complex(re, im):
 
 
 def nonvanishing(values, floor, what):
-    """`values`, or SingularPoint naming `what` where the smallest |value|
-    is below `floor`: `_METRIC_FLOOR` for a map's derivative, and
-    `_VALUE_FLOOR` for a quantity that a closed form divides by."""
-    m = float(np.min(np.abs(values)))
+    """`values` (passed if empty), or SingularPoint naming `what` where the
+    smallest |value| is below `floor`: `_METRIC_FLOOR` for a map's
+    derivative, `_VALUE_FLOOR` for a quantity a closed form divides by."""
+    m = float(np.min(np.abs(values), initial=np.inf))
     if m < floor:
         raise SingularPoint(f"{what} vanishes: |{what}| = {m:.3e} below {floor:.1e}")
     return values
@@ -220,15 +220,18 @@ def arch_map(xi):
     The principal arcsinh branch reproduces r(xi(x)) = x - i*eps along the
     whole arch. On it cosh r = sqrt(1 + sinh^2 r), principal root, so
     tanh r and cosh^2 r come from sinh r itself, which real kernels give
-    as e^{-Im xi} (sin Re xi - i cos Re xi).
+    as e^{-Im xi} (sin Re xi - i cos Re xi). SingularPoint where |cosh^2 r|,
+    which it divides by, is below the value floor (the apex as eps nears
+    pi/2), or |r'| below the metric floor (the apex as eps nears 0).
     """
     xi = np.asarray(xi, dtype=complex)
     a, v = np.exp(-xi.imag), xi.real
     sh = _complex(a * np.sin(v), -(a * np.cos(v)))
-    c2 = 1 + sh * sh
+    c2 = nonvanishing(1 + sh * sh, _VALUE_FLOOR, "cosh^2 r")
     t = sh / np.sqrt(c2)
     s2 = 1.0 / c2
-    return np.arcsinh(sh), 1j * t, -t / c2, 1j * t * s2 * (2 * t ** 2 - s2)
+    rp = nonvanishing(1j * t, _METRIC_FLOOR, "r'")
+    return np.arcsinh(sh), rp, -t / c2, 1j * t * s2 * (2 * t ** 2 - s2)
 
 
 def normal_form(jet, V):
@@ -248,14 +251,13 @@ def liouville_potential(parent, kappa, xi):
     bound-state energy. The caller separates V from the
     transformed energy E using the target family's closed form. Raises
     InvalidParameters unless kappa is finite and > 0 and kappa^2 is finite,
-    and SingularPoint when |r'| is below the metric floor at xi.
+    and SingularPoint where `arch_map` does.
     """
     if not (math.isfinite(kappa) and kappa > 0):
         raise InvalidParameters("kappa must be real and > 0")
     if not math.isfinite(float(kappa) * float(kappa)):
         raise InvalidParameters(f"kappa^2 overflows for kappa = {kappa:g}")
     jet = arch_map(xi)
-    nonvanishing(jet[1], _METRIC_FLOOR, "r'")
     return normal_form(jet, parent(jet[0]) + kappa ** 2)[1]
 
 

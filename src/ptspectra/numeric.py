@@ -503,16 +503,15 @@ class Family:
     `canonical` is the README setup and the CLI's parameter defaults; its
     type is the family's parameter record.
     `grid` is the uniform window (x_min, x_max, n_points) that `sample`
-    tabulates and that `verify`'s window flags fall back on, and
-    `aux_columns` the level aux entries the spectrum table prints after
-    kappa (a `_re`/`_im` suffix takes that part of a complex entry).
+    tabulates and that `verify`'s window flags fall back on.
     `tol_energy` and `tol_residual` are the verdict's default bounds.
     `reach(level)` is the path range |x| on which a level's far field stays
     finite in floating point: sinh and cosh overflow past |x| of about 710
     and the arch's height past 355, and a degree-N Jacobi factor of cosh 2r
     grows as e^{2N|x|}. Every family's levels state their decay rate along
-    the path as `aux["kappa"]`. The CLI selects a level by the quantum
-    numbers it is given, the same way for every family.
+    the path as `aux["kappa"]`; the spectrum table prints their other aux
+    entries after it. The CLI selects a level by the quantum numbers it is
+    given, the same way for every family.
     """
 
     name: str
@@ -524,7 +523,6 @@ class Family:
     grid: tuple
     tol_energy: float
     tol_residual: float
-    aux_columns: tuple
     reach: Callable
 
 
@@ -540,7 +538,6 @@ FAMILIES = {f.name: f for f in (
            wavefunction=lambda p, level, path: _sp.eckart_wavefunction(p, level, path),
            contour=lambda p: ShiftedLine(p.epsilon),
            grid=(-18.0, 18.0, 1001), tol_energy=1e-5, tol_residual=1.5e-1,
-           aux_columns=("u_re", "u_im", "v_re", "v_im"),
            reach=lambda level: 700.0),
     Family("rpt", PoschlTellerParams(3.5, 1.5, 0.3),
            spectrum=lambda p: _sp.rpt_spectrum(p),
@@ -548,7 +545,6 @@ FAMILIES = {f.name: f for f in (
            wavefunction=lambda p, level, path: _sp.rpt_wavefunction(p, level, path),
            contour=lambda p: ShiftedLine(p.epsilon),
            grid=(-12.0, 12.0, 1001), tol_energy=1e-6, tol_residual=1.5e-1,
-           aux_columns=(),
            reach=lambda level: 700.0 / (1 + 2 * level.qn.N)),
     Family("hulthen", HulthenParams(2.0, 2.0),
            spectrum=lambda p: _sp.hulthen_spectrum(p),
@@ -556,7 +552,6 @@ FAMILIES = {f.name: f for f in (
            wavefunction=lambda p, level, path: _sp.hulthen_wavefunction(p, level, None, path),
            contour=lambda p: ArchContour(p.epsilon),
            grid=(-12.0, 12.0, 1001), tol_energy=1e-4, tol_residual=1e-4,
-           aux_columns=("s", "tau_beta"),
            reach=lambda level: 350.0 / (1 + 2 * level.qn.N)),
 )}
 
@@ -690,20 +685,20 @@ def _resolution_limit(record, step, v, L, own, Hf, H, tol_energy, tol_residual) 
 def _verify_level(fam, params, level, L, own, Hf, H, x_fine, path, root,
                   tol_energy, tol_residual) -> LevelRecord:
     """One level's `LevelRecord`: its wave function sampled on `path`, the
-    refined grid's points `x_fine`, as the Liouville unknown u = psi /
-    `root()` starts the solve of `Hf` at its energy, and the two-sided
-    quotient of `H` at that eigenvector's even nodes is the stated grid's
-    eigenvalue. A `SpectraError` becomes a failed record typed by the error
-    and counting the sweeps run, 0 for a sample that fails, a Liouville
-    unknown that is not finite among them (`require_finite`, naming the
-    wave function); a residual that overflows raises in `residual`.
+    refined grid's points `x_fine`, over `root`, sqrt(xi') there, is the
+    Liouville unknown u that starts the solve of `Hf` at its energy, and
+    the two-sided quotient of `H` at that eigenvector's even nodes is the
+    stated grid's eigenvalue. A `SpectraError` becomes a failed record typed
+    by the error and counting the sweeps run, 0 for a sample that fails, a
+    Liouville unknown that is not finite among them (`require_finite`,
+    naming the wave function); a residual that overflows raises in `residual`.
     `_resolution_limit` types a failing level, given L and `own`, the
     points its own rule grid needs."""
     qn, E = level.qn, level.energy
     iters, limit = 0, ""  # limit: why the grid does not resolve the level
     try:
         with np.errstate(all="ignore"):  # a non-finite sample is refused below
-            u_f = fam.wavefunction(params, level, path) / root()
+            u_f = fam.wavefunction(params, level, path) / root
         require_finite(x_fine, (u_f,), "the wave function is")
         v = u_f / np.max(np.abs(u_f))  # scaled so that v * v stays finite
         fine = solve_targeted(Hf, E, v[1:-1])
@@ -751,7 +746,9 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     residual within `tol_residual`; both must be finite and > 0
     (InvalidParameters). A failing level the grid does not resolve is typed
     ResolutionLimit (`_resolution_limit`); other failures are plain, and
-    constituent errors become failed entries, not exceptions.
+    constituent errors become failed entries, not exceptions. The levels
+    share one sqrt(xi'), which cannot raise: the pencil's sampler holds xi'
+    finite and above the metric floor (`_normal_form_samples`).
     """
     fam = next((f for f in FAMILIES.values() if isinstance(params, type(f.canonical))), None)
     if fam is None:
@@ -775,8 +772,7 @@ def verify_family(params, grid: Grid = None, tol_energy: float = None,
     Hf = build_hamiltonian(evaluator, grid.refined())
     H = _stated_pencil(Hf, grid)
     path = _sp.SampledPath(Hf.samples[0])  # the factors every level's wave function shares
-    # sqrt(xi') on the refined grid, formed once a level needs it; one that raises fails each level
-    root = functools.cache(lambda: _contour.metric_root(Hf.samples[1]))
+    root = _contour.metric_root(Hf.samples[1])
     x_fine = Hf.grid.points()
     entries = [_verify_level(fam, params, level, L, n, Hf, H, x_fine, path, root,
                              tol_energy, tol_residual)

@@ -7,8 +7,10 @@ benchmark's independent closed-form census."""
 import importlib
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -77,3 +79,22 @@ def test_traced_powers_and_transports_follow_the_levels(monkeypatch):
     assert hulthen_levels > 0
     assert names.count("contour.power_along_path") == names.count("spectra.wavefunction") > 0
     assert names.count("contour.transport_wavefunction") == hulthen_levels
+
+
+def test_fresh_sweep_box_draws_verify_without_a_warning(monkeypatch):
+    # the sweep workload's stratified draws with fresh streams: every report
+    # runs with each warning an error, and every level passes or is typed
+    monkeypatch.setitem(sys.modules, "census", _load("census"))
+    workloads = _load("workloads")
+    numeric = importlib.import_module("ptspectra.numeric")
+    records = {name: type(fam.canonical) for name, fam in numeric.FAMILIES.items()}
+    levels = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (7, 11):
+            rng = np.random.default_rng(seed)
+            for family in workloads.FAMILIES:
+                for values in workloads._stratified(rng, workloads.SWEEP_BOX[family]):
+                    levels += numeric.verify_family(records[family](*values)).entries
+    assert len(levels) > 300
+    assert [e for e in levels if not e.converged and e.diagnostic is None] == []

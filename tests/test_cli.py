@@ -152,6 +152,26 @@ def test_spectrum_rpt_empty_family(capsys):
     assert rows == []
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["--family", "eckart", "--A", "0.5"], "family,sigma,tau,N,E,kappa,u_re,u_im,v_re,v_im"),
+    (["--family", "hulthen", "--alpha", "0.5", "--C", "5"], "family,sigma,tau,N,E,kappa,s,tau_beta"),
+], ids=["eckart", "hulthen"])
+def test_an_empty_spectrum_table_keeps_the_aux_header(capsys, argv, header):
+    # with no level to read, the columns come from the canonical setup's levels
+    assert _run(capsys, ["spectrum", *argv]) == (0, header + "\n", "")
+
+
+def test_spectrum_splits_a_complex_aux_entry_with_a_zero_imaginary_part(capsys):
+    # beta = 0 makes Eckart's u and v real in value, but they stay complex entries
+    code, out, _ = _run(capsys, ["spectrum", "--family", "eckart", "--A", "6", "--beta", "0"])
+    header, rows = _rows(out)
+    assert code == 0 and header[6:] == ["u_re", "u_im", "v_re", "v_im"]
+    assert len(rows) == 5
+    for N, r in enumerate(rows):
+        D = 6 - N - 1
+        assert [float(c) for c in r[5:]] == [D, D / 2, 0.0, D / 2, 0.0]
+
+
 def test_spectrum_hulthen_row(capsys):
     code, out, _ = _run(capsys, ["spectrum", "--family", "hulthen"])
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,12 @@ def test_contour_epsilon_ranges():
         ShiftedLine(math.pi / 2)
     with pytest.raises(InvalidParameters):
         ArchContour(-0.1)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+def test_a_stretch_must_be_finite_and_positive(a):
+    with pytest.raises(InvalidParameters, match="^stretch a must be finite and > 0$"):
+        Stretched(ShiftedLine(0.3), a)
 
 
 def test_continuous_log_is_principal_and_rejects_an_exact_zero():
@@ -219,6 +226,33 @@ def test_scalars_equal_one_element_arrays():
         assert scalar.shape == () and array.shape == (1,)
         assert scalar.dtype == array.dtype
         assert abs(scalar - array[0]) <= 4 * np.finfo(float).eps * abs(array[0])
+
+
+@pytest.mark.parametrize("f", [
+    arch_map, lambda xi: liouville_potential(lambda r: 1 / np.sinh(r) ** 2, 1.5, xi),
+], ids=["arch_map", "liouville_potential"])
+def test_the_arch_map_guards_its_vanishing_cosh2_at_the_apex(f):
+    # within 1e-9 of pi/2, cosh^2 r = 1 + sinh^2 r at the apex node x = 0
+    # rounds to 0; the map refuses it before it divides, without a warning
+    xi = ArchContour(math.pi / 2 - 1e-9).point(np.linspace(-1, 1, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularPoint) as info:
+            f(xi)
+    assert str(info.value) == "cosh^2 r vanishes: |cosh^2 r| = 0.000e+00 below 1.0e-12"
+
+
+def test_the_arch_map_guards_its_vanishing_r_prime_at_the_apex():
+    # r' = i tanh r is tan(eps) at the apex, below the metric floor at eps = 1e-11
+    xi = ArchContour(1e-11).point(np.linspace(-1, 1, 5))
+    with pytest.raises(SingularPoint) as info:
+        arch_map(xi)
+    assert str(info.value) == "r' vanishes: |r'| = 1.000e-11 below 1.0e-10"
+
+
+def test_the_arch_map_of_no_points_is_empty():
+    assert [c.shape for c in arch_map(np.array([], dtype=complex))] == [(0,)] * 4
+    assert liouville_potential(lambda r: r, 1.0, np.array([], dtype=complex)).shape == (0,)
 
 
 def test_arch_map_inverts_the_arch():

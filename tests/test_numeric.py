@@ -325,21 +325,15 @@ def test_a_callers_write_does_not_reach_the_next_default_start_solve():
     assert np.array_equal(second.eigenvector, kept)
 
 
-@pytest.mark.parametrize("patched", ["wavefunction", "liouville_scale"])
-def test_a_failed_sample_is_a_failed_entry_per_level(monkeypatch, patched):
-    # the wave function and the report's one Liouville scale are sampled
-    # inside each level's error handling, before the solves they start
+def test_a_failed_sample_is_a_failed_entry_per_level(monkeypatch):
+    # the wave function is sampled inside each level's error handling,
+    # before the solves it starts
     good = verify_family(ECK)
 
     def broken(*args, **kwargs):
         raise SingularPoint("patched")
 
-    if patched == "wavefunction":
-        monkeypatch.setattr(spectra, "eckart_wavefunction", broken)
-    else:
-        # numeric reads the scale's root off the contour module; the
-        # wavefunctions keep their own metric_root
-        monkeypatch.setattr(contour, "metric_root", broken)
+    monkeypatch.setattr(spectra, "eckart_wavefunction", broken)
     rep = verify_family(ECK)
     assert not rep.passed and len(rep.entries) == len(good.entries) > 1
     for e in rep.entries:
@@ -701,6 +695,11 @@ def test_verify_family_reports_failure_honestly():
     assert all(not e.converged for e in rep.entries)
 
 
+def test_verify_family_refuses_an_unknown_parameter_record():
+    with pytest.raises(TypeError, match="^unknown parameter record object$"):
+        verify_family(object())
+
+
 def _entry_values(report):
     return [dataclasses.astuple(e) for e in report.entries]
 
@@ -977,7 +976,7 @@ def test_a_level_whose_sample_or_residual_overflows_is_typed_without_a_warning()
 
 def test_an_arch_map_below_the_one_metric_floor_fails_its_level():
     # tan(eps) ~ 1e-11 is below the 1e-10 floor that the pencil shares with
-    # `contour.metric_root`: the arch map's r' vanishes at the apex, so the
+    # `arch_map`'s own guard: the map's r' vanishes at the apex, so the
     # wave-function sample raises before any solve
     rep = verify_family(HulthenParams(2.0, 2.0, 1e-11))
     (e,) = rep.entries

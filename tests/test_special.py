@@ -10,6 +10,12 @@ from ptspectra import (
 )
 
 
+@pytest.mark.parametrize("f", [gauss2f1_terminating, jacobi_p_hyp, jacobi_p_rec])
+def test_a_negative_degree_is_refused(f):
+    with pytest.raises(ValueError, match="must be a non-negative integer"):
+        f(-1, 0.5, 1.5, 0.3)
+
+
 def test_gauss2f1_single_term_and_z0():
     assert gauss2f1_terminating(0, 1.7 - 0.3j, 0.9j + 1, 5.0) == 1
     assert gauss2f1_terminating(3, 2.0, 3.0, 0.0) == 1

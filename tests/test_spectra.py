@@ -12,6 +12,7 @@ from ptspectra import (
     InvalidParameters,
     OutOfRange,
     PoschlTellerParams,
+    QuantumNumbers,
     SampledPath,
     ShiftedLine,
     SingularPoint,
@@ -67,6 +68,21 @@ def test_eckart_boundary_level_warning():
     assert [l.qn.N for l in levels] == [0]
     # exactly at the boundary there is nothing to report, just exclusion
     assert [l.qn.N for l in eckart_spectrum(EckartParams(2.0, 1.0))] == [0]
+
+
+def test_rpt_boundary_level_warning():
+    # (-,-) has 2N + 1 < alpha + beta = 3 + 5e-13: its N = 1 slot sits within
+    # round-off of the boundary and goes loudly; the other families are empty
+    with pytest.warns(BoundaryLevelWarning, match=r"^RPT \(-,-\) N=1 sits on"):
+        levels = rpt_spectrum(PoschlTellerParams(2.0, 1.0 + 5e-13, 0.3))
+    assert [l.qn.label() for l in levels] == ["(-,-,0)"]
+
+
+def test_quantum_numbers_are_validated():
+    with pytest.raises(InvalidParameters, match="^N must be a non-negative integer$"):
+        QuantumNumbers("rpt", -1)
+    with pytest.raises(InvalidParameters, match="^sigma and tau must be \\+1 or -1$"):
+        QuantumNumbers("rpt", 0, sigma=0)
 
 
 def test_eckart_ground_wavefunction_shape():
@@ -210,6 +226,14 @@ def test_hulthen_degenerate_s_slot():
     # alpha = 1 puts sigma=-1, n=0 exactly at s = 0
     with pytest.warns(DegenerateSWarning):
         hulthen_spectrum(HulthenParams(1.0, 3.0))
+
+
+def test_hulthen_degenerate_tau_beta_slot():
+    # C = s^2 at sigma=-1, n=0 (s = -2.5) puts tau*beta = (C - s^2)/(2s) at 0:
+    # that level is excluded and n=1 (s = -0.5, tau*beta = -6) is kept
+    with pytest.warns(DegenerateSWarning, match=r"^hulthen \(sigma=-1, n=0\): tau\*beta = 0"):
+        levels = hulthen_spectrum(HulthenParams(3.5, 6.25))
+    assert [(l.qn.sigma, l.qn.N, l.aux["tau_beta"]) for l in levels] == [(-1, 1, -6.0)]
 
 
 def test_hulthen_wavefunction_modulus_identity():
